@@ -8,6 +8,17 @@ be rebuilt for every forward/backward pass.
 Values are always 2-D ``float64`` matrices (a scalar is ``1x1``).  Binary
 elementwise ops broadcast a ``1xc`` row vector or a ``1x1`` scalar against a
 full matrix; gradients are summed back over the broadcast axes.
+
+``Graph.leaf`` records a node that receives a gradient (a parameter, or an
+input whose gradient is wanted); ``Graph.constant`` records data that never
+does.  Every node carries ``needs_grad``: true for a leaf, false for a
+constant, and for any other node true when any of its inputs needs it.
+``backward`` gives each node that needs a gradient (and the loss) a view of
+one zeroed buffer and skips the rules of nodes that need none, and the
+built-in rules skip inputs that need none, so work on the data side of a
+product is never done.  A custom rule passed to ``Graph.record`` follows the
+same contract: accumulate (+=) into ``inp.grad`` only for inputs with
+``inp.needs_grad``; the others have ``grad`` None.
 """
 
 from __future__ import annotations
@@ -31,6 +42,7 @@ __all__ = [
     "matmul",
     "activation",
     "sigmoid",
+    "sigmoid_values",
     "relu",
     "gelu",
     "exp",
@@ -49,6 +61,10 @@ _GELU_COEF = 0.044715
 _SQRT_2_OVER_PI = 0.7978845608028654
 # Predictions are clamped to [eps, 1 - eps] before the BCE log.
 _BCE_EPS = 1e-7
+# Each evaluation of f is taken to carry up to this many units of roundoff
+# (eps * |f|); the central difference cannot resolve anything below that.
+_FD_ROUNDING_ULPS = 4.0
+_EPS = float(np.finfo(np.float64).eps)
 
 
 class ShapeError(ValueError):
@@ -74,13 +90,14 @@ def as_matrix(value) -> np.ndarray:
 class Node:
     """One tape entry: a cached forward value plus its backward rule."""
 
-    __slots__ = ("graph", "value", "grad", "op")
+    __slots__ = ("graph", "value", "grad", "op", "needs_grad")
 
-    def __init__(self, graph: "Graph", value: np.ndarray, op: str):
+    def __init__(self, graph: "Graph", value: np.ndarray, op: str, needs_grad: bool):
         self.graph = graph
         self.value = value
         self.grad: np.ndarray | None = None
         self.op = op
+        self.needs_grad = needs_grad
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -128,8 +145,14 @@ class Graph:
         return len(self._nodes)
 
     def leaf(self, value) -> Node:
-        """Insert an input/parameter node with no backward rule."""
+        """Insert a copy of ``value`` as a node that receives a gradient."""
         return self.record(as_matrix(value), (), None, op="leaf")
+
+    def constant(self, value) -> Node:
+        """Insert a copy of ``value`` as data: a leaf whose ``grad`` stays None."""
+        node = self.record(as_matrix(value), (), None, op="leaf")
+        node.needs_grad = False
+        return node
 
     def record(
         self,
@@ -140,20 +163,29 @@ class Graph:
     ) -> Node:
         """Append a node to the tape.
 
-        ``backward`` receives the node's output gradient and must accumulate
-        (+=) into ``input.grad`` for every differentiable input.  This is the
+        The node needs a gradient when it is a leaf or when any input needs
+        one.  ``backward`` receives the node's output gradient and must
+        accumulate (+=) into ``inp.grad`` for every input with
+        ``inp.needs_grad``; inputs without it have no ``grad`` buffer.  It is
+        called only if the node itself needs a gradient.  This is the
         extension point custom fused operations (and test fixtures) use.
         """
+        needs_grad = op == "leaf"
         for inp in inputs:
             if inp.graph is not self:
                 raise GraphError("operands belong to different graphs")
-        node = Node(self, value, op)
+            needs_grad = needs_grad or inp.needs_grad
+        node = Node(self, value, op, needs_grad)
         self._nodes.append(node)
         self._rules.append(backward)
         return node
 
     def backward(self, loss: Node) -> None:
-        """Reverse sweep from a scalar loss; populates every node's ``grad``."""
+        """Reverse sweep from a scalar loss.
+
+        Populates ``grad`` of the loss and of every node that needs a
+        gradient, each a view of one zeroed buffer; other nodes keep None.
+        """
         if loss.graph is not self:
             raise GraphError("loss node belongs to a different graph")
         if loss.value.shape != (1, 1):
@@ -161,12 +193,18 @@ class Graph:
         if self._swept:
             raise GraphError("backward already ran on this graph; call reset() first")
         self._swept = True
-        for node in self._nodes:
-            node.grad = np.zeros_like(node.value)
-        assert loss.grad is not None
+        owners = [node for node in self._nodes if node.needs_grad]
+        if not loss.needs_grad:
+            owners.append(loss)
+        buffer = np.zeros(sum(node.value.size for node in owners))
+        start = 0
+        for node in owners:
+            end = start + node.value.size
+            node.grad = buffer[start:end].reshape(node.value.shape)
+            start = end
         loss.grad[0, 0] = 1.0
         for node, rule in zip(reversed(self._nodes), reversed(self._rules)):
-            if rule is not None:
+            if rule is not None and node.needs_grad:
                 rule(node.grad)
 
     def reset(self) -> None:
@@ -217,8 +255,10 @@ def add(a: Node, b: Node) -> Node:
     out_val = a.value + b.value
 
     def backward(grad: np.ndarray) -> None:
-        a.grad += _unbroadcast(grad, a.shape)
-        b.grad += _unbroadcast(grad, b.shape)
+        if a.needs_grad:
+            a.grad += _unbroadcast(grad, a.shape)
+        if b.needs_grad:
+            b.grad += _unbroadcast(grad, b.shape)
 
     return g.record(out_val, (a, b), backward, op="add")
 
@@ -229,8 +269,10 @@ def sub(a: Node, b: Node) -> Node:
     out_val = a.value - b.value
 
     def backward(grad: np.ndarray) -> None:
-        a.grad += _unbroadcast(grad, a.shape)
-        b.grad -= _unbroadcast(grad, b.shape)
+        if a.needs_grad:
+            a.grad += _unbroadcast(grad, a.shape)
+        if b.needs_grad:
+            b.grad -= _unbroadcast(grad, b.shape)
 
     return g.record(out_val, (a, b), backward, op="sub")
 
@@ -241,8 +283,10 @@ def mul(a: Node, b: Node) -> Node:
     out_val = a.value * b.value
 
     def backward(grad: np.ndarray) -> None:
-        a.grad += _unbroadcast(grad * b.value, a.shape)
-        b.grad += _unbroadcast(grad * a.value, b.shape)
+        if a.needs_grad:
+            a.grad += _unbroadcast(grad * b.value, a.shape)
+        if b.needs_grad:
+            b.grad += _unbroadcast(grad * a.value, b.shape)
 
     return g.record(out_val, (a, b), backward, op="mul")
 
@@ -301,8 +345,10 @@ def matmul(a: Node, b: Node) -> Node:
     out_val = a.value @ b.value
 
     def backward(grad: np.ndarray) -> None:
-        a.grad += grad @ b.value.T
-        b.grad += a.value.T @ grad
+        if a.needs_grad:
+            a.grad += grad @ b.value.T
+        if b.needs_grad:
+            b.grad += a.value.T @ grad
 
     return g.record(out_val, (a, b), backward, op="matmul")
 
@@ -315,8 +361,10 @@ def concat_cols(a: Node, b: Node) -> Node:
     split = a.shape[1]
 
     def backward(grad: np.ndarray) -> None:
-        a.grad += grad[:, :split]
-        b.grad += grad[:, split:]
+        if a.needs_grad:
+            a.grad += grad[:, :split]
+        if b.needs_grad:
+            b.grad += grad[:, split:]
 
     return g.record(out_val, (a, b), backward, op="concat_cols")
 
@@ -326,18 +374,18 @@ def concat_cols(a: Node, b: Node) -> Node:
 # ---------------------------------------------------------------------------
 
 
-def _sigmoid_values(x: np.ndarray) -> np.ndarray:
-    # Split on sign so exp never overflows.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def sigmoid_values(x: np.ndarray) -> np.ndarray:
+    """Logistic function on an array, overflow-free: exp only sees -|x|.
+
+    For x >= 0 this is 1 / (1 + e^-x), otherwise e^x / (1 + e^x).
+    """
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def sigmoid(x: Node) -> Node:
-    y = _sigmoid_values(x.value)
+    y = sigmoid_values(x.value)
 
     def backward(grad: np.ndarray) -> None:
         x.grad += grad * y * (1.0 - y)
@@ -383,7 +431,7 @@ def softplus(x: Node) -> Node:
     y = np.maximum(v, 0.0) + np.log1p(np.exp(-np.abs(v)))
 
     def backward(grad: np.ndarray) -> None:
-        x.grad += grad * _sigmoid_values(v)
+        x.grad += grad * sigmoid_values(v)
 
     return x.graph.record(y, (x,), backward, op="softplus")
 
@@ -501,7 +549,10 @@ def finite_difference_check(
     gradient path it checks.
 
     Returns the max over all coordinates of
-    ``|analytic - numeric| / max(1e-8, |analytic| + |numeric|)``.
+    ``|analytic - numeric| / max(1e-8, |analytic| + |numeric|)``.  A
+    coordinate whose difference lies within the central difference's own
+    rounding floor, ``4 eps (|f(p + h)| + |f(p - h)|) / 2h``, counts as 0:
+    below that floor the numeric side is noise, not a derivative.
     """
     if h <= 0.0:
         raise ValueError("h must be positive")
@@ -529,6 +580,8 @@ def finite_difference_check(
             flat[i] = saved
             numeric = (f_plus - f_minus) / (2.0 * h)
             analytic = grads[k].reshape(-1)[i]
-            rel = abs(analytic - numeric) / max(1e-8, abs(analytic) + abs(numeric))
-            max_rel = max(max_rel, rel)
+            diff = abs(analytic - numeric)
+            floor = _FD_ROUNDING_ULPS * _EPS * (abs(f_plus) + abs(f_minus)) / (2.0 * h)
+            if diff > floor:
+                max_rel = max(max_rel, diff / max(1e-8, abs(analytic) + abs(numeric)))
     return max_rel

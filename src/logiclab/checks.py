@@ -38,7 +38,7 @@ def _scalar_loss(out):
 def _weighted_loss(out, weights: np.ndarray):
     """Random-weighted sum.  Gate-style ops (softmax Jacobians) annihilate
     constant output gradients, so the probe weights must vary per entry."""
-    w = out.graph.leaf(weights)
+    w = out.graph.constant(weights)
     return ad.reduce_sum(ad.reduce_sum(ad.mul(out, w), "cols"), "rows")
 
 
@@ -298,6 +298,8 @@ def gradcheck_suite(
     checks: dict[str, CheckBuilder] | None = None,
 ) -> dict[str, float]:
     """Max relative finite-difference error per named check."""
+    if points < 1:
+        raise ValueError(f"points must be >= 1, got {points}")
     if checks is None:
         checks = GRADCHECKS
     rng = np.random.default_rng(seed)

@@ -173,15 +173,18 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     except ValueError as exc:
         raise ConfigError(f"bad formula {cfg.formula!r}: {exc}") from exc
     specs = _model_specs(cfg)
+    try:
+        train_cfg = TrainConfig(
+            epochs=cfg.epochs,
+            learning_rate=cfg.learning_rate,
+            passes_per_epoch=cfg.passes_per_epoch,
+            seeds=tuple(range(cfg.seeds)),
+            n_train=cfg.n_train,
+            n_test=cfg.n_test,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     _ensure_out_dir(cfg.out_dir)
-    train_cfg = TrainConfig(
-        epochs=cfg.epochs,
-        learning_rate=cfg.learning_rate,
-        passes_per_epoch=cfg.passes_per_epoch,
-        seeds=tuple(range(cfg.seeds)),
-        n_train=cfg.n_train,
-        n_test=cfg.n_test,
-    )
     aggregate = run_multi_seed(specs, train_cfg, formula)
     write_results_csv(os.path.join(cfg.out_dir, "results.csv"), aggregate.runs)
     write_summary_json(os.path.join(cfg.out_dir, "summary.json"), aggregate, train_cfg, cfg.formula)
@@ -203,8 +206,12 @@ def cmd_train(cfg: ExperimentConfig) -> int:
 def cmd_boundary(cfg: ExperimentConfig) -> int:
     if cfg.resolution < 2:
         raise ConfigError(f"resolution must be >= 2, got {cfg.resolution}")
+    try:
+        specs = default_grid_specs(cfg.betas, cfg.resolution)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     _ensure_out_dir(cfg.out_dir)
-    for name, spec in default_grid_specs(cfg.betas, cfg.resolution):
+    for name, spec in specs:
         grid = decision_boundary_grid(spec)
         csv_path = os.path.join(cfg.out_dir, f"boundary_{name}.csv")
         write_grid_csv(csv_path, grid)
@@ -232,6 +239,8 @@ def cmd_truth_table(arity: int, sharpness: float) -> int:
 
 
 def cmd_gradcheck(points: int) -> int:
+    if points < 1:
+        raise ConfigError(f"--points must be >= 1, got {points}")
     results = gradcheck_suite(points=points)
     failed = False
     for name, err in results.items():

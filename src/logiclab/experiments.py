@@ -128,7 +128,12 @@ class TrainConfig:
 
 
 class Adam:
-    """Standard Adam with bias correction; updates parameter arrays in place."""
+    """Standard Adam with bias correction; updates parameter arrays in place.
+
+    The moments of all parameters live in one flat vector each, in the order
+    of ``params``; a step is one vector update whose slices are subtracted
+    from the parameter arrays, which stay the same objects.
+    """
 
     def __init__(
         self,
@@ -144,19 +149,25 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self._spans = []  # (array, start, end): its slice of the flat moments
+        size = 0
+        for arr in params.values():
+            self._spans.append((arr, size, size + arr.size))
+            size += arr.size
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for name, p in self.params.items():
-            g = grads[name]
-            self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1.0 - b2) * g * g
-            m_hat = self.m[name] / (1.0 - b1**self.t)
-            v_hat = self.v[name] / (1.0 - b2**self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        g = np.concatenate([grads[name] for name in self.params], axis=None)
+        self.m = b1 * self.m + (1.0 - b1) * g
+        self.v = b2 * self.v + (1.0 - b2) * g * g
+        m_hat = self.m / (1.0 - b1**self.t)
+        v_hat = self.v / (1.0 - b2**self.t)
+        update = self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        for p, start, end in self._spans:
+            p -= update[start:end].reshape(p.shape)
 
 
 @dataclass
@@ -336,6 +347,8 @@ class GridSpec:
             raise ValueError(f"unknown grid kind {self.kind!r}")
         if self.resolution < 2:
             raise ValueError(f"resolution must be >= 2, got {self.resolution}")
+        if not 0.0 <= self.sharpness < math.inf:
+            raise ValueError(f"sharpness must be finite and >= 0, got {self.sharpness}")
 
 
 @dataclass
@@ -361,19 +374,10 @@ def decision_boundary_grid(spec: GridSpec) -> BoundaryGrid:
         z1, z2 = w * x1, w * x2
         # Two-entry gate: the softmax weight collapses to a sigmoid.
         d = z2 - z1
-        values = z1 + d * _sigmoid(sign * spec.sharpness * d)
+        values = z1 + d * ad.sigmoid_values(sign * spec.sharpness * d)
     else:  # inner_relu
         values = np.maximum(0.0, w * x1 + w * x2 + spec.bias)
     return BoundaryGrid(spec=spec, xs=xs, values=np.ascontiguousarray(values))
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 def default_grid_specs(

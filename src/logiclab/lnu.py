@@ -34,10 +34,18 @@ __all__ = [
 
 
 def inverse_softplus(y: float) -> float:
-    """Return x with softplus(x) = y; requires y > 0."""
+    """Return x with softplus(x) = y; requires y > 0.
+
+    ``log(expm1(y))`` wherever ``expm1(y)`` is finite; beyond that (y > ~709)
+    the equal form ``y + log(-expm1(-y))``, which cannot overflow.
+    """
     if y <= 0.0:
         raise ValueError(f"inverse_softplus needs y > 0, got {y}")
-    return float(np.log(np.expm1(y)))
+    with np.errstate(over="ignore"):
+        e = np.expm1(y)
+    if np.isfinite(e):
+        return float(np.log(e))
+    return float(y + np.log(-np.expm1(-y)))
 
 
 def gated_reduce(x: Node, w: Node, mode: str, sharpness: float | Node) -> Node:
@@ -80,9 +88,11 @@ def gated_reduce(x: Node, w: Node, mode: str, sharpness: float | Node) -> Node:
         # d out[i,k] / d z[i,j,k] = gate * (1 + t * (z - out))
         p = gates * (1.0 + t * (z - out_val[:, None, :]))
         dz = grad[:, None, :] * p
-        x.grad += (dz * wv[None, :, :]).sum(axis=2)
-        w.grad += (dz * xv[:, :, None]).sum(axis=0)
-        if sharp_node is not None:
+        if x.needs_grad:
+            x.grad += (dz * wv[None, :, :]).sum(axis=2)
+        if w.needs_grad:
+            w.grad += (dz * xv[:, :, None]).sum(axis=0)
+        if sharp_node is not None and sharp_node.needs_grad:
             # d out[i,k] / d s = sign * (sum_j gate * z^2 - out^2)
             d_sharp = sign * ((gates * z * z).sum(axis=1) - out_val * out_val)
             sharp_node.grad[0, 0] += (grad * d_sharp).sum()

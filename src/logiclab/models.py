@@ -95,7 +95,7 @@ class Perceptron:
 
     def forward(self, graph: Graph, inputs: np.ndarray) -> tuple[Node, dict[str, Node]]:
         leaves = {name: graph.leaf(arr) for name, arr in self.params.items()}
-        x = graph.leaf(inputs)
+        x = graph.constant(inputs)
         hidden = ad.activation(self.spec.activation, ad.matmul(x, leaves["w_hidden"]))
         logits = ad.add(ad.matmul(hidden, leaves["w_head"]), leaves["b_head"])
         return ad.sigmoid(logits), leaves
@@ -125,7 +125,7 @@ class Logicron:
         leaves: dict[str, Node] = dict(gates.leaves())
         leaves["w_head"] = graph.leaf(self.params["w_head"])
         leaves["b_head"] = graph.leaf(self.params["b_head"])
-        x = graph.leaf(inputs)
+        x = graph.constant(inputs)
         hidden = lnu_forward(x, gates)
         logits = ad.add(ad.matmul(hidden, leaves["w_head"]), leaves["b_head"])
         return ad.sigmoid(logits), leaves

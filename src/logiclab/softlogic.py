@@ -20,6 +20,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from .autodiff import sigmoid_values
+
 __all__ = [
     "Var",
     "Not",
@@ -293,16 +295,6 @@ def weighted_gate(x, w) -> np.ndarray:
     return xv * wv
 
 
-def _sigmoid(x):
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def soft_not(x, mode: str = "affine", w_not: float | None = None):
     """Negation: involutive ``1 - x`` or trainable ``1 - sigmoid(w_not * x)``."""
     if mode == "affine":
@@ -310,7 +302,7 @@ def soft_not(x, mode: str = "affine", w_not: float | None = None):
     if mode == "learned":
         if w_not is None:
             raise ValueError("soft_not: learned mode requires w_not")
-        return 1.0 - _sigmoid(np.asarray(x, dtype=np.float64) * w_not)
+        return 1.0 - sigmoid_values(np.asarray(x, dtype=np.float64) * w_not)
     raise ValueError(f"soft_not: unknown mode {mode!r}")
 
 
@@ -327,7 +319,7 @@ def soft_imply(a, b, sharpness: float):
     s = _check_sharpness(sharpness)
     u = 1.0 - av
     d = bv - u
-    return u + d * _sigmoid(s * d)
+    return u + d * sigmoid_values(s * d)
 
 
 # ---------------------------------------------------------------------------

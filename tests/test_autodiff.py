@@ -392,3 +392,23 @@ class TestFiniteDifferenceOracle:
 
         err = ad.finite_difference_check(f, [np.array([[1.0]])])
         assert err > 1e-2
+
+    def test_rounding_noise_on_a_zero_gradient_passes(self):
+        # f is constant in x, but sum(a + x) - n x rounds differently at x +- h.
+        a = np.random.default_rng(0).uniform(0.0, 1.0, 50)
+
+        def f(ps, value_only=False):
+            x = ps[0][0, 0]
+            return float(np.sum(a + x) - a.size * x), None if value_only else [np.zeros((1, 1))]
+
+        x0 = np.array([[0.3]])
+        h = 1e-5
+        assert (f([x0 + h])[0] - f([x0 - h])[0]) != 0.0  # the noise is there
+        assert ad.finite_difference_check(f, [x0], h=h) == 0.0
+
+    def test_small_true_gradient_with_zero_analytic_fails(self):
+        # Negative control below the old noise scale: true slope 1e-6.
+        def f(ps, value_only=False):
+            return 1.0 + 1e-6 * ps[0][0, 0], None if value_only else [np.zeros((1, 1))]
+
+        assert ad.finite_difference_check(f, [np.array([[0.3]])]) > 1e-2

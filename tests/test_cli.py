@@ -230,3 +230,24 @@ class TestConfigHandling:
         text = cli.build_parser().format_help()
         assert "results.csv" in text
         assert "model,seed,epoch,split,accuracy,loss" in text
+
+
+class TestExitCodeContract:
+    """Bad input exits 2 with one error line, no traceback and no output files."""
+
+    @pytest.mark.parametrize("argv", [
+        ("train", "--epochs", "0"),
+        ("gradcheck", "--points", "0"),
+        ("gradcheck", "--points", "-1"),
+        ("boundary", "--beta=-1"),
+        ("boundary", "--beta=nan"),
+    ])
+    def test_rejected_with_one_line(self, argv, tmp_path, capsys):
+        out = tmp_path / "o"
+        extra = () if argv[0] == "gradcheck" else ("--out", str(out))
+        assert run_cli(*argv, *extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not out.exists()

@@ -7,8 +7,11 @@ import json
 import numpy as np
 import pytest
 
+from logiclab import autodiff as ad
 from logiclab import softlogic as sl
+from logiclab.autodiff import Graph
 from logiclab.experiments import (
+    Adam,
     AggregateResult,
     GridSpec,
     ToyDataset,
@@ -111,6 +114,19 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
 
+    def test_sharpness_800_logicron_takes_a_finite_first_step(self):
+        train_ds, _ = generate_toy_data(20, 20, seed=0)
+        model = build_model(ModelSpec("logicron", sharpness=800.0), seed=0)
+        assert np.isfinite(model.params["rho"]).all()
+        optimizer = Adam(model.params, lr=0.2)
+        graph = Graph()
+        out, leaves = model.forward(graph, train_ds.inputs)
+        loss = ad.bce_loss(out, train_ds.labels)
+        graph.backward(loss)
+        optimizer.step({name: node.grad for name, node in leaves.items()})
+        assert np.isfinite(loss.item())
+        assert all(np.isfinite(arr).all() for arr in model.params.values())
+
     def test_minibatch_mode_runs(self):
         cfg = TrainConfig(epochs=2, passes_per_epoch=1, batch_size=4, seeds=(0, 1))
         train_ds, test_ds = generate_toy_data(12, 20, seed=2)
@@ -194,6 +210,11 @@ class TestBoundaryGrids:
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
             GridSpec("hard_and", resolution=1)
+
+    def test_sharpness_validation(self):
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                GridSpec("lnu_and", sharpness=bad)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -296,6 +296,16 @@ class TestParamValidation:
             node = ad.softplus(g.leaf([[inverse_softplus(y)]]))
             assert node.item() == pytest.approx(y, rel=1e-12)
 
+    def test_inverse_softplus_keeps_expm1_form_where_finite(self):
+        for y in (1e-3, 0.5, 1.5, 100.0, 709.0):
+            assert inverse_softplus(y) == float(np.log(np.expm1(y)))
+
+    def test_inverse_softplus_large_sharpness_is_finite(self):
+        for y in (710.0, 800.0, 1e4):
+            x = inverse_softplus(y)
+            g = Graph()
+            assert ad.softplus(g.leaf([[x]])).item() == pytest.approx(y, rel=1e-12)
+
     def test_inverse_softplus_domain(self):
         with pytest.raises(ValueError):
             inverse_softplus(0.0)

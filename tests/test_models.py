@@ -8,7 +8,7 @@ import pytest
 
 from logiclab import autodiff as ad
 from logiclab.autodiff import Graph
-from logiclab.checks import GRADCHECKS, run_gradcheck
+from logiclab.checks import GRAD_TOLERANCE, GRADCHECKS, gradcheck_suite, run_gradcheck
 from logiclab.models import (
     ModelSpec,
     build_model,
@@ -133,6 +133,12 @@ class TestGradients:
     def test_end_to_end_gradcheck(self, name):
         err = run_gradcheck(GRADCHECKS[name], points=5, rng=np.random.default_rng(8))
         assert err <= 1e-4
+
+    def test_clamped_zero_gradient_is_not_a_failure(self):
+        # At suite seed 3 one perceptron_relu point pushes every prediction
+        # past the BCE clamp: the analytic b_head gradient is exactly 0 and
+        # the central difference is rounding noise of about 1e-12.
+        assert gradcheck_suite(points=20, seed=3)["perceptron_relu"] <= GRAD_TOLERANCE
 
 
 class TestExport:
