@@ -32,7 +32,6 @@ __all__ = [
     "GraphError",
     "Graph",
     "Node",
-    "elementwise",
     "add",
     "sub",
     "mul",
@@ -48,7 +47,6 @@ __all__ = [
     "exp",
     "softplus",
     "softmax_rows",
-    "reduce",
     "reduce_sum",
     "reduce_mean",
     "concat_cols",
@@ -163,7 +161,8 @@ class Graph:
     ) -> Node:
         """Append a node to the tape.
 
-        The node needs a gradient when it is a leaf or when any input needs
+        Inputs from another graph are rejected with ``GraphError``.  The
+        node needs a gradient when it is a leaf or when any input needs
         one.  ``backward`` receives the node's output gradient and must
         accumulate (+=) into ``inp.grad`` for every input with
         ``inp.needs_grad``; inputs without it have no ``grad`` buffer.  It is
@@ -236,21 +235,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return grad
 
 
-def _same_graph(*nodes: Node) -> Graph:
-    g = nodes[0].graph
-    for n in nodes[1:]:
-        if n.graph is not g:
-            raise GraphError("operands belong to different graphs")
-    return g
-
-
 # ---------------------------------------------------------------------------
 # elementwise arithmetic
 # ---------------------------------------------------------------------------
 
 
 def add(a: Node, b: Node) -> Node:
-    g = _same_graph(a, b)
+    g = a.graph
     _check_broadcast(a.shape, b.shape, "add")
     out_val = a.value + b.value
 
@@ -264,7 +255,7 @@ def add(a: Node, b: Node) -> Node:
 
 
 def sub(a: Node, b: Node) -> Node:
-    g = _same_graph(a, b)
+    g = a.graph
     _check_broadcast(a.shape, b.shape, "sub")
     out_val = a.value - b.value
 
@@ -278,7 +269,7 @@ def sub(a: Node, b: Node) -> Node:
 
 
 def mul(a: Node, b: Node) -> Node:
-    g = _same_graph(a, b)
+    g = a.graph
     _check_broadcast(a.shape, b.shape, "mul")
     out_val = a.value * b.value
 
@@ -314,32 +305,13 @@ def one_minus(x: Node) -> Node:
     return x.graph.record(1.0 - x.value, (x,), backward, op="one_minus")
 
 
-_ELEMENTWISE_BINARY = {"add": add, "sub": sub, "mul": mul}
-_ELEMENTWISE_UNARY = {"neg": neg, "one_minus": one_minus}
-
-
-def elementwise(op_kind: str, a: Node, b: Node | None = None, constant: float | None = None) -> Node:
-    """Dispatch by kind: add/sub/mul (binary), neg/one_minus, scale (constant)."""
-    if op_kind in _ELEMENTWISE_BINARY:
-        if b is None:
-            raise ValueError(f"{op_kind} needs two operands")
-        return _ELEMENTWISE_BINARY[op_kind](a, b)
-    if op_kind in _ELEMENTWISE_UNARY:
-        return _ELEMENTWISE_UNARY[op_kind](a)
-    if op_kind == "scale":
-        if constant is None:
-            raise ValueError("scale needs a constant")
-        return scale(a, constant)
-    raise ValueError(f"unknown elementwise op kind {op_kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # matmul / concat
 # ---------------------------------------------------------------------------
 
 
 def matmul(a: Node, b: Node) -> Node:
-    g = _same_graph(a, b)
+    g = a.graph
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
     out_val = a.value @ b.value
@@ -354,7 +326,7 @@ def matmul(a: Node, b: Node) -> Node:
 
 
 def concat_cols(a: Node, b: Node) -> Node:
-    g = _same_graph(a, b)
+    g = a.graph
     if a.shape[0] != b.shape[0]:
         raise ShapeError(f"concat_cols: row counts differ, {a.shape} vs {b.shape}")
     out_val = np.concatenate([a.value, b.value], axis=1)
@@ -496,14 +468,6 @@ def _reduce_axis(axis: str) -> int:
     if axis == "cols":
         return 1
     raise ValueError(f"axis must be 'rows' or 'cols', got {axis!r}")
-
-
-def reduce(kind: str, x: Node, axis: str) -> Node:
-    if kind == "sum":
-        return reduce_sum(x, axis)
-    if kind == "mean":
-        return reduce_mean(x, axis)
-    raise ValueError(f"unknown reduce kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .experiments import (
     write_summary_json,
 )
 from .models import ModelSpec, default_model_suite
-from .softlogic import parse_formula
+from .softlogic import num_vars, parse_formula
 
 _EPILOG = """\
 output files:
@@ -55,22 +55,28 @@ class ConfigError(ValueError):
     """Bad configuration file or flag combination."""
 
 
+def _model_key(name: str) -> str:
+    """Config-file key of a suite model: "Logicron+Neg" -> "logicron-neg"."""
+    return name.lower().replace("+", "-")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything the subcommands need; defaults reproduce the standard setup."""
+    """Everything the subcommands need; defaults, read from ``TrainConfig`` and
+    ``default_model_suite``, reproduce the standard setup."""
 
     formula: str = DEFAULT_FORMULA_TEXT
-    include: tuple[str, ...] = ("mlp-sigmoid", "mlp-relu", "mlp-gelu", "logicron", "logicron-neg")
-    epochs: int = 30
-    learning_rate: float = 0.2
-    passes_per_epoch: int = 20
-    seeds: int = 20
-    n_train: int = 20
-    n_test: int = 200
-    perceptron_hidden: int = 24
-    logicron_units: int = 11
-    logicron_neg_units: int = 9
-    sharpness: float = 1.5
+    include: tuple[str, ...] = tuple(_model_key(name) for name, _ in default_model_suite())
+    epochs: int = TrainConfig.epochs
+    learning_rate: float = TrainConfig.learning_rate
+    passes_per_epoch: int = TrainConfig.passes_per_epoch
+    seeds: int = len(TrainConfig.seeds)
+    n_train: int = TrainConfig.n_train
+    n_test: int = TrainConfig.n_test
+    perceptron_hidden: int | None = None
+    logicron_units: int | None = None
+    logicron_neg_units: int | None = None
+    sharpness: float = ModelSpec.sharpness
     out_dir: str = "results"
     resolution: int = 101
     betas: tuple[float, ...] = (1.0, 10.0, 100.0)
@@ -136,19 +142,21 @@ def _apply_flags(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentC
     return replace(cfg, **updates)
 
 
-def _model_specs(cfg: ExperimentConfig) -> list[tuple[str, ModelSpec]]:
-    suite = {
-        "mlp-sigmoid": ("MLP-Sigmoid", ModelSpec("perceptron", hidden=cfg.perceptron_hidden, activation="sigmoid")),
-        "mlp-relu": ("MLP-ReLU", ModelSpec("perceptron", hidden=cfg.perceptron_hidden, activation="relu")),
-        "mlp-gelu": ("MLP-GeLU", ModelSpec("perceptron", hidden=cfg.perceptron_hidden, activation="gelu")),
-        "logicron": ("Logicron", ModelSpec("logicron", hidden=cfg.logicron_units, sharpness=cfg.sharpness)),
-        "logicron-neg": ("Logicron+Neg", ModelSpec("logicron_neg", hidden=cfg.logicron_neg_units, sharpness=cfg.sharpness)),
-    }
+def _model_specs(cfg: ExperimentConfig, input_dim: int) -> list[tuple[str, ModelSpec]]:
+    """The suite models named in ``include``, in that order, sized to ``input_dim`` inputs."""
+    suite = default_model_suite(
+        input_dim,
+        perceptron_hidden=cfg.perceptron_hidden,
+        logicron_units=cfg.logicron_units,
+        logicron_neg_units=cfg.logicron_neg_units,
+        sharpness=cfg.sharpness,
+    )
+    by_key = {_model_key(name): (name, spec) for name, spec in suite}
     specs = []
     for key in cfg.include:
-        if key not in suite:
-            raise ConfigError(f"unknown model {key!r}; choose from {sorted(suite)}")
-        specs.append(suite[key])
+        if key not in by_key:
+            raise ConfigError(f"unknown model {key!r}; choose from {sorted(by_key)}")
+        specs.append(by_key[key])
     if not specs:
         raise ConfigError("no models selected")
     return specs
@@ -172,8 +180,8 @@ def cmd_train(cfg: ExperimentConfig) -> int:
         formula = parse_formula(cfg.formula)
     except ValueError as exc:
         raise ConfigError(f"bad formula {cfg.formula!r}: {exc}") from exc
-    specs = _model_specs(cfg)
     try:
+        specs = _model_specs(cfg, num_vars(formula))
         train_cfg = TrainConfig(
             epochs=cfg.epochs,
             learning_rate=cfg.learning_rate,
@@ -224,7 +232,10 @@ def cmd_boundary(cfg: ExperimentConfig) -> int:
 
 
 def cmd_truth_table(arity: int, sharpness: float) -> int:
-    table = truth_table_sweep(arity=arity, sharpness=sharpness)
+    try:
+        table = truth_table_sweep(arity=arity, sharpness=sharpness)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     corners = list(next(iter(table.values()))["values"])
     header = "corner      " + "  ".join(f"{name:>9}" for name in table)
     print(f"truth tables, arity {arity} (unit weights; gated ops at sharpness {sharpness:g})")

@@ -70,8 +70,8 @@ def _labels_for(inputs: np.ndarray, formula: Formula) -> np.ndarray:
 
 
 def generate_toy_data(
-    n_train: int = 20,
-    n_test: int = 200,
+    n_train: int,
+    n_test: int,
     seed: int | np.random.SeedSequence = 0,
     formula: Formula | None = None,
 ) -> tuple[ToyDataset, ToyDataset]:
@@ -347,8 +347,7 @@ class GridSpec:
             raise ValueError(f"unknown grid kind {self.kind!r}")
         if self.resolution < 2:
             raise ValueError(f"resolution must be >= 2, got {self.resolution}")
-        if not 0.0 <= self.sharpness < math.inf:
-            raise ValueError(f"sharpness must be finite and >= 0, got {self.sharpness}")
+        sl.check_sharpness(self.sharpness)
 
 
 @dataclass
@@ -371,10 +370,8 @@ def decision_boundary_grid(spec: GridSpec) -> BoundaryGrid:
         values = ((x1 > 0.5) | (x2 > 0.5)).astype(np.float64)
     elif spec.kind in ("lnu_and", "lnu_or"):
         sign = -1.0 if spec.kind == "lnu_and" else 1.0
-        z1, z2 = w * x1, w * x2
-        # Two-entry gate: the softmax weight collapses to a sigmoid.
-        d = z2 - z1
-        values = z1 + d * ad.sigmoid_values(sign * spec.sharpness * d)
+        z = np.stack(np.broadcast_arrays(w * x1, w * x2))
+        values = sl.gate(z, sign * spec.sharpness, axis=0)[1]
     else:  # inner_relu
         values = np.maximum(0.0, w * x1 + w * x2 + spec.bias)
     return BoundaryGrid(spec=spec, xs=xs, values=np.ascontiguousarray(values))

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Graph, Node, ShapeError
+from .softlogic import check_sharpness, gate
 
 __all__ = [
     "LnuParams",
@@ -52,7 +53,8 @@ def gated_reduce(x: Node, w: Node, mode: str, sharpness: float | Node) -> Node:
     """Fused gate: out[i,k] = sum_j gate_j(z[i,:,k]) * z[i,j,k], z[i,j,k] = x[i,j] w[j,k].
 
     ``mode`` selects the gate: "or" uses softmax weights, "and" softmin.
-    ``sharpness`` may be a plain float or a 1x1 node (trainable).
+    ``sharpness`` may be a plain float or a 1x1 node (trainable).  The forward
+    is ``softlogic.gate``; this op adds its backward rule.
     """
     if mode == "or":
         sign = 1.0
@@ -67,20 +69,16 @@ def gated_reduce(x: Node, w: Node, mode: str, sharpness: float | Node) -> Node:
     if sharp_node is not None:
         if sharp_node.shape != (1, 1):
             raise ShapeError(f"sharpness node must be 1x1, got {sharp_node.shape}")
+        # Trained values are not checked: a NaN must reach the loss, where
+        # training flags the run as diverged.
         s = float(sharp_node.value[0, 0])
     else:
-        s = float(sharpness)
-    if s < 0.0:
-        raise ValueError(f"sharpness must be >= 0, got {s}")
+        s = check_sharpness(sharpness)
 
     xv, wv = x.value, w.value
     z = xv[:, :, None] * wv[None, :, :]  # (n, d, o)
     t = sign * s
-    a = t * z
-    a -= a.max(axis=1, keepdims=True)
-    gates = np.exp(a)
-    gates /= gates.sum(axis=1, keepdims=True)
-    out_val = (gates * z).sum(axis=1)  # (n, o)
+    gates, out_val = gate(z, t, axis=1)  # (n, d, o), (n, o)
 
     inputs = (x, w) if sharp_node is None else (x, w, sharp_node)
 
@@ -132,12 +130,11 @@ class LnuParams:
             raise ShapeError(
                 f"w_and and w_or must share a shape, got {self.w_and.shape} vs {self.w_or.shape}"
             )
+        self.sharpness = check_sharpness(self.sharpness)
         if self.rho is not None:
             self.rho = ad.as_matrix(self.rho)
             if self.rho.shape != (1, 1):
                 raise ShapeError(f"rho must be 1x1, got {self.rho.shape}")
-        elif self.sharpness < 0.0:
-            raise ValueError(f"sharpness must be >= 0, got {self.sharpness}")
         if self.w_not is not None:
             self.w_not = ad.as_matrix(self.w_not)
             if self.w_not.shape[0] != self.w_and.shape[0]:
@@ -165,6 +162,7 @@ class LnuParams:
             rng = np.random.default_rng()
         w_and = rng.uniform(0.25, 0.75, size=(in_width, units))
         w_or = rng.uniform(0.25, 0.75, size=(in_width, units))
+        sharpness = check_sharpness(sharpness)
         rho = np.array([[inverse_softplus(sharpness)]]) if trainable_sharpness else None
         w_not = np.zeros((in_width, negation_units)) if negation_units > 0 else None
         return cls(w_and, w_or, sharpness=sharpness, rho=rho, w_not=w_not, normalize=normalize)

@@ -17,6 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Graph, Node
 from .lnu import LnuParams, lift_layer, lnu_forward
+from .softlogic import check_sharpness
 
 __all__ = [
     "MODEL_KINDS",
@@ -64,6 +65,7 @@ class ModelSpec:
             raise ValueError(f"input_dim must be >= 1, got {self.input_dim}")
         if self.hidden is not None and self.hidden < 1:
             raise ValueError(f"hidden must be >= 1, got {self.hidden}")
+        check_sharpness(self.sharpness)
 
     @property
     def resolved_hidden(self) -> int:
@@ -161,12 +163,12 @@ def export_params(model: Model) -> dict[str, list]:
 def default_model_suite(
     input_dim: int = 3,
     *,
-    perceptron_hidden: int = 24,
-    logicron_units: int = 11,
-    logicron_neg_units: int = 9,
-    sharpness: float = 1.5,
+    perceptron_hidden: int | None = None,
+    logicron_units: int | None = None,
+    logicron_neg_units: int | None = None,
+    sharpness: float = ModelSpec.sharpness,
 ) -> list[tuple[str, ModelSpec]]:
-    """The five standard contenders, in reporting order."""
+    """The five standard contenders, in reporting order; None keeps a kind's default size."""
     return [
         ("MLP-Sigmoid", ModelSpec("perceptron", input_dim, perceptron_hidden, activation="sigmoid")),
         ("MLP-ReLU", ModelSpec("perceptron", input_dim, perceptron_hidden, activation="relu")),

@@ -33,6 +33,8 @@ __all__ = [
     "hard_eval",
     "parse_formula",
     "format_formula",
+    "check_sharpness",
+    "gate",
     "godel_and",
     "godel_or",
     "soft_and",
@@ -114,6 +116,21 @@ def hard_eval(formula: Formula, assignment: Sequence[int]) -> int:
     raise TypeError(f"not a formula: {formula!r}")
 
 
+# Deepest formula the parser accepts, as AST height and as nesting of '~' and
+# '(', so the parser and the recursive walks above stay clear of Python's limit.
+MAX_FORMULA_DEPTH = 100
+_TOO_DEEP = f"formula is nested deeper than {MAX_FORMULA_DEPTH} levels"
+
+
+def _height(formula: Formula) -> int:
+    """AST height, level by level without recursion (children: the non-index fields)."""
+    height, level = 0, [formula]
+    while level:
+        height += 1
+        level = [child for node in level for child in vars(node).values() if not isinstance(child, int)]
+    return height
+
+
 class _FormulaParser:
     """Recursive descent over ``x1 .. xN``, ``~ ! ¬``, ``& ∧``, ``| ∨``, ``->``, parentheses.
 
@@ -161,9 +178,11 @@ class _FormulaParser:
         return tokens
 
     def parse(self) -> Formula:
-        node = self._imply()
+        node = self._imply(1)
         if self.pos != len(self.tokens):
             raise ValueError(f"trailing tokens in formula: {self.tokens[self.pos:]}")
+        if _height(node) > MAX_FORMULA_DEPTH:
+            raise ValueError(_TOO_DEEP)
         return node
 
     def _peek(self) -> str | None:
@@ -174,35 +193,41 @@ class _FormulaParser:
             raise ValueError(f"expected {token!r}, found {self._peek()!r}")
         self.pos += 1
 
-    def _imply(self) -> Formula:
-        left = self._or()
-        if self._peek() == "->":
+    # ``depth`` is one more than the number of enclosing '~' and '('.
+    def _imply(self, depth: int) -> Formula:
+        operands = [self._or(depth)]
+        while self._peek() == "->":
             self._take("->")
-            return Imply(left, self._imply())
-        return left
+            operands.append(self._or(depth))
+        node = operands.pop()
+        while operands:
+            node = Imply(operands.pop(), node)
+        return node
 
-    def _or(self) -> Formula:
-        node = self._and()
+    def _or(self, depth: int) -> Formula:
+        node = self._and(depth)
         while self._peek() == "|":
             self._take("|")
-            node = Or(node, self._and())
+            node = Or(node, self._and(depth))
         return node
 
-    def _and(self) -> Formula:
-        node = self._unary()
+    def _and(self, depth: int) -> Formula:
+        node = self._unary(depth)
         while self._peek() == "&":
             self._take("&")
-            node = And(node, self._unary())
+            node = And(node, self._unary(depth))
         return node
 
-    def _unary(self) -> Formula:
+    def _unary(self, depth: int) -> Formula:
+        if depth > MAX_FORMULA_DEPTH:
+            raise ValueError(_TOO_DEEP)
         tok = self._peek()
         if tok == "~":
             self._take("~")
-            return Not(self._unary())
+            return Not(self._unary(depth + 1))
         if tok == "(":
             self._take("(")
-            node = self._imply()
+            node = self._imply(depth + 1)
             self._take(")")
             return node
         if tok is not None and tok.startswith("x"):
@@ -239,6 +264,8 @@ def _as_vector(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64).reshape(-1)
     if arr.size == 0:
         raise ValueError(f"{name}: empty truth vector")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name}: truth degrees must be finite")
     return arr
 
 
@@ -255,33 +282,36 @@ def godel_or(values) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _gate(values: np.ndarray, sharpness: float, sign: float) -> np.ndarray:
-    """Softmax weights over ``sign * sharpness * values``, max-subtracted."""
-    t = sign * sharpness * values
-    t = t - t.max()
-    e = np.exp(t)
-    return e / e.sum()
-
-
-def _check_sharpness(sharpness: float) -> float:
+def check_sharpness(sharpness: float) -> float:
+    """The sharpness as a float; rejects negative, NaN and infinite values."""
     s = float(sharpness)
-    if s < 0.0:
-        raise ValueError(f"sharpness must be >= 0, got {s}")
+    if not 0.0 <= s < np.inf:
+        raise ValueError(f"sharpness must be finite and >= 0, got {s}")
     return s
+
+
+def gate(z: np.ndarray, t: float, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
+    """The soft gate over ``axis``: ``gates = softmax(t * z)`` and ``sum(gates * z)``.
+
+    ``t`` is the signed sharpness: > 0 for OR (softmax), < 0 for AND (softmin).
+    """
+    a = t * z
+    a -= a.max(axis=axis, keepdims=True)
+    gates = np.exp(a)
+    gates /= gates.sum(axis=axis, keepdims=True)
+    return gates, (gates * z).sum(axis=axis)
 
 
 def soft_or(values, sharpness: float) -> float:
     """Softmax-gated combination: sum_i softmax(s*z)_i * z_i, approaching max."""
     z = _as_vector(values, "soft_or")
-    s = _check_sharpness(sharpness)
-    return float(_gate(z, s, +1.0) @ z)
+    return float(gate(z, check_sharpness(sharpness))[1])
 
 
 def soft_and(values, sharpness: float) -> float:
     """Softmin-gated combination: sum_i softmax(-s*z)_i * z_i, approaching min."""
     z = _as_vector(values, "soft_and")
-    s = _check_sharpness(sharpness)
-    return float(_gate(z, s, -1.0) @ z)
+    return float(gate(z, -check_sharpness(sharpness))[1])
 
 
 def weighted_gate(x, w) -> np.ndarray:
@@ -307,19 +337,14 @@ def soft_not(x, mode: str = "affine", w_not: float | None = None):
 
 
 def soft_imply(a, b, sharpness: float):
-    """Elementwise soft-OR of (1 - a, b).
-
-    For a two-entry gate the softmax collapses to a sigmoid:
-    ``u + (v - u) * sigmoid(s * (v - u))`` with u = 1 - a, v = b.
-    """
+    """Elementwise soft-OR of (1 - a, b)."""
     av = np.asarray(a, dtype=np.float64)
     bv = np.asarray(b, dtype=np.float64)
     if av.shape != bv.shape:
         raise ValueError(f"soft_imply: shapes differ, {av.shape} vs {bv.shape}")
-    s = _check_sharpness(sharpness)
-    u = 1.0 - av
-    d = bv - u
-    return u + d * sigmoid_values(s * d)
+    if not (np.isfinite(av).all() and np.isfinite(bv).all()):
+        raise ValueError("soft_imply: truth degrees must be finite")
+    return gate(np.stack([1.0 - av, bv]), check_sharpness(sharpness), axis=0)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,20 @@ class TestTrain:
         cfg = _fast_config(tmp_path, "[task]\nformula = x1 &&& x9(\n")
         assert run_cli("train", "--config", cfg, "--out", str(tmp_path / "o")) == 2
 
+    @pytest.mark.parametrize("formula, width", [("x1 & x2", 2), ("x2 -> x4", 4)])
+    def test_formula_of_any_width_trains(self, formula, width, tmp_path):
+        out = tmp_path / "results"
+        cfg = tmp_path / "config.ini"
+        cfg.write_text(f"[task]\nformula = {formula}\n")
+        assert run_cli("train", "--config", str(cfg), "--out", str(out),
+                       "--seeds", "2", "--epochs", "1") == 0
+        assert (out / "results.csv").exists()
+        payload = json.loads((out / "summary.json").read_text())
+        assert payload["config"]["formula"] == formula
+        # w_hidden is width x 24, so the models were sized to the formula.
+        breakdown = dict(payload["models"]["MLP-ReLU"]["parameter_breakdown"])
+        assert breakdown["w_hidden"] == width * 24
+
 
 class TestBoundary:
     def test_default_inventory(self, tmp_path):
@@ -241,11 +255,31 @@ class TestExitCodeContract:
         ("gradcheck", "--points", "-1"),
         ("boundary", "--beta=-1"),
         ("boundary", "--beta=nan"),
+        ("truth-table", "--sharpness=nan"),
+        ("truth-table", "--sharpness=-1"),
     ])
     def test_rejected_with_one_line(self, argv, tmp_path, capsys):
         out = tmp_path / "o"
-        extra = () if argv[0] == "gradcheck" else ("--out", str(out))
+        extra = () if argv[0] in ("gradcheck", "truth-table") else ("--out", str(out))
         assert run_cli(*argv, *extra) == 2
+        self._assert_one_error_line(capsys, out)
+
+    @pytest.mark.parametrize("section", [
+        "[task]\nformula = " + "~" * 5000 + "x1\n",
+        "[task]\nformula = " + " & ".join(["x1"] * 1200) + "\n",
+        "[models]\nsharpness = nan\n",
+        "[models]\nsharpness = inf\n",
+        "[models]\nperceptron_hidden = 0\n",
+    ])
+    def test_bad_train_config_rejected_with_one_line(self, section, tmp_path, capsys):
+        out = tmp_path / "o"
+        cfg = tmp_path / "config.ini"
+        cfg.write_text(section)
+        assert run_cli("train", "--config", str(cfg), "--out", str(out)) == 2
+        self._assert_one_error_line(capsys, out)
+
+    @staticmethod
+    def _assert_one_error_line(capsys, out):
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()

@@ -97,6 +97,15 @@ class TestTrainLoop:
         assert len(result.test_acc) == FAST.epochs
         assert all(np.isnan(a) for a in result.test_acc)
 
+    def test_nan_trainable_sharpness_is_flagged_diverged(self):
+        train_ds, test_ds = generate_toy_data(FAST.n_train, FAST.n_test, seed=0)
+        for kind in ("logicron", "logicron_neg"):
+            model = build_model(ModelSpec(kind), seed=0)
+            model.params["rho"][...] = np.nan
+            result = train(model, train_ds, test_ds, FAST)
+            assert result.diverged
+            assert all(np.isnan(a) for a in result.test_acc)
+
     def test_training_reduces_loss(self):
         cfg = TrainConfig(epochs=10, passes_per_epoch=5, seeds=(0, 1))
         train_ds, test_ds = generate_toy_data(20, 50, seed=1)
@@ -197,15 +206,16 @@ class TestBoundaryGrids:
         # x1 = 1.0, x2 = 0.2 -> z = (0.5, 0.1) -> softmin ~ 0.1
         assert grid.values[1, 5] == pytest.approx(0.1, abs=1e-9)
 
-    def test_lnu_grid_matches_reference_operator(self):
-        # Dual route: vectorized grid against the scalar gated operator.
-        spec = GridSpec("lnu_or", resolution=21, sharpness=13.0)
-        grid = decision_boundary_grid(spec)
-        rng = np.random.default_rng(20)
-        for _ in range(60):
-            i, j = rng.integers(0, 21, 2)
-            z = [0.5 * grid.xs[j], 0.5 * grid.xs[i]]
-            assert grid.values[i, j] == pytest.approx(sl.soft_or(z, 13.0), abs=1e-12)
+    def test_lnu_grid_matches_reference_operator(self, gate_oracle):
+        # Dual route: the vectorized grid against a plain math.exp loop on
+        # every cell, including the exact 0/1 edges of the square.
+        for kind, sign in (("lnu_and", -1.0), ("lnu_or", 1.0)):
+            for sharp in (0.0, 13.0, 1e3):
+                grid = decision_boundary_grid(GridSpec(kind, resolution=11, sharpness=sharp))
+                for i, x2 in enumerate(grid.xs):
+                    for j, x1 in enumerate(grid.xs):
+                        want = gate_oracle([0.5 * x1, 0.5 * x2], sign * sharp)
+                        assert grid.values[i, j] == pytest.approx(want, abs=1e-12)
 
     def test_resolution_validation(self):
         with pytest.raises(ValueError):

@@ -81,18 +81,21 @@ class TestFixedWeightCorners:
 
 
 class TestLayerProperties:
-    def test_matches_reference_operators_per_unit(self):
-        # Dual route: the fused gate must agree with the scalar operators.
+    def test_matches_reference_operators_per_unit(self, gate_oracle):
+        # Dual route: the fused gate against a plain math.exp loop per unit,
+        # on random inputs and on the exact 0/1 corners.
         rng = np.random.default_rng(4)
-        params = _layer(3, 2, sharpness=7.0)
-        x = rng.uniform(0, 1, (5, 3))
-        out = _forward_values(x, params)
-        for i in range(5):
-            for k in range(2):
-                z_and = sl.weighted_gate(x[i], params.w_and[:, k])
-                z_or = sl.weighted_gate(x[i], params.w_or[:, k])
-                assert out[i, k] == pytest.approx(sl.soft_and(z_and, 7.0), abs=1e-12)
-                assert out[i, 2 + k] == pytest.approx(sl.soft_or(z_or, 7.0), abs=1e-12)
+        corners = [[a, b, c] for a in (0.0, 1.0) for b in (0.0, 1.0) for c in (0.0, 1.0)]
+        x = np.vstack([rng.uniform(0, 1, (5, 3)), corners])
+        for sharp in (0.0, 7.0, 1e3):
+            params = _layer(3, 2, sharpness=sharp)
+            out = _forward_values(x, params)
+            for i in range(len(x)):
+                for k in range(2):
+                    z_and = x[i] * params.w_and[:, k]
+                    z_or = x[i] * params.w_or[:, k]
+                    assert out[i, k] == pytest.approx(gate_oracle(z_and, -sharp), abs=1e-12)
+                    assert out[i, 2 + k] == pytest.approx(gate_oracle(z_or, sharp), abs=1e-12)
 
     def test_gating_locality_zero_column(self):
         params = _layer(3, 3, sharpness=5.0)
@@ -147,8 +150,9 @@ class TestGatedReduce:
         x, w = g.leaf(np.ones((1, 2))), g.leaf(np.ones((2, 1)))
         with pytest.raises(ValueError):
             gated_reduce(x, w, "xor", 1.0)
-        with pytest.raises(ValueError):
-            gated_reduce(x, w, "and", -1.0)
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                gated_reduce(x, w, "and", bad)
 
     def test_shape_validation(self):
         g = Graph()
@@ -285,6 +289,12 @@ class TestParamValidation:
     def test_negative_fixed_sharpness(self):
         with pytest.raises(ValueError):
             LnuParams(w_and=np.ones((2, 1)), w_or=np.ones((2, 1)), sharpness=-1.0)
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+    def test_create_rejects_bad_sharpness(self, bad):
+        for trainable in (False, True):
+            with pytest.raises(ValueError, match="sharpness"):
+                LnuParams.create(3, 2, sharpness=bad, trainable_sharpness=trainable)
 
     def test_create_validates_sizes(self):
         with pytest.raises(ValueError):

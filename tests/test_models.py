@@ -85,6 +85,11 @@ class TestBuild:
             ModelSpec("perceptron", hidden=0)
         with pytest.raises(ValueError):
             ModelSpec("logicron", input_dim=0)
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="sharpness"):
+                ModelSpec("logicron", sharpness=bad)
+            with pytest.raises(ValueError, match="sharpness"):
+                default_model_suite(sharpness=bad)
 
     def test_suite_has_five_contenders(self):
         names = [name for name, _ in default_model_suite()]

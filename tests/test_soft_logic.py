@@ -101,8 +101,21 @@ class TestGatedSoftOps:
     def test_empty_and_negative_sharpness_rejected(self):
         with pytest.raises(ValueError):
             sl.soft_and([], 1.0)
-        with pytest.raises(ValueError):
-            sl.soft_or([0.5], -2.0)
+        for bad in (-2.0, float("nan"), float("inf"), -float("inf")):
+            for op in (sl.soft_and, sl.soft_or):
+                with pytest.raises(ValueError):
+                    op([0.2, 0.8], bad)
+            with pytest.raises(ValueError):
+                sl.soft_imply(0.2, 0.8, bad)
+
+    def test_matches_math_exp_loop(self, gate_oracle):
+        rng = np.random.default_rng(5)
+        vectors = [rng.uniform(0, 1, int(rng.integers(1, 9))) for _ in range(40)]
+        vectors += [np.array(c, dtype=float) for c in ([0, 0], [0, 1], [1, 1], [1, 0, 1], [1])]
+        for z in vectors:
+            for sharp in (0.0, 1.0, 37.0, 1e3):
+                assert sl.soft_and(z, sharp) == pytest.approx(gate_oracle(z, -sharp), abs=1e-15)
+                assert sl.soft_or(z, sharp) == pytest.approx(gate_oracle(z, sharp), abs=1e-15)
 
     @settings(max_examples=200, deadline=None)
     @given(unit_vectors(), st.sampled_from([0.0, 1.0, 10.0, 100.0]))
@@ -205,6 +218,15 @@ class TestSoftImply:
         with pytest.raises(ValueError):
             sl.soft_imply(np.zeros(2), np.zeros(3), 1.0)
 
+    def test_matches_math_exp_loop(self, gate_oracle):
+        rng = np.random.default_rng(6)
+        a = np.concatenate([rng.uniform(0, 1, 30), [0.0, 0.0, 1.0, 1.0]])
+        b = np.concatenate([rng.uniform(0, 1, 30), [0.0, 1.0, 0.0, 1.0]])
+        for sharp in (0.0, 4.0, 1e3):
+            got = sl.soft_imply(a, b, sharp)
+            for i in range(a.size):
+                assert got[i] == pytest.approx(gate_oracle([1.0 - a[i], b[i]], sharp), abs=1e-15)
+
 
 class TestNln:
     def test_unit_weight_corners(self):
@@ -272,3 +294,71 @@ class TestBooleanCornerFidelity:
                 assert sl.lnn_or(z, ones, bias_b=1.0) == want_or
                 assert abs(sl.soft_and(z, 100.0) - want_and) <= 0.01
                 assert abs(sl.soft_or(z, 100.0) - want_or) <= 0.01
+
+
+@pytest.mark.filterwarnings("error")
+class TestNonFiniteTruthDegrees:
+    """NaN and inf are rejected where truth degrees enter, per operator family,
+    before any arithmetic can warn."""
+
+    BAD = [float("nan"), float("inf"), -float("inf")]
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_godel(self, bad):
+        for op in (sl.godel_and, sl.godel_or):
+            with pytest.raises(ValueError):
+                op([bad, 0.5])
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_gated(self, bad):
+        for op in (sl.soft_and, sl.soft_or):
+            with pytest.raises(ValueError):
+                op([bad, 0.5], 1.0)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_imply(self, bad):
+        with pytest.raises(ValueError):
+            sl.soft_imply(np.array([bad, 0.5]), np.array([0.5, 0.5]), 1.0)
+        with pytest.raises(ValueError):
+            sl.soft_imply(0.5, bad, 1.0)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_product_form(self, bad):
+        for op in (sl.nln_and, sl.nln_or):
+            with pytest.raises(ValueError):
+                op([bad, 0.5], [1.0, 1.0])
+            with pytest.raises(ValueError):
+                op([0.5, 0.5], [bad, 1.0])
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_sum_form(self, bad):
+        for op in (sl.lnn_and, sl.lnn_or):
+            with pytest.raises(ValueError):
+                op([bad, 0.5], [1.0, 1.0])
+
+
+class TestDeepFormulas:
+    """Formulas nested past the depth bound fail with a ValueError, not a RecursionError."""
+
+    def test_deep_negation_rejected(self):
+        with pytest.raises(ValueError, match="nested deeper"):
+            sl.parse_formula("~" * 5000 + "x1")
+
+    def test_long_chain_rejected(self):
+        with pytest.raises(ValueError, match="nested deeper"):
+            sl.parse_formula(" & ".join(["x1"] * 1200))
+
+    def test_deep_parentheses_and_implications_rejected(self):
+        with pytest.raises(ValueError, match="nested deeper"):
+            sl.parse_formula("(" * 5000 + "x1" + ")" * 5000)
+        with pytest.raises(ValueError, match="nested deeper"):
+            sl.parse_formula(" -> ".join(["x1"] * 5000))
+
+    def test_formulas_at_the_bound_evaluate(self):
+        depth = sl.MAX_FORMULA_DEPTH
+        for text in ("~" * (depth - 1) + "x1", " & ".join(["x1"] * depth),
+                     " -> ".join(["x1"] * depth), "(" * (depth - 1) + "x1" + ")" * (depth - 1)):
+            formula = sl.parse_formula(text)
+            assert sl.num_vars(formula) == 1
+            assert sl.hard_eval(formula, (1,)) in (0, 1)
+            assert sl.parse_formula(sl.format_formula(formula)) == formula
