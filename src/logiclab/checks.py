@@ -216,7 +216,7 @@ def _model_check(spec: ModelSpec) -> CheckBuilder:
     def build(rng):
         model = build_model(spec, int(rng.integers(2**31)))
         x0 = rng.uniform(0.0, 1.0, (4, spec.input_dim))
-        target = (rng.uniform(0.0, 1.0, (4, 1)) > 0.5).astype(np.float64)
+        target = ad.BinaryTarget(rng.uniform(0.0, 1.0, (4, 1)) > 0.5)
         names = list(model.params)
 
         def f(params, value_only=False):

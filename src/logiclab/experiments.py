@@ -57,10 +57,28 @@ DEFAULT_FORMULA_TEXT = "(x1 | x2) & ~x3"
 @dataclass
 class ToyDataset:
     """Inputs uniform in [0,1]^d; labels are the hard-logic truth of the
-    binarized inputs (entry > 0.5 maps to 1)."""
+    binarized inputs (entry > 0.5 maps to 1).
+
+    Both are checked here, where the data enters: the inputs must be a
+    finite ``(n, d)`` matrix and the labels an ``(n, 1)`` matrix of 0/1.
+    ``target`` is the labels lifted once for ``bce_loss``, and ``labels``
+    is its read-only value, so no training step copies or re-checks them.
+    """
 
     inputs: np.ndarray  # (n, d)
     labels: np.ndarray  # (n, 1), float 0/1
+    target: ad.BinaryTarget = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.inputs = np.asarray(self.inputs, dtype=np.float64)
+        if self.inputs.ndim != 2 or not np.isfinite(self.inputs).all():
+            raise ValueError("inputs must be a finite (n, d) matrix")
+        self.target = ad.BinaryTarget(self.labels)
+        self.labels = self.target.value
+        if self.labels.shape != (self.inputs.shape[0], 1):
+            raise ad.ShapeError(
+                f"labels must be ({self.inputs.shape[0]}, 1), got {self.labels.shape}"
+            )
 
 
 def _labels_for(inputs: np.ndarray, formula: Formula) -> np.ndarray:
@@ -184,16 +202,24 @@ class RunResult:
     diverged: bool = False
 
 
+class _ConstantGraph(Graph):
+    """A graph that lifts parameters as constants: no node on it needs a
+    gradient, so it keeps no backward tape."""
+
+    def leaf(self, value) -> ad.Node:
+        return self.constant(value)
+
+
 def evaluate(model: Model, data: ToyDataset) -> tuple[float, float]:
     """Accuracy of thresholded predictions and mean BCE on a dataset."""
-    graph = Graph()
-    out, _ = model.forward(graph, data.inputs)
-    loss = ad.bce_loss(out, data.labels)
+    out, _ = model.forward(_ConstantGraph(), data.inputs)
+    loss = ad.bce_loss(out, data.target)
     acc = float(np.mean((out.value >= 0.5) == (data.labels == 1.0)))
     return acc, loss.item()
 
 
-def _step(model: Model, optimizer: Adam, inputs: np.ndarray, labels: np.ndarray) -> float:
+def _step(model: Model, optimizer: Adam, inputs: np.ndarray,
+          labels: ad.BinaryTarget | np.ndarray) -> float:
     graph = Graph()
     out, leaves = model.forward(graph, inputs)
     loss = ad.bce_loss(out, labels)
@@ -222,12 +248,16 @@ def train(
         shuffle_rng = np.random.default_rng(seed)
     n = train_data.inputs.shape[0]
     batch = config.batch_size or n
+    full_batch = [(train_data.inputs, train_data.target)]
     for _ in range(config.epochs):
         for _ in range(config.passes_per_epoch):
-            order = shuffle_rng.permutation(n) if batch < n else np.arange(n)
-            for start in range(0, n, batch):
-                rows = order[start:start + batch]
-                step_loss = _step(model, optimizer, train_data.inputs[rows], train_data.labels[rows])
+            if batch < n:
+                batches = [(train_data.inputs[rows], train_data.labels[rows])
+                           for rows in np.split(shuffle_rng.permutation(n), range(batch, n, batch))]
+            else:
+                batches = full_batch
+            for inputs, labels in batches:
+                step_loss = _step(model, optimizer, inputs, labels)
                 if not math.isfinite(step_loss):
                     result.diverged = True
                     break

@@ -1,5 +1,5 @@
 """Core engine tests: forward values, backward rules, the finite-difference
-oracle, and tape semantics (ordering, accumulation, reset, determinism)."""
+oracle, and tape semantics (ordering, accumulation, consumption, determinism)."""
 
 import numpy as np
 import pytest
@@ -311,16 +311,15 @@ class TestBackward:
         with pytest.raises(ShapeError):
             g.backward(x)
 
-    def test_double_backward_rejected_until_reset(self):
+    def test_second_backward_rejected(self):
         g = Graph()
         x = g.leaf([[2.0]])
         loss = ad.mul(x, x)
         g.backward(loss)
         with pytest.raises(GraphError):
             g.backward(loss)
-        g.reset()
-        g.backward(loss)
-        np.testing.assert_array_equal(x.grad, [[4.0]])
+        np.testing.assert_array_equal(x.grad, [[4.0]])  # the consumed tape's leaves keep it
+        np.testing.assert_array_equal(loss.grad, [[1.0]])
 
     def test_cross_graph_operands_rejected(self):
         a = Graph().leaf([[1.0]])
@@ -335,6 +334,19 @@ class TestBackward:
         assert [n.op for n in g._nodes] == ["leaf", "add", "mul"]
         g.backward(y)
         np.testing.assert_array_equal(x.grad, [[4.0]])  # d(2x^2)/dx at 1
+
+    def test_tape_keeps_only_nodes_that_need_a_gradient(self):
+        g = Graph()
+        c = g.constant([[1.0, 2.0]])
+        w = g.leaf([[3.0, 4.0]])
+        data_only = ad.sigmoid(ad.scale(c, 2.0))
+        loss = ad.reduce_sum(ad.mul(data_only, w), "cols")
+        assert [n.op for n in g._nodes] == ["leaf", "mul", "reduce_sum"]
+        assert g._nodes[0] is w and g._nodes[-1] is loss
+        g.backward(loss)
+        assert g._nodes is None and g._rules is None
+        assert c.grad is None and data_only.grad is None
+        np.testing.assert_array_equal(w.grad, data_only.value)
 
 
 class TestDeterminism:

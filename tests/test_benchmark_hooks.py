@@ -47,3 +47,35 @@ def test_worker_setup_calls():
     config = experiments.TrainConfig(epochs=2, learning_rate=0.2, passes_per_epoch=2,
                                      seeds=(0, 1), n_train=20, n_test=200)
     assert config.seeds == (0, 1)
+
+
+def _short_run(name):
+    config = experiments.TrainConfig(epochs=2, passes_per_epoch=2, seeds=(0, 1),
+                                     n_train=20, n_test=40)
+    train_ds, test_ds = experiments.generate_toy_data(config.n_train, config.n_test, seed=0)
+    model = models.build_model(dict(models.default_model_suite())[name], seed=0)
+    result = experiments.train(model, train_ds, test_ds, config, name, seed=0)
+    curves = [result.train_acc, result.test_acc, result.train_loss, result.test_loss]
+    return model, test_ds, repr(curves) + repr(result.diverged)
+
+
+def test_traced_training_and_evaluation_match_untraced(monkeypatch):
+    tracer_module = _load_tracer(monkeypatch)
+    untraced_model, test_ds, untraced_curves = _short_run("Logicron+Neg")
+    untraced_eval = experiments.evaluate(untraced_model, test_ds)
+    tracer = tracer_module.Tracer("t")
+    try:
+        tracer.install(logiclab)
+        traced_model, test_ds, traced_curves = _short_run("Logicron+Neg")
+        trained_nodes = dict(tracer.nodes)
+        traced_eval = experiments.evaluate(traced_model, test_ds)
+    finally:
+        tracer.uninstall()
+    assert traced_curves == untraced_curves
+    assert repr(traced_eval) == repr(untraced_eval)
+    for name, arr in untraced_model.params.items():
+        assert traced_model.params[name].tobytes() == arr.tobytes(), name
+    # Evaluation records no tape but still builds its nodes through the traced names.
+    for op in ("bce_loss", "gated_reduce_and"):
+        assert tracer.nodes[op] > trained_nodes[op] > 0, op
+    assert len(tracer.durations["experiments.evaluate"]) == 2 * 2 + 1

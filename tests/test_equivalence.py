@@ -116,9 +116,17 @@ class TestConstantLeaves:
         rng = np.random.default_rng(5)
         inputs = rng.uniform(0.0, 1.0, (20, 3))
         labels = (rng.uniform(0.0, 1.0, (20, 1)) > 0.5).astype(np.float64)
-        graph, with_constant = _param_grads(model, inputs, labels)
-        data = [n for n in graph._nodes if n.op == "leaf" and not n.needs_grad]
-        assert len(data) == 1 and data[0].grad is None
+        lift, data = Graph.constant, []
+
+        def counted_constant(graph, value):
+            data.append(lift(graph, value))
+            return data[-1]
+
+        monkeypatch.setattr(Graph, "constant", counted_constant)
+        _, with_constant = _param_grads(model, inputs, labels)
+        assert len(data) == 1
+        assert data[0].op == "leaf" and not data[0].needs_grad and data[0].grad is None
+        assert data[0].value.tobytes() == inputs.tobytes()
         monkeypatch.setattr(Graph, "constant", Graph.leaf)
         _, with_leaf = _param_grads(model, inputs, labels)
         for name in with_leaf:

@@ -77,6 +77,33 @@ class TestToyData:
         with pytest.raises(ValueError):
             generate_toy_data(0, 10)
 
+    def test_labels_are_checked_and_lifted_once(self):
+        train_ds, _ = generate_toy_data(6, 4, seed=0)
+        assert train_ds.labels is train_ds.target.value
+        assert not train_ds.labels.flags.writeable
+
+    @pytest.mark.parametrize("labels", [[[0.0], [0.5]], [[1.0], [np.nan]], [[2.0], [1.0]]])
+    def test_non_binary_labels_rejected(self, labels):
+        with pytest.raises(ValueError, match="0 or 1"):
+            ToyDataset(np.full((2, 3), 0.5), np.array(labels))
+
+    @pytest.mark.parametrize("labels", [np.zeros(2), np.zeros((2, 2)), np.zeros((3, 1)),
+                                        np.zeros((1, 2))])
+    def test_wrong_label_shape_rejected(self, labels):
+        with pytest.raises(ad.ShapeError):
+            ToyDataset(np.full((2, 3), 0.5), labels)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_inputs_rejected(self, bad):
+        inputs = np.full((2, 3), 0.5)
+        inputs[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ToyDataset(inputs, np.zeros((2, 1)))
+
+    def test_non_matrix_inputs_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            ToyDataset(np.full(3, 0.5), np.zeros((3, 1)))
+
 
 class TestTrainLoop:
     def test_records_every_epoch(self):
