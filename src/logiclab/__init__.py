@@ -8,7 +8,7 @@ reproducible toy-experiment harness with decision-boundary analysis.
 from . import autodiff, checks, experiments, lnu, models, softlogic
 from .autodiff import Graph, finite_difference_check
 from .lnu import LnuParams, LnuStack, lnu_forward, lnu_stack_forward
-from .models import ModelSpec, build_model, count_params, default_model_suite, predict
+from .models import ModelSpec, build_model, count_params, default_model_suite
 from .softlogic import (
     godel_and,
     godel_or,
@@ -44,7 +44,6 @@ __all__ = [
     "build_model",
     "count_params",
     "default_model_suite",
-    "predict",
     "parse_formula",
     "hard_eval",
     "godel_and",

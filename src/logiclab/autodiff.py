@@ -22,7 +22,8 @@ the same contract: accumulate (+=) into ``inp.grad`` only for inputs with
 
 ``backward`` consumes its tape: afterwards the graph holds no node, so a
 dead graph is freed by reference counting rather than by the cyclic garbage
-collector.  The leaves keep their ``grad``.
+collector.  The leaves keep their ``grad``.  A ``ConstantGraph`` runs the
+same forward for its value alone and keeps no tape at all.
 """
 
 from __future__ import annotations
@@ -35,11 +36,11 @@ __all__ = [
     "ShapeError",
     "GraphError",
     "Graph",
+    "ConstantGraph",
     "Node",
     "add",
     "sub",
     "mul",
-    "neg",
     "scale",
     "one_minus",
     "matmul",
@@ -48,11 +49,8 @@ __all__ = [
     "sigmoid_values",
     "relu",
     "gelu",
-    "exp",
     "softplus",
-    "softmax_rows",
     "reduce_sum",
-    "reduce_mean",
     "concat_cols",
     "bce_loss",
     "BinaryTarget",
@@ -113,18 +111,6 @@ class Node:
 
     def __repr__(self) -> str:
         return f"Node(op={self.op!r}, shape={self.value.shape})"
-
-    def __add__(self, other: "Node") -> "Node":
-        return add(self, other)
-
-    def __sub__(self, other: "Node") -> "Node":
-        return sub(self, other)
-
-    def __mul__(self, other: "Node") -> "Node":
-        return mul(self, other)
-
-    def __neg__(self) -> "Node":
-        return neg(self)
 
 
 class Graph:
@@ -227,6 +213,15 @@ class Graph:
         Graph._spent = nodes, rules
 
 
+class ConstantGraph(Graph):
+    """A graph whose ``leaf`` is ``constant``: no node on it needs a
+    gradient, so it keeps no tape and is freed by reference counting.  A
+    forward pass written for ``Graph`` runs on it for its value alone."""
+
+    def leaf(self, value) -> Node:
+        return self.constant(value)
+
+
 # ---------------------------------------------------------------------------
 # broadcasting helpers
 # ---------------------------------------------------------------------------
@@ -294,13 +289,6 @@ def mul(a: Node, b: Node) -> Node:
             b.grad += _unbroadcast(grad * a.value, b.shape)
 
     return g.record(out_val, (a, b), backward, op="mul")
-
-
-def neg(x: Node) -> Node:
-    def backward(grad: np.ndarray) -> None:
-        x.grad -= grad
-
-    return x.graph.record(-x.value, (x,), backward, op="neg")
 
 
 def scale(x: Node, constant: float) -> Node:
@@ -402,15 +390,6 @@ def gelu(x: Node) -> Node:
     return x.graph.record(y, (x,), backward, op="gelu")
 
 
-def exp(x: Node) -> Node:
-    y = np.exp(x.value)
-
-    def backward(grad: np.ndarray) -> None:
-        x.grad += grad * y
-
-    return x.graph.record(y, (x,), backward, op="exp")
-
-
 def softplus(x: Node) -> Node:
     """log(1 + e^x), computed overflow-free; derivative is the sigmoid."""
     v = x.value
@@ -422,7 +401,7 @@ def softplus(x: Node) -> Node:
     return x.graph.record(y, (x,), backward, op="softplus")
 
 
-_ACTIVATIONS = {"sigmoid": sigmoid, "relu": relu, "gelu": gelu, "exp": exp, "softplus": softplus}
+_ACTIVATIONS = {"sigmoid": sigmoid, "relu": relu, "gelu": gelu}
 
 
 def activation(kind: str, x: Node) -> Node:
@@ -433,55 +412,21 @@ def activation(kind: str, x: Node) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# softmax / reductions
+# reduction
 # ---------------------------------------------------------------------------
 
 
-def softmax_rows(x: Node, temperature: float) -> Node:
-    """Per-row softmax of ``temperature * x`` with max-subtraction for stability."""
-    t = float(temperature)
-    if t < 0.0:
-        raise ValueError(f"temperature must be >= 0, got {t}")
-    scaled = t * x.value
-    scaled = scaled - scaled.max(axis=1, keepdims=True)
-    e = np.exp(scaled)
-    y = e / e.sum(axis=1, keepdims=True)
-
-    def backward(grad: np.ndarray) -> None:
-        gy = grad * y
-        x.grad += t * (gy - y * gy.sum(axis=1, keepdims=True))
-
-    return x.graph.record(y, (x,), backward, op="softmax_rows")
-
-
 def reduce_sum(x: Node, axis: str) -> Node:
-    np_axis = _reduce_axis(axis)
-    y = x.value.sum(axis=np_axis, keepdims=True)
+    """Sum over ``axis``: "rows" collapses the row axis (result 1xc), "cols"
+    the column axis (result nx1)."""
+    if axis not in ("rows", "cols"):
+        raise ValueError(f"axis must be 'rows' or 'cols', got {axis!r}")
+    y = x.value.sum(axis=0 if axis == "rows" else 1, keepdims=True)
 
     def backward(grad: np.ndarray) -> None:
         x.grad += np.broadcast_to(grad, x.shape)
 
     return x.graph.record(y, (x,), backward, op="reduce_sum")
-
-
-def reduce_mean(x: Node, axis: str) -> Node:
-    np_axis = _reduce_axis(axis)
-    count = x.shape[np_axis]
-    y = x.value.mean(axis=np_axis, keepdims=True)
-
-    def backward(grad: np.ndarray) -> None:
-        x.grad += np.broadcast_to(grad, x.shape) / count
-
-    return x.graph.record(y, (x,), backward, op="reduce_mean")
-
-
-def _reduce_axis(axis: str) -> int:
-    # "rows" collapses the row axis (result 1xc); "cols" collapses columns (nx1).
-    if axis == "rows":
-        return 0
-    if axis == "cols":
-        return 1
-    raise ValueError(f"axis must be 'rows' or 'cols', got {axis!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -541,11 +486,12 @@ def finite_difference_check(
 ) -> float:
     """Compare analytic gradients against central finite differences.
 
-    ``f(params)`` must return ``(scalar value, gradients aligned with params)``.
-    If ``f`` additionally accepts ``value_only=True`` the perturbed
-    evaluations use it (letting ``f`` skip its backward pass); the numeric
-    side only ever reads the returned value, so it stays independent of the
-    gradient path it checks.
+    ``f(params, value_only)`` returns ``(scalar value, gradients)``.  It is
+    called once with ``value_only=False`` and must then return gradients
+    aligned with ``params``; every perturbed evaluation passes
+    ``value_only=True``, so ``f`` may skip its backward pass and return
+    None for the gradients.  The numeric side reads only the value, so it
+    stays independent of the gradient path it checks.
 
     Returns the max over all coordinates of
     ``|analytic - numeric| / max(1e-8, |analytic| + |numeric|)``.  A
@@ -556,26 +502,21 @@ def finite_difference_check(
     if h <= 0.0:
         raise ValueError("h must be positive")
     params = [as_matrix(p) for p in params]
-    _, grads = f(params)
+    _, grads = f(params, value_only=False)
     if grads is None:
-        raise ValueError("f must return gradients on a plain call")
+        raise ValueError("f must return gradients when value_only is False")
     grads = [np.asarray(gr, dtype=np.float64) for gr in grads]
     if len(grads) != len(params):
         raise ValueError("f returned a gradient list with the wrong length")
-    try:
-        value_of = lambda ps: f(ps, value_only=True)[0]
-        value_of(params)
-    except TypeError:
-        value_of = lambda ps: f(ps)[0]
     max_rel = 0.0
     for k, p in enumerate(params):
         flat = p.reshape(-1)
         for i in range(flat.size):
             saved = flat[i]
             flat[i] = saved + h
-            f_plus = value_of(params)
+            f_plus = f(params, value_only=True)[0]
             flat[i] = saved - h
-            f_minus = value_of(params)
+            f_minus = f(params, value_only=True)[0]
             flat[i] = saved
             numeric = (f_plus - f_minus) / (2.0 * h)
             analytic = grads[k].reshape(-1)[i]

@@ -117,16 +117,14 @@ class TrainConfig:
     """Optimization protocol.
 
     An epoch is the metrics-recording interval: ``passes_per_epoch`` passes
-    over the training data, each a single full-batch step when
-    ``batch_size`` is None, otherwise one seeded shuffle split into batches.
-    Thirty single-step epochs cannot reach interpolation on this task, so
-    the default records 30 epochs of 20 full-batch steps each.
+    over the training data, each a single full-batch step.  Thirty
+    single-step epochs cannot reach interpolation on this task, so the
+    default records 30 epochs of 20 full-batch steps each.
     """
 
     epochs: int = 30
     learning_rate: float = 0.2
     passes_per_epoch: int = 20
-    batch_size: int | None = None
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
@@ -141,8 +139,6 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.passes_per_epoch < 1:
             raise ValueError(f"passes_per_epoch must be >= 1, got {self.passes_per_epoch}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1 or None, got {self.batch_size}")
 
 
 class Adam:
@@ -202,27 +198,18 @@ class RunResult:
     diverged: bool = False
 
 
-class _ConstantGraph(Graph):
-    """A graph that lifts parameters as constants: no node on it needs a
-    gradient, so it keeps no backward tape."""
-
-    def leaf(self, value) -> ad.Node:
-        return self.constant(value)
-
-
 def evaluate(model: Model, data: ToyDataset) -> tuple[float, float]:
     """Accuracy of thresholded predictions and mean BCE on a dataset."""
-    out, _ = model.forward(_ConstantGraph(), data.inputs)
+    out, _ = model.forward(ad.ConstantGraph(), data.inputs)
     loss = ad.bce_loss(out, data.target)
     acc = float(np.mean((out.value >= 0.5) == (data.labels == 1.0)))
     return acc, loss.item()
 
 
-def _step(model: Model, optimizer: Adam, inputs: np.ndarray,
-          labels: ad.BinaryTarget | np.ndarray) -> float:
+def _step(model: Model, optimizer: Adam, inputs: np.ndarray, target: ad.BinaryTarget) -> float:
     graph = Graph()
     out, leaves = model.forward(graph, inputs)
-    loss = ad.bce_loss(out, labels)
+    loss = ad.bce_loss(out, target)
     graph.backward(loss)
     optimizer.step({name: node.grad for name, node in leaves.items()})
     return loss.item()
@@ -235,7 +222,6 @@ def train(
     config: TrainConfig,
     model_name: str = "model",
     seed: int = 0,
-    shuffle_rng: np.random.Generator | None = None,
 ) -> RunResult:
     """Run the configured epochs; metrics are recorded after each epoch.
 
@@ -244,24 +230,10 @@ def train(
     """
     result = RunResult(model_name=model_name, seed=seed, params=count_params(model))
     optimizer = Adam(model.params, config.learning_rate, config.beta1, config.beta2, config.eps)
-    if shuffle_rng is None:
-        shuffle_rng = np.random.default_rng(seed)
-    n = train_data.inputs.shape[0]
-    batch = config.batch_size or n
-    full_batch = [(train_data.inputs, train_data.target)]
     for _ in range(config.epochs):
         for _ in range(config.passes_per_epoch):
-            if batch < n:
-                batches = [(train_data.inputs[rows], train_data.labels[rows])
-                           for rows in np.split(shuffle_rng.permutation(n), range(batch, n, batch))]
-            else:
-                batches = full_batch
-            for inputs, labels in batches:
-                step_loss = _step(model, optimizer, inputs, labels)
-                if not math.isfinite(step_loss):
-                    result.diverged = True
-                    break
-            if result.diverged:
+            if not math.isfinite(_step(model, optimizer, train_data.inputs, train_data.target)):
+                result.diverged = True
                 break
         if result.diverged:
             tr_acc = tr_loss = te_acc = te_loss = float("nan")
@@ -324,16 +296,15 @@ def run_multi_seed(
     runs: list[RunResult] = []
     for seed in config.seeds:
         root = np.random.SeedSequence(seed)
-        data_ss, init_root, shuffle_root = root.spawn(3)
+        # The third child seeded the minibatch shuffle, which is gone.  A
+        # child's seed depends only on its index, so the data and init
+        # children would be the same without it; it stays spawned so that no
+        # stream added here later reuses the old shuffle's index.
+        data_ss, init_root, _ = root.spawn(3)
         train_data, test_data = generate_toy_data(config.n_train, config.n_test, data_ss, formula)
-        init_seqs = init_root.spawn(len(specs))
-        shuffle_seqs = shuffle_root.spawn(len(specs))
-        for (name, spec), init_ss, shuffle_ss in zip(specs, init_seqs, shuffle_seqs):
+        for (name, spec), init_ss in zip(specs, init_root.spawn(len(specs))):
             model = build_model(spec, init_ss)
-            runs.append(
-                train(model, train_data, test_data, config, name, seed,
-                      shuffle_rng=np.random.default_rng(shuffle_ss))
-            )
+            runs.append(train(model, train_data, test_data, config, name, seed))
 
     stats: dict[str, ModelStats] = {}
     for name, _ in specs:

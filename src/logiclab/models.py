@@ -29,13 +29,11 @@ __all__ = [
     "Logicron",
     "build_model",
     "count_params",
-    "predict",
-    "export_params",
     "default_model_suite",
 ]
 
 MODEL_KINDS = ("perceptron", "logicron", "logicron_neg")
-ACTIVATION_KINDS = ("sigmoid", "relu", "gelu")
+ACTIVATION_KINDS = tuple(ad._ACTIVATIONS)
 
 _DEFAULT_HIDDEN = {"perceptron": 24, "logicron": 11, "logicron_neg": 9}
 
@@ -147,17 +145,6 @@ def build_model(spec: ModelSpec, seed: int | np.random.SeedSequence = 0) -> Mode
 def count_params(model: Model) -> ParamCount:
     components = tuple((name, int(arr.size)) for name, arr in model.params.items())
     return ParamCount(total=sum(c for _, c in components), by_component=components)
-
-
-def predict(model: Model, inputs: np.ndarray) -> np.ndarray:
-    """Hard class decisions: sigmoid output thresholded at 0.5."""
-    out, _ = model.forward(Graph(), ad.as_matrix(inputs))
-    return out.value[:, 0] >= 0.5
-
-
-def export_params(model: Model) -> dict[str, list]:
-    """Flat name -> nested-list mapping, ready for json.dump."""
-    return {name: arr.tolist() for name, arr in model.params.items()}
 
 
 def default_model_suite(

@@ -42,7 +42,6 @@ class TestElementwise:
         g = Graph()
         a, b = g.leaf([[5.0, 1.0]]), g.leaf([[2.0, 3.0]])
         np.testing.assert_array_equal(ad.sub(a, b).value, [[3.0, -2.0]])
-        np.testing.assert_array_equal(ad.neg(a).value, [[-5.0, -1.0]])
         np.testing.assert_array_equal(ad.scale(a, 2.0).value, [[10.0, 2.0]])
 
     def test_row_vector_broadcast(self):
@@ -60,14 +59,6 @@ class TestElementwise:
         a, b = g.leaf([[1.0, 2.0]]), g.leaf([[1.0, 2.0, 3.0]])
         with pytest.raises(ShapeError):
             ad.add(a, b)
-
-    def test_operator_sugar(self):
-        g = Graph()
-        a, b = g.leaf([[2.0]]), g.leaf([[3.0]])
-        assert (a + b).item() == 5.0
-        assert (a - b).item() == -1.0
-        assert (a * b).item() == 6.0
-        assert (-a).item() == -2.0
 
 
 class TestMatmul:
@@ -123,72 +114,26 @@ class TestActivations:
         )
         assert err <= 1e-5
 
-    def test_exp_and_softplus(self):
+    def test_softplus_values(self):
         g = Graph()
         x = g.leaf([[0.0, 1.0]])
-        np.testing.assert_allclose(ad.exp(x).value, [[1.0, np.e]])
         np.testing.assert_allclose(ad.softplus(x).value, [[np.log(2.0), np.log1p(np.e)]])
 
     def test_dispatcher(self):
         g = Graph()
         assert ad.activation("relu", g.leaf([[2.0]])).item() == 2.0
-        with pytest.raises(ValueError):
-            ad.activation("tanh", g.leaf([[0.0]]))
+        # softplus is the sharpness map of a gate, not a hidden activation.
+        for kind in ("tanh", "softplus"):
+            with pytest.raises(ValueError):
+                ad.activation(kind, g.leaf([[0.0]]))
 
-    @pytest.mark.parametrize("kind", ["sigmoid", "relu", "gelu", "exp", "softplus"])
+    @pytest.mark.parametrize("kind", ["sigmoid", "relu", "gelu", "softplus"])
     def test_gradients(self, kind):
         rng = np.random.default_rng(11)
         x = rng.uniform(0.1, 1.5, (3, 4))  # clear of the ReLU kink
+        op = ad.softplus if kind == "softplus" else lambda node: ad.activation(kind, node)
         err = _fd(
-            lambda g, ls: ad.reduce_sum(
-                ad.reduce_sum(ad.activation(kind, ls[0]), "cols"), "rows"
-            ),
-            [x],
-        )
-        assert err <= 1e-4
-
-
-class TestSoftmaxRows:
-    def test_constant_rows_are_uniform(self):
-        g = Graph()
-        for c, beta in ((0.0, 1.0), (2.5, 7.0), (-4.0, 100.0)):
-            out = ad.softmax_rows(g.leaf([[c, c, c]]), beta)
-            np.testing.assert_allclose(out.value, [[1 / 3, 1 / 3, 1 / 3]])
-
-    def test_zero_temperature_is_uniform(self):
-        g = Graph()
-        out = ad.softmax_rows(g.leaf([[0.0, 1.0]]), 0.0)
-        np.testing.assert_array_equal(out.value, [[0.5, 0.5]])
-
-    def test_sharp_limit_frozen(self):
-        # Closed form: weights (1/(1+e^100), 1/(1+e^-100)), i.e. 3.7e-44 away
-        # from the hard one-hot limit.
-        g = Graph()
-        out = ad.softmax_rows(g.leaf([[0.0, 1.0]]), 100.0)
-        assert abs(out.value[0, 0] - 0.0) <= 1e-9
-        assert abs(out.value[0, 1] - 1.0) <= 1e-9
-
-    def test_rows_sum_to_one(self):
-        rng = np.random.default_rng(3)
-        g = Graph()
-        for beta in (0.0, 1.0, 37.0, 1000.0):
-            x = g.leaf(rng.uniform(-10.0, 10.0, (5, 7)))
-            out = ad.softmax_rows(x, beta)
-            np.testing.assert_allclose(out.value.sum(axis=1), 1.0, atol=1e-12)
-
-    def test_negative_temperature_rejected(self):
-        g = Graph()
-        with pytest.raises(ValueError):
-            ad.softmax_rows(g.leaf([[1.0]]), -1.0)
-
-    def test_gradient(self):
-        rng = np.random.default_rng(5)
-        x = rng.uniform(-1.0, 1.0, (2, 4))
-        w = rng.uniform(0.5, 2.0, (2, 4))
-        err = _fd(
-            lambda g, ls: ad.reduce_sum(
-                ad.reduce_sum(ad.mul(ad.softmax_rows(ls[0], 2.2), g.leaf(w)), "cols"), "rows"
-            ),
+            lambda g, ls: ad.reduce_sum(ad.reduce_sum(op(ls[0]), "cols"), "rows"),
             [x],
         )
         assert err <= 1e-4
@@ -199,11 +144,6 @@ class TestReduce:
         g = Graph()
         out = ad.reduce_sum(g.leaf([[1.0, 2.0, 3.0]]), "cols")
         np.testing.assert_array_equal(out.value, [[6.0]])
-
-    def test_mean_of_constants(self):
-        g = Graph()
-        out = ad.reduce_mean(g.leaf(np.full((4, 3), 2.5)), "rows")
-        np.testing.assert_array_equal(out.value, [[2.5, 2.5, 2.5]])
 
     def test_sum_gradient_is_ones(self):
         g = Graph()
@@ -216,8 +156,6 @@ class TestReduce:
         x = g.leaf([[1.0, 2.0]])
         with pytest.raises(ValueError):
             ad.reduce_sum(x, "diag")
-        with pytest.raises(ValueError):
-            ad.reduce_mean(x, "diag")
 
 
 class TestConcatCols:
@@ -371,7 +309,9 @@ class TestFiniteDifferenceOracle:
 
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
-            ad.finite_difference_check(lambda ps: (0.0, [np.zeros((1, 1))]), [np.zeros((1, 1))], h=0.0)
+            ad.finite_difference_check(
+                lambda ps, value_only=False: (0.0, [np.zeros((1, 1))]), [np.zeros((1, 1))], h=0.0
+            )
 
     def test_detects_wrong_backward(self):
         # Negative control: a deliberately wrong rule must exceed tolerance.

@@ -10,7 +10,7 @@ import pathlib
 import sys
 
 import logiclab
-from logiclab import experiments, lnu, models, softlogic
+from logiclab import checks, experiments, lnu, models, softlogic
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -79,3 +79,16 @@ def test_traced_training_and_evaluation_match_untraced(monkeypatch):
     for op in ("bce_loss", "gated_reduce_and"):
         assert tracer.nodes[op] > trained_nodes[op] > 0, op
     assert len(tracer.durations["experiments.evaluate"]) == 2 * 2 + 1
+
+
+def test_traced_gradient_checks_match_untraced(monkeypatch):
+    tracer_module = _load_tracer(monkeypatch)
+    untraced = checks.gradcheck_suite(points=1, seed=0)
+    tracer = tracer_module.Tracer("t")
+    try:
+        tracer.install(logiclab)
+        traced = checks.gradcheck_suite(points=1, seed=0)
+    finally:
+        tracer.uninstall()
+    assert repr(traced) == repr(untraced)
+    assert tracer.fd_points > 0

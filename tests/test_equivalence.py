@@ -189,15 +189,20 @@ class TestConstantLeaves:
         c, w = g.constant([[1.0]]), g.leaf([[2.0]])
         assert ad.add(c, c).needs_grad is False
         assert ad.add(c, w).needs_grad is True
-        assert ad.neg(w).needs_grad is True
+        assert ad.one_minus(w).needs_grad is True
+        assert ad.one_minus(c).needs_grad is False
 
 
 # sha256 of results.csv and summary.json from the run below, recorded before
 # the constant-leaf / flat-Adam / one-sigmoid rewrite (python 3.11, numpy 2.4,
 # x86-64 with OpenBLAS).  Any change to a written byte fails this test.
+# summary.json is the file recorded then (sha256 6e0f1688...e395f4) with one
+# line deleted, '    "batch_size": null,' from its "config" block, when
+# TrainConfig lost that field; deleting the line from that file gives the
+# hash below.
 GOLDEN_SHA256 = {
     "results.csv": "87eaee8cff7d491aeac2db7431e3dfc512cf9280bf8e6f351e9b6f9e84035e20",
-    "summary.json": "6e0f168860d592ade947b0b20bd691477a39d62fa8410ea243b92541b7e395f4",
+    "summary.json": "aebc97e26bbd2e3b20d2c31d8ae42705a03bfd8f4f62625365cfb64c0a95b3b9",
 }
 
 

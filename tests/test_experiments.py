@@ -147,8 +147,6 @@ class TestTrainLoop:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             TrainConfig(passes_per_epoch=0)
-        with pytest.raises(ValueError):
-            TrainConfig(batch_size=0)
 
     def test_sharpness_800_logicron_takes_a_finite_first_step(self):
         train_ds, _ = generate_toy_data(20, 20, seed=0)
@@ -162,13 +160,6 @@ class TestTrainLoop:
         optimizer.step({name: node.grad for name, node in leaves.items()})
         assert np.isfinite(loss.item())
         assert all(np.isfinite(arr).all() for arr in model.params.values())
-
-    def test_minibatch_mode_runs(self):
-        cfg = TrainConfig(epochs=2, passes_per_epoch=1, batch_size=4, seeds=(0, 1))
-        train_ds, test_ds = generate_toy_data(12, 20, seed=2)
-        model = build_model(ModelSpec("perceptron", hidden=4), seed=2)
-        result = train(model, train_ds, test_ds, cfg, shuffle_rng=np.random.default_rng(0))
-        assert len(result.train_acc) == 2
 
 
 class TestMultiSeed:

@@ -1,6 +1,6 @@
-"""Tape lifetime: the training path leaves no reference cycles, so every tape
-is freed by reference counting; a consumed graph keeps its leaves' gradients
-and rejects a second sweep."""
+"""Tape lifetime: the training path and the gradient checks leave no
+reference cycles, so every tape is freed by reference counting; a consumed
+graph keeps its leaves' gradients and rejects a second sweep."""
 
 import gc
 
@@ -9,6 +9,7 @@ import pytest
 
 from logiclab import autodiff as ad
 from logiclab.autodiff import Graph, GraphError
+from logiclab.checks import GRAD_TOLERANCE, gradcheck_suite
 from logiclab.experiments import TrainConfig, evaluate, generate_toy_data, train
 from logiclab.models import build_model, default_model_suite
 
@@ -42,6 +43,14 @@ def test_training_path_leaves_no_cycles(name, no_cyclic_gc):
     out, _ = model.forward(graph, train_ds.inputs)
     graph.backward(ad.bce_loss(out, train_ds.target))
     del graph, out
+    assert gc.collect() == 0
+
+
+def test_gradient_checks_leave_no_cycles(no_cyclic_gc):
+    # Each value-only forward of a check runs on a ConstantGraph; one built
+    # with parameter leaves and never swept would wait for the collector.
+    result = gradcheck_suite(points=1, seed=0)
+    assert max(result.values()) <= GRAD_TOLERANCE
     assert gc.collect() == 0
 
 
