@@ -1,13 +1,18 @@
-"""Minimal reverse-mode automatic differentiation over dense 2-D float64 arrays.
+"""Minimal reverse-mode automatic differentiation over dense float64 arrays.
 
 A ``Graph`` is a tape: every operation appends one ``Node`` holding the
 cached forward value, so insertion order is already a topological order and
 ``Graph.backward`` is a single reverse sweep.  Graphs are cheap and meant to
 be rebuilt for every forward/backward pass.
 
-Values are always 2-D ``float64`` matrices (a scalar is ``1x1``).  Binary
-elementwise ops broadcast a ``1xc`` row vector or a ``1x1`` scalar against a
-full matrix; gradients are summed back over the broadcast axes.
+Values are ``float64`` arrays of at least two axes: the last two are the
+matrix (a scalar is ``1x1``) and any before them are batch axes, so a stack
+of S independent problems is one ``(S, n, d)`` value.  Matrix ops (matmul,
+column concat, row and column sums, the BCE mean) act on the last two axes
+of each batch entry; no op reduces across a batch axis, so each entry's
+gradient is its own.  Binary elementwise ops broadcast numpy-style (a
+``1xc`` row, a ``1x1`` scalar, a ``(S, 1, 1)`` per-entry scalar); gradients
+are summed back over the broadcast axes.
 
 ``Graph.leaf`` records a node that receives a gradient (a parameter, or an
 input whose gradient is wanted); ``Graph.constant`` records data that never
@@ -76,15 +81,14 @@ class GraphError(RuntimeError):
     """Graph misuse: cross-graph operands, repeated backward, non-scalar loss."""
 
 
-def as_matrix(value) -> np.ndarray:
-    """Coerce ``value`` to a fresh 2-D row-major float64 array."""
+def as_array(value) -> np.ndarray:
+    """Coerce ``value`` to a fresh row-major float64 array of at least two
+    axes: a scalar becomes ``1x1`` and a vector a ``1xk`` row."""
     arr = np.array(value, dtype=np.float64, order="C")
     if arr.ndim == 0:
         arr = arr.reshape(1, 1)
     elif arr.ndim == 1:
         arr = arr.reshape(1, -1)
-    elif arr.ndim != 2:
-        raise ShapeError(f"expected a scalar, vector or matrix, got ndim={arr.ndim}")
     return arr
 
 
@@ -101,8 +105,8 @@ class Node:
         self.needs_grad = needs_grad
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return self.value.shape  # type: ignore[return-value]
+    def shape(self) -> tuple[int, ...]:
+        return self.value.shape
 
     def item(self) -> float:
         if self.value.shape != (1, 1):
@@ -144,7 +148,7 @@ class Graph:
 
     def leaf(self, value) -> Node:
         """Insert a copy of ``value`` as a node that receives a gradient."""
-        node = self.record(as_matrix(value), (), None, op="leaf")
+        node = self.record(as_array(value), (), None, op="leaf")
         node.needs_grad = True
         self._nodes.append(node)
         self._rules.append(None)
@@ -152,7 +156,7 @@ class Graph:
 
     def constant(self, value) -> Node:
         """Insert a copy of ``value`` as data: a leaf whose ``grad`` stays None."""
-        return self.record(as_matrix(value), (), None, op="leaf")
+        return self.record(as_array(value), (), None, op="leaf")
 
     def record(
         self,
@@ -183,15 +187,17 @@ class Graph:
         return node
 
     def backward(self, loss: Node) -> None:
-        """Reverse sweep from a scalar loss, consuming the tape.
+        """Reverse sweep from a ``(..., 1, 1)`` loss, consuming the tape.
 
+        Every entry of the loss is seeded with 1; as no op mixes batch
+        entries, each entry's gradient is that of its own scalar loss.
         Populates ``grad`` of the loss and of every node that needs a
         gradient, each a view of one zeroed buffer; other nodes keep None.
         """
         if loss.graph is not self:
             raise GraphError("loss node belongs to a different graph")
-        if loss.value.shape != (1, 1):
-            raise ShapeError(f"loss must be 1x1, got {loss.value.shape}")
+        if loss.value.shape[-2:] != (1, 1):
+            raise ShapeError(f"loss must be (..., 1, 1), got {loss.value.shape}")
         nodes, rules = self._nodes, self._rules
         if nodes is None:
             raise GraphError("backward already ran on this graph")
@@ -206,7 +212,7 @@ class Graph:
             end = start + node.value.size
             node.grad = buffer[start:end].reshape(node.value.shape)
             start = end
-        loss.grad[0, 0] = 1.0
+        loss.grad[...] = 1.0
         for node, rule in zip(reversed(nodes), reversed(rules)):
             if rule is not None:
                 rule(node.grad)
@@ -227,20 +233,29 @@ class ConstantGraph(Graph):
 # ---------------------------------------------------------------------------
 
 
-def _check_broadcast(a: tuple[int, int], b: tuple[int, int], op: str) -> None:
-    for axis in (0, 1):
-        if a[axis] != b[axis] and 1 not in (a[axis], b[axis]):
+def _check_broadcast(a: tuple[int, ...], b: tuple[int, ...], op: str) -> None:
+    if a == b:
+        return
+    for m, n in zip(reversed(a), reversed(b)):
+        if m != n and m != 1 and n != 1:
             raise ShapeError(f"{op}: operand shapes {a} and {b} do not broadcast")
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Sum an output gradient back down to a broadcast operand's shape."""
+def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum an output gradient back down to a broadcast operand's shape.
+
+    Leading axes the operand lacks are summed first, then each axis where
+    the operand has size 1, in increasing order, so the last two axes of a
+    batch entry are reduced exactly as a 2-D operand's would be.
+    """
     if grad.shape == shape:
         return grad
-    if shape[0] == 1 and grad.shape[0] != 1:
-        grad = grad.sum(axis=0, keepdims=True)
-    if shape[1] == 1 and grad.shape[1] != 1:
-        grad = grad.sum(axis=1, keepdims=True)
+    extra = grad.ndim - len(shape)
+    if extra:
+        grad = grad.sum(axis=tuple(range(extra)))
+    for axis, size in enumerate(shape):
+        if size == 1 and grad.shape[axis] != 1:
+            grad = grad.sum(axis=axis, keepdims=True)
     return grad
 
 
@@ -313,32 +328,33 @@ def one_minus(x: Node) -> Node:
 
 
 def matmul(a: Node, b: Node) -> Node:
+    """Matrix product over the last two axes of operands with the same batch axes."""
     g = a.graph
-    if a.shape[1] != b.shape[0]:
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
     out_val = a.value @ b.value
 
     def backward(grad: np.ndarray) -> None:
         if a.needs_grad:
-            a.grad += grad @ b.value.T
+            a.grad += grad @ b.value.swapaxes(-1, -2)
         if b.needs_grad:
-            b.grad += a.value.T @ grad
+            b.grad += a.value.swapaxes(-1, -2) @ grad
 
     return g.record(out_val, (a, b), backward, op="matmul")
 
 
 def concat_cols(a: Node, b: Node) -> Node:
     g = a.graph
-    if a.shape[0] != b.shape[0]:
+    if a.shape[:-1] != b.shape[:-1]:
         raise ShapeError(f"concat_cols: row counts differ, {a.shape} vs {b.shape}")
-    out_val = np.concatenate([a.value, b.value], axis=1)
-    split = a.shape[1]
+    out_val = np.concatenate([a.value, b.value], axis=-1)
+    split = a.shape[-1]
 
     def backward(grad: np.ndarray) -> None:
         if a.needs_grad:
-            a.grad += grad[:, :split]
+            a.grad += grad[..., :split]
         if b.needs_grad:
-            b.grad += grad[:, split:]
+            b.grad += grad[..., split:]
 
     return g.record(out_val, (a, b), backward, op="concat_cols")
 
@@ -417,11 +433,11 @@ def activation(kind: str, x: Node) -> Node:
 
 
 def reduce_sum(x: Node, axis: str) -> Node:
-    """Sum over ``axis``: "rows" collapses the row axis (result 1xc), "cols"
-    the column axis (result nx1)."""
+    """Sum over ``axis``: "rows" collapses the row axis (result ``...x1xc``),
+    "cols" the column axis (result ``...xnx1``)."""
     if axis not in ("rows", "cols"):
         raise ValueError(f"axis must be 'rows' or 'cols', got {axis!r}")
-    y = x.value.sum(axis=0 if axis == "rows" else 1, keepdims=True)
+    y = x.value.sum(axis=-2 if axis == "rows" else -1, keepdims=True)
 
     def backward(grad: np.ndarray) -> None:
         x.grad += np.broadcast_to(grad, x.shape)
@@ -435,7 +451,8 @@ def reduce_sum(x: Node, axis: str) -> Node:
 
 
 class BinaryTarget:
-    """A 0/1 target matrix, checked once so ``bce_loss`` can take it as is.
+    """A 0/1 target matrix (or a stack of them), checked once so ``bce_loss``
+    can take it as is.
 
     ``value`` is a read-only float64 copy of the target; a dataset lifts
     its labels into one where the data enters, so a training step neither
@@ -445,7 +462,7 @@ class BinaryTarget:
     __slots__ = ("value",)
 
     def __init__(self, target) -> None:
-        t = as_matrix(target)
+        t = as_array(target)
         if not np.all((t == 0.0) | (t == 1.0)):
             raise ValueError("bce_loss: target entries must be 0 or 1")
         t.flags.writeable = False
@@ -453,7 +470,8 @@ class BinaryTarget:
 
 
 def bce_loss(pred: Node, target) -> Node:
-    """Mean binary cross-entropy; predictions clamped to [1e-7, 1 - 1e-7].
+    """Mean binary cross-entropy over the last two axes, a ``(..., 1, 1)``
+    value; predictions clamped to [1e-7, 1 - 1e-7].
 
     ``target`` is a ``BinaryTarget``, or anything ``BinaryTarget`` accepts.
     """
@@ -463,15 +481,15 @@ def bce_loss(pred: Node, target) -> Node:
     if t.shape != pred.shape:
         raise ShapeError(f"bce_loss: target shape {t.shape} != prediction shape {pred.shape}")
     p = np.clip(pred.value, _BCE_EPS, 1.0 - _BCE_EPS)
-    n = p.size
-    loss = -(t * np.log(p) + (1.0 - t) * np.log1p(-p)).sum() / n
+    n = p.shape[-2] * p.shape[-1]
+    loss = -(t * np.log(p) + (1.0 - t) * np.log1p(-p)).sum(axis=(-2, -1), keepdims=True) / n
     # Clamp is part of the function: gradient is zero where it is active.
     active = (pred.value > _BCE_EPS) & (pred.value < 1.0 - _BCE_EPS)
 
     def backward(grad: np.ndarray) -> None:
-        pred.grad += grad[0, 0] * active * (p - t) / (p * (1.0 - p) * n)
+        pred.grad += grad * active * (p - t) / (p * (1.0 - p) * n)
 
-    return pred.graph.record(np.array([[loss]]), (pred,), backward, op="bce_loss")
+    return pred.graph.record(loss, (pred,), backward, op="bce_loss")
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +519,7 @@ def finite_difference_check(
     """
     if h <= 0.0:
         raise ValueError("h must be positive")
-    params = [as_matrix(p) for p in params]
+    params = [as_array(p) for p in params]
     _, grads = f(params, value_only=False)
     if grads is None:
         raise ValueError("f must return gradients when value_only is False")

@@ -2,14 +2,16 @@
 decision-boundary grids, truth-table sweeps, and CSV/JSON/SVG emission.
 
 Everything is deterministic given the seeds in the configuration; seed-level
-runs are independent (fresh data, fresh init, fresh optimizer state).
+runs are independent (fresh data, fresh init, fresh optimizer state).  The
+seeds of one model are trained together, as one batch whose params, data and
+Adam moments carry a leading seed axis; no operation mixes seeds, so each
+seed's run is byte for byte what it would be alone.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, field, asdict
 from typing import Iterable, Sequence
 
@@ -18,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Graph
 from . import softlogic as sl
-from .models import Model, ModelSpec, ParamCount, build_model, count_params
+from .models import Model, ModelSpec, ParamCount, build_model, count_params, stack_models
 from .softlogic import Formula, hard_eval, num_vars, parse_formula
 
 __all__ = [
@@ -48,6 +50,13 @@ __all__ = [
 
 DEFAULT_FORMULA_TEXT = "(x1 | x2) & ~x3"
 
+# Training rows per batch: ``run_multi_seed`` trains up to
+# ``max(1, _ROW_BUDGET // n_train)`` seeds of a model as one batch.  Batching
+# removes per-op overhead, which dominates small tapes; by about 1,000 rows
+# a step's cost is the arithmetic, and two seeds of 1,000 rows cost the same
+# batched or not, so larger batches would only raise peak memory.
+_ROW_BUDGET = 512
+
 
 # ---------------------------------------------------------------------------
 # data
@@ -60,25 +69,32 @@ class ToyDataset:
     binarized inputs (entry > 0.5 maps to 1).
 
     Both are checked here, where the data enters: the inputs must be a
-    finite ``(n, d)`` matrix and the labels an ``(n, 1)`` matrix of 0/1.
-    ``target`` is the labels lifted once for ``bce_loss``, and ``labels``
-    is its read-only value, so no training step copies or re-checks them.
+    finite ``(n, d)`` matrix and the labels an ``(n, 1)`` matrix of 0/1, or
+    stacks of them along the same leading axes (one dataset per seed of a
+    batch).  ``target`` is the labels lifted once for ``bce_loss``, and
+    ``labels`` is its read-only value, so no training step copies or
+    re-checks them.
     """
 
-    inputs: np.ndarray  # (n, d)
-    labels: np.ndarray  # (n, 1), float 0/1
+    inputs: np.ndarray  # (..., n, d)
+    labels: np.ndarray  # (..., n, 1), float 0/1
     target: ad.BinaryTarget = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
-        if self.inputs.ndim != 2 or not np.isfinite(self.inputs).all():
+        if self.inputs.ndim < 2 or not np.isfinite(self.inputs).all():
             raise ValueError("inputs must be a finite (n, d) matrix")
         self.target = ad.BinaryTarget(self.labels)
         self.labels = self.target.value
-        if self.labels.shape != (self.inputs.shape[0], 1):
-            raise ad.ShapeError(
-                f"labels must be ({self.inputs.shape[0]}, 1), got {self.labels.shape}"
-            )
+        expected = self.inputs.shape[:-1] + (1,)
+        if self.labels.shape != expected:
+            raise ad.ShapeError(f"labels must be {expected}, got {self.labels.shape}")
+
+
+def _stack_data(datasets: Sequence[ToyDataset]) -> ToyDataset:
+    """One dataset holding ``datasets`` along a new leading axis."""
+    return ToyDataset(np.stack([d.inputs for d in datasets]),
+                      np.stack([d.labels for d in datasets]))
 
 
 def _labels_for(inputs: np.ndarray, formula: Formula) -> np.ndarray:
@@ -198,21 +214,22 @@ class RunResult:
     diverged: bool = False
 
 
-def evaluate(model: Model, data: ToyDataset) -> tuple[float, float]:
-    """Accuracy of thresholded predictions and mean BCE on a dataset."""
+def evaluate(model: Model, data: ToyDataset) -> tuple[np.ndarray, np.ndarray]:
+    """Accuracy of thresholded predictions and mean BCE on a dataset: one of
+    each per batch entry, numpy scalars for a model without batch axes."""
     out, _ = model.forward(ad.ConstantGraph(), data.inputs)
     loss = ad.bce_loss(out, data.target)
-    acc = float(np.mean((out.value >= 0.5) == (data.labels == 1.0)))
-    return acc, loss.item()
+    acc = ((out.value >= 0.5) == (data.labels == 1.0)).mean(axis=(-2, -1))
+    return acc, loss.value[..., 0, 0]
 
 
-def _step(model: Model, optimizer: Adam, inputs: np.ndarray, target: ad.BinaryTarget) -> float:
+def _step(model: Model, optimizer: Adam, inputs: np.ndarray, target: ad.BinaryTarget) -> np.ndarray:
     graph = Graph()
     out, leaves = model.forward(graph, inputs)
     loss = ad.bce_loss(out, target)
     graph.backward(loss)
     optimizer.step({name: node.grad for name, node in leaves.items()})
-    return loss.item()
+    return loss.value
 
 
 def train(
@@ -226,30 +243,53 @@ def train(
     """Run the configured epochs; metrics are recorded after each epoch.
 
     A non-finite loss flags the run as diverged (remaining epochs are
-    recorded as NaN) instead of dropping it.
+    recorded as NaN) instead of dropping it.  This is ``_train_batch`` on a
+    batch of one.
     """
-    result = RunResult(model_name=model_name, seed=seed, params=count_params(model))
+    (result,) = _train_batch(model, train_data, test_data, config, model_name, (seed,))
+    return result
+
+
+def _train_batch(
+    model: Model,
+    train_data: ToyDataset,
+    test_data: ToyDataset,
+    config: TrainConfig,
+    model_name: str,
+    seeds: Sequence[int],
+) -> list[RunResult]:
+    """Train one model per seed as one batch, one ``RunResult`` per seed.
+
+    ``model``'s params and both datasets hold the seeds' entries along one
+    leading axis (none for a single seed).  A step is one tape and one Adam
+    update for the whole batch.  A seed whose loss turns non-finite is
+    flagged as diverged alone and records NaN from that epoch on; its
+    batch-mates run on unchanged.
+    """
+    params = count_params(model)
+    runs = [RunResult(model_name=model_name, seed=seed, params=params) for seed in seeds]
     optimizer = Adam(model.params, config.learning_rate, config.beta1, config.beta2, config.eps)
+    finite = np.ones(len(seeds), dtype=bool)
     for _ in range(config.epochs):
         for _ in range(config.passes_per_epoch):
-            if not math.isfinite(_step(model, optimizer, train_data.inputs, train_data.target)):
-                result.diverged = True
+            loss = _step(model, optimizer, train_data.inputs, train_data.target)
+            finite &= np.isfinite(loss).reshape(-1)
+            if not finite.any():
                 break
-        if result.diverged:
-            tr_acc = tr_loss = te_acc = te_loss = float("nan")
-        else:
-            tr_acc, tr_loss = evaluate(model, train_data)
-            te_acc, te_loss = evaluate(model, test_data)
-        result.train_acc.append(tr_acc)
-        result.test_acc.append(te_acc)
-        result.train_loss.append(tr_loss)
-        result.test_loss.append(te_loss)
-        if result.diverged:
-            remaining = config.epochs - len(result.train_acc)
-            for lst in (result.train_acc, result.test_acc, result.train_loss, result.test_loss):
-                lst.extend([float("nan")] * remaining)
+        if not finite.any():
             break
-    return result
+        tr_acc, tr_loss = map(np.ravel, evaluate(model, train_data))
+        te_acc, te_loss = map(np.ravel, evaluate(model, test_data))
+        for i in np.flatnonzero(finite):
+            runs[i].train_acc.append(float(tr_acc[i]))
+            runs[i].test_acc.append(float(te_acc[i]))
+            runs[i].train_loss.append(float(tr_loss[i]))
+            runs[i].test_loss.append(float(te_loss[i]))
+    for run, ok in zip(runs, finite):
+        run.diverged = not ok
+        for curve in (run.train_acc, run.test_acc, run.train_loss, run.test_loss):
+            curve.extend([float("nan")] * (config.epochs - len(curve)))
+    return runs
 
 
 @dataclass
@@ -290,21 +330,27 @@ def run_multi_seed(
     """Train every spec on every seed; fresh data and init per seed.
 
     All models share the data drawn for a seed so the comparison is paired.
+    The seeds are trained in chunks of ``max(1, _ROW_BUDGET // n_train)``,
+    each chunk of one model as one batch; runs are returned seed-major, in
+    the order of ``config.seeds`` and then of ``specs``.
     """
     if len(config.seeds) < 2:
         raise ValueError("need at least 2 seeds to report a standard deviation")
+    chunk_size = max(1, _ROW_BUDGET // config.n_train)
     runs: list[RunResult] = []
-    for seed in config.seeds:
-        root = np.random.SeedSequence(seed)
-        # The third child seeded the minibatch shuffle, which is gone.  A
-        # child's seed depends only on its index, so the data and init
-        # children would be the same without it; it stays spawned so that no
-        # stream added here later reuses the old shuffle's index.
-        data_ss, init_root, _ = root.spawn(3)
-        train_data, test_data = generate_toy_data(config.n_train, config.n_test, data_ss, formula)
-        for (name, spec), init_ss in zip(specs, init_root.spawn(len(specs))):
-            model = build_model(spec, init_ss)
-            runs.append(train(model, train_data, test_data, config, name, seed))
+    for start in range(0, len(config.seeds), chunk_size):
+        chunk = config.seeds[start:start + chunk_size]
+        roots = [np.random.SeedSequence(seed).spawn(2) for seed in chunk]
+        splits = [generate_toy_data(config.n_train, config.n_test, data_ss, formula)
+                  for data_ss, _ in roots]
+        train_data = _stack_data([train_split for train_split, _ in splits])
+        test_data = _stack_data([test_split for _, test_split in splits])
+        inits = [init_root.spawn(len(specs)) for _, init_root in roots]
+        batches = []
+        for k, (name, spec) in enumerate(specs):
+            model = stack_models([build_model(spec, init[k]) for init in inits])
+            batches.append(_train_batch(model, train_data, test_data, config, name, chunk))
+        runs.extend(run for seed_runs in zip(*batches) for run in seed_runs)
 
     stats: dict[str, ModelStats] = {}
     for name, _ in specs:

@@ -3,7 +3,9 @@
 The core operation gates each input row against one weight column per output
 unit (an ``n x d x o`` broadcast product), aggregates along the feature axis
 with a softmin (AND branch) or softmax (OR branch) at a shared sharpness, and
-concatenates both branches.  An optional negation branch ``1 - sigmoid(x W)``
+concatenates both branches.  Inputs, weights and a trainable sharpness may
+carry the same leading batch axes (one layer per batch entry), as every
+autodiff value may.  An optional negation branch ``1 - sigmoid(x W)``
 and an optional ``1/sqrt(d)`` output scaling can be attached.  Layers stack,
 optionally through implication residuals ``soft_imply(x, layer(x))``.
 """
@@ -53,8 +55,10 @@ def gated_reduce(x: Node, w: Node, mode: str, sharpness: float | Node) -> Node:
     """Fused gate: out[i,k] = sum_j gate_j(z[i,:,k]) * z[i,j,k], z[i,j,k] = x[i,j] w[j,k].
 
     ``mode`` selects the gate: "or" uses softmax weights, "and" softmin.
-    ``sharpness`` may be a plain float or a 1x1 node (trainable).  The forward
-    is ``softlogic.gate``; this op adds its backward rule.
+    ``sharpness`` may be a plain float or a ``(..., 1, 1)`` node (trainable).
+    ``x``, ``w`` and a sharpness node share their leading batch axes: one
+    layer, and one sharpness, per batch entry.  The forward is
+    ``softlogic.gate``; this op adds its backward rule.
     """
     if mode == "or":
         sign = 1.0
@@ -62,38 +66,38 @@ def gated_reduce(x: Node, w: Node, mode: str, sharpness: float | Node) -> Node:
         sign = -1.0
     else:
         raise ValueError(f"mode must be 'and' or 'or', got {mode!r}")
-    if x.shape[1] != w.shape[0]:
+    if x.shape[-1] != w.shape[-2]:
         raise ShapeError(f"gated_reduce: input width {x.shape} does not match weights {w.shape}")
 
     sharp_node = sharpness if isinstance(sharpness, Node) else None
     if sharp_node is not None:
-        if sharp_node.shape != (1, 1):
-            raise ShapeError(f"sharpness node must be 1x1, got {sharp_node.shape}")
+        if sharp_node.shape[-2:] != (1, 1):
+            raise ShapeError(f"sharpness node must be (..., 1, 1), got {sharp_node.shape}")
         # Trained values are not checked: a NaN must reach the loss, where
-        # training flags the run as diverged.
-        s = float(sharp_node.value[0, 0])
+        # training flags the run as diverged.  The node's (..., 1, 1) value
+        # broadcasts as (..., 1, 1, 1) against z.
+        t = sign * sharp_node.value[..., None]
     else:
-        s = check_sharpness(sharpness)
+        t = sign * check_sharpness(sharpness)
 
     xv, wv = x.value, w.value
-    z = xv[:, :, None] * wv[None, :, :]  # (n, d, o)
-    t = sign * s
-    gates, out_val = gate(z, t, axis=1)  # (n, d, o), (n, o)
+    z = xv[..., :, :, None] * wv[..., None, :, :]  # (..., n, d, o)
+    gates, out_val = gate(z, t, axis=-2)  # (..., n, d, o), (..., n, o)
 
     inputs = (x, w) if sharp_node is None else (x, w, sharp_node)
 
     def backward(grad: np.ndarray) -> None:
         # d out[i,k] / d z[i,j,k] = gate * (1 + t * (z - out))
-        p = gates * (1.0 + t * (z - out_val[:, None, :]))
-        dz = grad[:, None, :] * p
+        p = gates * (1.0 + t * (z - out_val[..., None, :]))
+        dz = grad[..., None, :] * p
         if x.needs_grad:
-            x.grad += (dz * wv[None, :, :]).sum(axis=2)
+            x.grad += (dz * wv[..., None, :, :]).sum(axis=-1)
         if w.needs_grad:
-            w.grad += (dz * xv[:, :, None]).sum(axis=0)
+            w.grad += (dz * xv[..., :, :, None]).sum(axis=-3)
         if sharp_node is not None and sharp_node.needs_grad:
             # d out[i,k] / d s = sign * (sum_j gate * z^2 - out^2)
-            d_sharp = sign * ((gates * z * z).sum(axis=1) - out_val * out_val)
-            sharp_node.grad[0, 0] += (grad * d_sharp).sum()
+            d_sharp = sign * ((gates * z * z).sum(axis=-2) - out_val * out_val)
+            sharp_node.grad += (grad * d_sharp).sum(axis=(-2, -1), keepdims=True)
 
     return x.graph.record(out_val, inputs, backward, op=f"gated_reduce_{mode}")
 
@@ -113,7 +117,8 @@ class LnuParams:
     ``w_and`` / ``w_or`` are (in_width, units).  ``rho`` (1x1), when present,
     makes the sharpness trainable as softplus(rho); otherwise ``sharpness`` is
     a fixed constant.  ``w_not`` (in_width, negation units) adds a third
-    branch ``1 - sigmoid(x @ w_not)``.
+    branch ``1 - sigmoid(x @ w_not)``.  The trainables may carry the same
+    leading batch axes, one layer per batch entry.
     """
 
     w_and: np.ndarray
@@ -124,23 +129,24 @@ class LnuParams:
     normalize: bool = False
 
     def __post_init__(self) -> None:
-        self.w_and = ad.as_matrix(self.w_and)
-        self.w_or = ad.as_matrix(self.w_or)
+        self.w_and = ad.as_array(self.w_and)
+        self.w_or = ad.as_array(self.w_or)
         if self.w_and.shape != self.w_or.shape:
             raise ShapeError(
                 f"w_and and w_or must share a shape, got {self.w_and.shape} vs {self.w_or.shape}"
             )
         self.sharpness = check_sharpness(self.sharpness)
         if self.rho is not None:
-            self.rho = ad.as_matrix(self.rho)
-            if self.rho.shape != (1, 1):
-                raise ShapeError(f"rho must be 1x1, got {self.rho.shape}")
+            self.rho = ad.as_array(self.rho)
+            expected = self.w_and.shape[:-2] + (1, 1)
+            if self.rho.shape != expected:
+                raise ShapeError(f"rho must be {expected}, got {self.rho.shape}")
         if self.w_not is not None:
-            self.w_not = ad.as_matrix(self.w_not)
-            if self.w_not.shape[0] != self.w_and.shape[0]:
+            self.w_not = ad.as_array(self.w_not)
+            if self.w_not.shape[:-1] != self.w_and.shape[:-1]:
                 raise ShapeError(
-                    f"w_not rows ({self.w_not.shape[0]}) must match the input width "
-                    f"({self.w_and.shape[0]})"
+                    f"w_not rows ({self.w_not.shape[-2]}) must match the input width "
+                    f"({self.w_and.shape[-2]})"
                 )
 
     @classmethod
@@ -169,17 +175,17 @@ class LnuParams:
 
     @property
     def in_width(self) -> int:
-        return self.w_and.shape[0]
+        return self.w_and.shape[-2]
 
     @property
     def units(self) -> int:
-        return self.w_and.shape[1]
+        return self.w_and.shape[-1]
 
     @property
     def out_width(self) -> int:
         width = 2 * self.units
         if self.w_not is not None:
-            width += self.w_not.shape[1]
+            width += self.w_not.shape[-1]
         return width
 
     def trainables(self) -> dict[str, np.ndarray]:
@@ -232,7 +238,7 @@ def lnu_forward(x: Node, layer: LnuParams | LnuGates) -> Node:
     """Apply one gated logic layer; output width 2*units (+negation units)."""
     gates = lift_layer(x.graph, layer) if isinstance(layer, LnuParams) else layer
     cfg = gates.config
-    if x.shape[1] != cfg.in_width:
+    if x.shape[-1] != cfg.in_width:
         raise ShapeError(f"layer expects width {cfg.in_width}, input has {x.shape}")
     if np.any(x.value < -1e-9) or np.any(x.value > 1.0 + 1e-9):
         warnings.warn(

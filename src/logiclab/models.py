@@ -5,12 +5,18 @@ Perceptron is one dense hidden layer (no bias) with a pointwise nonlinearity
 and the same head.  Default sizes are chosen so the trainable-scalar counts
 come out to 97 (perceptron, h=24), 90 (logicron, 11 units + trainable
 sharpness) and 110 (logicron with a 9-unit negation branch).
+
+A batch of models is one model whose params carry a leading seed axis
+(``stack_models``); its ``forward`` is the same code on stacked inputs.
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -28,6 +34,7 @@ __all__ = [
     "Perceptron",
     "Logicron",
     "build_model",
+    "stack_models",
     "count_params",
     "default_model_suite",
 ]
@@ -142,8 +149,28 @@ def build_model(spec: ModelSpec, seed: int | np.random.SeedSequence = 0) -> Mode
     return Logicron(spec, rng)
 
 
+def stack_models(models: Sequence[Model]) -> Model:
+    """One model whose params stack those of ``models`` on a new leading axis.
+
+    The models must share a spec; slice ``i`` of every param holds exactly
+    the bytes of ``models[i]``, and the models themselves are left as they are.
+    """
+    batch = copy.copy(models[0])
+    params = {name: np.stack([m.params[name] for m in models]) for name in batch.params}
+    if isinstance(batch, Logicron):
+        batch.lnu = dataclasses.replace(
+            batch.lnu, **{name: params[name] for name in batch.lnu.trainables()}
+        )
+        params.update(batch.lnu.trainables())  # one array per param, shared with lnu
+    batch.params = params
+    return batch
+
+
 def count_params(model: Model) -> ParamCount:
-    components = tuple((name, int(arr.size)) for name, arr in model.params.items())
+    """Trainable scalars of one model; a batch's leading axes are not counted."""
+    components = tuple(
+        (name, arr.shape[-2] * arr.shape[-1]) for name, arr in model.params.items()
+    )
     return ParamCount(total=sum(c for _, c in components), by_component=components)
 
 

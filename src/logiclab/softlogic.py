@@ -294,6 +294,7 @@ def gate(z: np.ndarray, t: float, axis: int = -1) -> tuple[np.ndarray, np.ndarra
     """The soft gate over ``axis``: ``gates = softmax(t * z)`` and ``sum(gates * z)``.
 
     ``t`` is the signed sharpness: > 0 for OR (softmax), < 0 for AND (softmin).
+    It is a float, or an array broadcasting against ``z`` (one per batch entry).
     """
     a = t * z
     a -= a.max(axis=axis, keepdims=True)

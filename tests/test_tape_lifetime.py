@@ -1,5 +1,5 @@
-"""Tape lifetime: the training path and the gradient checks leave no
-reference cycles, so every tape is freed by reference counting; a consumed
+"""Tape lifetime: the training path (alone and seed-batched) and the
+gradient checks leave no reference cycles, so every tape is freed by reference counting; a consumed
 graph keeps its leaves' gradients and rejects a second sweep."""
 
 import gc
@@ -10,7 +10,8 @@ import pytest
 from logiclab import autodiff as ad
 from logiclab.autodiff import Graph, GraphError
 from logiclab.checks import GRAD_TOLERANCE, gradcheck_suite
-from logiclab.experiments import TrainConfig, evaluate, generate_toy_data, train
+from logiclab import experiments
+from logiclab.experiments import TrainConfig, evaluate, generate_toy_data, run_multi_seed, train
 from logiclab.models import build_model, default_model_suite
 
 SHORT = TrainConfig(epochs=2, passes_per_epoch=2, seeds=(0, 1), n_train=20, n_test=40)
@@ -43,6 +44,15 @@ def test_training_path_leaves_no_cycles(name, no_cyclic_gc):
     out, _ = model.forward(graph, train_ds.inputs)
     graph.backward(ad.bce_loss(out, train_ds.target))
     del graph, out
+    assert gc.collect() == 0
+
+
+def test_seed_batched_run_leaves_no_cycles(no_cyclic_gc):
+    config = TrainConfig(epochs=2, passes_per_epoch=2, seeds=(0, 1, 2), n_train=20, n_test=40)
+    # All three seeds of a model train as one batch.
+    assert experiments._ROW_BUDGET // config.n_train >= len(config.seeds)
+    aggregate = run_multi_seed(default_model_suite(), config)
+    assert len(aggregate.runs) == 15 and not any(run.diverged for run in aggregate.runs)
     assert gc.collect() == 0
 
 
