@@ -29,6 +29,11 @@ the same contract: accumulate (+=) into ``inp.grad`` only for inputs with
 dead graph is freed by reference counting rather than by the cyclic garbage
 collector.  The leaves keep their ``grad``.  A ``ConstantGraph`` runs the
 same forward for its value alone and keeps no tape at all.
+
+``finite_difference_check`` checks the backward rules against central
+differences.  Its numeric side is one forward-only evaluation on a
+``ConstantGraph``: every ``+h`` and ``-h`` perturbation of every coordinate
+is one entry of a leading batch axis, so it never runs a backward rule.
 """
 
 from __future__ import annotations
@@ -474,11 +479,13 @@ def bce_loss(pred: Node, target) -> Node:
     value; predictions clamped to [1e-7, 1 - 1e-7].
 
     ``target`` is a ``BinaryTarget``, or anything ``BinaryTarget`` accepts.
+    Its shape is that of ``pred`` or of its last axes; leading batch axes it
+    lacks share it.
     """
     if not isinstance(target, BinaryTarget):
         target = BinaryTarget(target)
     t = target.value
-    if t.shape != pred.shape:
+    if t.shape != pred.shape and t.shape != pred.shape[-t.ndim:]:
         raise ShapeError(f"bce_loss: target shape {t.shape} != prediction shape {pred.shape}")
     p = np.clip(pred.value, _BCE_EPS, 1.0 - _BCE_EPS)
     n = p.shape[-2] * p.shape[-1]
@@ -498,48 +505,63 @@ def bce_loss(pred: Node, target) -> Node:
 
 
 def finite_difference_check(
-    f: Callable[..., tuple[float, Sequence[np.ndarray] | None]],
+    forward: Callable[["Graph", list[np.ndarray]], tuple[Node, Sequence[Node]]],
     params: Sequence[np.ndarray],
     h: float = 1e-5,
 ) -> float:
     """Compare analytic gradients against central finite differences.
 
-    ``f(params, value_only)`` returns ``(scalar value, gradients)``.  It is
-    called once with ``value_only=False`` and must then return gradients
-    aligned with ``params``; every perturbed evaluation passes
-    ``value_only=True``, so ``f`` may skip its backward pass and return
-    None for the gradients.  The numeric side reads only the value, so it
-    stays independent of the gradient path it checks.
+    ``forward(graph, params)`` builds a loss on ``graph`` from ``params``
+    and returns ``(loss, nodes)``, the nodes whose gradients align with
+    ``params``.  It runs twice.  First on a ``Graph`` with the params as
+    given: one backward sweep of its ``(1, 1)`` loss gives the analytic
+    gradients.  Then once on a ``ConstantGraph``, with every param stacked
+    along a new leading axis of 2N copies, N the number of coordinates of
+    all params together: row i holds ``p_i + h`` and row N + i holds
+    ``p_i - h``, every other coordinate as given.  The forward must carry
+    that batch axis through, as every autodiff op does, and return a
+    ``(2N, 1, 1)`` loss, row r the value at copy r.  The numeric side is
+    this one forward-only evaluation, so it stays independent of the
+    backward it checks.
 
     Returns the max over all coordinates of
     ``|analytic - numeric| / max(1e-8, |analytic| + |numeric|)``.  A
     coordinate whose difference lies within the central difference's own
     rounding floor, ``4 eps (|f(p + h)| + |f(p - h)|) / 2h``, counts as 0:
-    below that floor the numeric side is noise, not a derivative.
+    below that floor the numeric side is noise, not a derivative.  A
+    coordinate whose analytic or numeric value is not finite counts as inf.
     """
-    if h <= 0.0:
-        raise ValueError("h must be positive")
+    if not (np.isfinite(h) and h > 0.0):
+        raise ValueError(f"h must be positive and finite, got {h}")
     params = [as_array(p) for p in params]
-    _, grads = f(params, value_only=False)
-    if grads is None:
-        raise ValueError("f must return gradients when value_only is False")
-    grads = [np.asarray(gr, dtype=np.float64) for gr in grads]
-    if len(grads) != len(params):
-        raise ValueError("f returned a gradient list with the wrong length")
-    max_rel = 0.0
-    for k, p in enumerate(params):
-        flat = p.reshape(-1)
-        for i in range(flat.size):
-            saved = flat[i]
-            flat[i] = saved + h
-            f_plus = f(params, value_only=True)[0]
-            flat[i] = saved - h
-            f_minus = f(params, value_only=True)[0]
-            flat[i] = saved
-            numeric = (f_plus - f_minus) / (2.0 * h)
-            analytic = grads[k].reshape(-1)[i]
-            diff = abs(analytic - numeric)
-            floor = _FD_ROUNDING_ULPS * _EPS * (abs(f_plus) + abs(f_minus)) / (2.0 * h)
-            if diff > floor:
-                max_rel = max(max_rel, diff / max(1e-8, abs(analytic) + abs(numeric)))
-    return max_rel
+    graph = Graph()
+    loss, nodes = forward(graph, params)
+    if len(nodes) != len(params):
+        raise ValueError("forward returned a node list with the wrong length")
+    graph.backward(loss)
+    for node, p in zip(nodes, params):
+        if node.shape != p.shape:
+            raise ShapeError(f"forward returned a {node.shape} node for a {p.shape} param")
+    analytic = np.concatenate([node.grad.reshape(-1) for node in nodes])
+    n = analytic.size
+    batch, start = [], 0
+    for p in params:
+        stacked = np.repeat(p[None], 2 * n, axis=0)
+        rows = np.arange(p.size)
+        flat = stacked.reshape(2 * n, p.size)
+        flat[start + rows, rows] += h
+        flat[n + start + rows, rows] -= h
+        batch.append(stacked)
+        start += p.size
+    values = forward(ConstantGraph(), batch)[0].value
+    if values.shape != (2 * n, 1, 1):
+        raise ShapeError(f"the stacked forward must give a {(2 * n, 1, 1)} loss, got {values.shape}")
+    f_plus, f_minus = values[:n, 0, 0], values[n:, 0, 0]
+    with np.errstate(invalid="ignore", over="ignore"):
+        numeric = (f_plus - f_minus) / (2.0 * h)
+        diff = np.abs(analytic - numeric)
+        floor = _FD_ROUNDING_ULPS * _EPS * (np.abs(f_plus) + np.abs(f_minus)) / (2.0 * h)
+        rel = diff / np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
+    rel = np.where(diff > floor, rel, 0.0)
+    rel[~(np.isfinite(analytic) & np.isfinite(numeric))] = np.inf
+    return float(rel.max(initial=0.0))

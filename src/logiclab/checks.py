@@ -7,15 +7,15 @@ test suite.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable
 
 import numpy as np
 
 from . import autodiff as ad
 from . import softlogic as sl
-from .autodiff import Graph
 from .lnu import LnuParams, LnuStack, lift_layer, lift_stack, lnu_forward, lnu_stack_forward
-from .models import ModelSpec, build_model
+from .models import ModelSpec, build_model, with_params
 
 __all__ = [
     "GRAD_TOLERANCE",
@@ -27,28 +27,11 @@ __all__ = [
 GRAD_TOLERANCE = 1e-4
 
 # builder(rng) -> (forward, params); forward(graph, params) -> (loss, nodes)
-# builds the scalar loss on ``graph`` and returns the nodes whose gradients
-# align with ``params``.
+# builds the loss on ``graph`` from ``params`` alone and returns the nodes
+# whose gradients align with ``params``.  ``finite_difference_check`` also
+# calls it with every param stacked along a leading axis of perturbations,
+# so it builds its layer, stack or model from the params it is given.
 CheckBuilder = Callable[[np.random.Generator], tuple[Callable, list[np.ndarray]]]
-
-
-def _fd_function(forward: Callable) -> Callable:
-    """The ``f(params, value_only)`` that ``finite_difference_check`` takes.
-
-    A value-only call runs ``forward`` on a ``ConstantGraph``, which keeps
-    no tape; a gradient call sweeps a ``Graph`` and returns the gradients of
-    the nodes ``forward`` names.
-    """
-
-    def f(params, value_only=False):
-        if value_only:
-            return forward(ad.ConstantGraph(), params)[0].item(), None
-        graph = Graph()
-        loss, nodes = forward(graph, params)
-        graph.backward(loss)
-        return loss.item(), [node.grad for node in nodes]
-
-    return f
 
 
 def _scalar_loss(out):
@@ -134,15 +117,12 @@ def _lnu_layer_check(trainable: bool, negation: bool, normalize: bool) -> CheckB
         names = list(layer.trainables())
 
         def forward(g, params):
-            arrays = layer.trainables()
-            for name, arr in zip(names, params[:-1]):
-                arrays[name][...] = arr
             x = g.leaf(params[-1])
-            gates = lift_layer(g, layer)
+            gates = lift_layer(g, dataclasses.replace(layer, **dict(zip(names, params[:-1]))))
             leaves = gates.leaves()
             return _weighted_loss(lnu_forward(x, gates), probe), [leaves[n] for n in names] + [x]
 
-        return forward, [layer.trainables()[n].copy() for n in names] + [x0]
+        return forward, list(layer.trainables().values()) + [x0]
 
     return build
 
@@ -162,16 +142,18 @@ def _lnu_stack_check(rng):
     names = list(stack.trainables())
 
     def forward(g, params):
-        arrays = stack.trainables()
-        for name, arr in zip(names, params[:-1]):
-            arrays[name][...] = arr
+        arrays = dict(zip(names, params[:-1]))
+        batch = dataclasses.replace(stack, layers=[
+            dataclasses.replace(layer, **{n: arrays[f"layer{i}.{n}"] for n in layer.trainables()})
+            for i, layer in enumerate(stack.layers)
+        ])
         x = g.leaf(params[-1])
-        gates = lift_stack(g, stack)
+        gates = lift_stack(g, batch)
         leaves = {f"layer{i}.{n}": node for i, lg in enumerate(gates) for n, node in lg.leaves().items()}
-        loss = _weighted_loss(lnu_stack_forward(x, stack, gates), probe)
+        loss = _weighted_loss(lnu_stack_forward(x, batch, gates), probe)
         return loss, [leaves[n] for n in names] + [x]
 
-    return forward, [stack.trainables()[n].copy() for n in names] + [x0]
+    return forward, list(stack.trainables().values()) + [x0]
 
 
 def _model_check(spec: ModelSpec) -> CheckBuilder:
@@ -182,12 +164,10 @@ def _model_check(spec: ModelSpec) -> CheckBuilder:
         names = list(model.params)
 
         def forward(g, params):
-            for name, arr in zip(names, params):
-                model.params[name][...] = arr
-            out, leaves = model.forward(g, x0)
+            out, leaves = with_params(model, dict(zip(names, params))).forward(g, x0)
             return ad.bce_loss(out, target), [leaves[n] for n in names]
 
-        return forward, [model.params[n].copy() for n in names]
+        return forward, list(model.params.values())
 
     return build
 
@@ -236,12 +216,11 @@ def run_gradcheck(
     worst = 0.0
     for _ in range(points):
         forward, params = builder(rng)
-        f = _fd_function(forward)
-        err = ad.finite_difference_check(f, params, h=steps[0])
+        err = ad.finite_difference_check(forward, params, h=steps[0])
         for h in steps[1:]:
             if err <= 1e-5:
                 break
-            err = min(err, ad.finite_difference_check(f, params, h=h))
+            err = min(err, ad.finite_difference_check(forward, params, h=h))
         worst = max(worst, err)
     return worst
 

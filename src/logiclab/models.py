@@ -8,6 +8,7 @@ sharpness) and 110 (logicron with a 9-unit negation branch).
 
 A batch of models is one model whose params carry a leading seed axis
 (``stack_models``); its ``forward`` is the same code on stacked inputs.
+``with_params`` gives a model any other params of the same names.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "Logicron",
     "build_model",
     "stack_models",
+    "with_params",
     "count_params",
     "default_model_suite",
 ]
@@ -155,15 +157,23 @@ def stack_models(models: Sequence[Model]) -> Model:
     The models must share a spec; slice ``i`` of every param holds exactly
     the bytes of ``models[i]``, and the models themselves are left as they are.
     """
-    batch = copy.copy(models[0])
-    params = {name: np.stack([m.params[name] for m in models]) for name in batch.params}
-    if isinstance(batch, Logicron):
-        batch.lnu = dataclasses.replace(
-            batch.lnu, **{name: params[name] for name in batch.lnu.trainables()}
+    return with_params(
+        models[0], {name: np.stack([m.params[name] for m in models]) for name in models[0].params}
+    )
+
+
+def with_params(model: Model, params: dict[str, np.ndarray]) -> Model:
+    """A copy of ``model`` that holds ``params`` (same names, any leading
+    batch axes); ``model`` itself is left as it is."""
+    out = copy.copy(model)
+    params = dict(params)
+    if isinstance(out, Logicron):
+        out.lnu = dataclasses.replace(
+            out.lnu, **{name: params[name] for name in out.lnu.trainables()}
         )
-        params.update(batch.lnu.trainables())  # one array per param, shared with lnu
-    batch.params = params
-    return batch
+        params.update(out.lnu.trainables())  # one array per param, shared with lnu
+    out.params = params
+    return out
 
 
 def count_params(model: Model) -> ParamCount:

@@ -9,18 +9,13 @@ from logiclab.autodiff import Graph, GraphError, ShapeError
 
 
 def _fd(build, params, h=1e-5):
-    """Wrap a graph builder into the oracle's (value, grads) protocol."""
+    """Wrap a graph builder into the oracle's ``forward(graph, params)``."""
 
-    def f(ps, value_only=False):
-        g = Graph()
+    def forward(g, ps):
         leaves = [g.leaf(p) for p in ps]
-        loss = build(g, leaves)
-        if value_only:
-            return loss.item(), None
-        g.backward(loss)
-        return loss.item(), [leaf.grad for leaf in leaves]
+        return build(g, leaves), leaves
 
-    return ad.finite_difference_check(f, params, h=h)
+    return ad.finite_difference_check(forward, params, h=h)
 
 
 class TestElementwise:
@@ -209,6 +204,18 @@ class TestBceLoss:
         with pytest.raises(ShapeError):
             ad.bce_loss(g.leaf([[0.5]]), [[1.0, 0.0]])
 
+    def test_target_is_shared_by_leading_batch_axes(self):
+        rng = np.random.default_rng(12)
+        p = rng.uniform(0.05, 0.95, (3, 6, 1))
+        t = (rng.uniform(0, 1, (6, 1)) > 0.5).astype(float)
+        batched = ad.bce_loss(ad.ConstantGraph().leaf(p), t).value
+        assert batched.shape == (3, 1, 1)
+        for i in range(3):
+            alone = ad.bce_loss(ad.ConstantGraph().leaf(p[i]), t).value
+            assert batched[i].tobytes() == alone.tobytes()
+        with pytest.raises(ShapeError):
+            ad.bce_loss(ad.ConstantGraph().leaf(p), np.ones((3, 1)))
+
     def test_gradient(self):
         rng = np.random.default_rng(13)
         p = rng.uniform(0.05, 0.95, (6, 1))
@@ -302,6 +309,22 @@ class TestDeterminism:
         assert run() == run()
 
 
+def _bad_square(g, ps):
+    """x**2 whose backward rule says 3 where the derivative is 2x."""
+    x = g.leaf(ps[0])
+
+    def bad_backward(grad):
+        x.grad += 3.0 * grad  # true derivative is 2x = 2
+
+    y = g.record(x.value**2, (x,), bad_backward, op="bad_square")
+    return ad.reduce_sum(y, "cols"), [x]
+
+
+def _no_gradient_op(g, x, fn):
+    """``fn(x.value)`` recorded with a backward rule that adds nothing."""
+    return g.record(fn(x.value), (x,), lambda grad: None, op="no_gradient")
+
+
 class TestFiniteDifferenceOracle:
     def test_polynomial_is_near_exact(self):
         err = _fd(lambda g, ls: ad.reduce_sum(ad.mul(ls[0], ls[0]), "cols"), [np.array([[3.0]])])
@@ -309,45 +332,80 @@ class TestFiniteDifferenceOracle:
 
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
-            ad.finite_difference_check(
-                lambda ps, value_only=False: (0.0, [np.zeros((1, 1))]), [np.zeros((1, 1))], h=0.0
-            )
+            ad.finite_difference_check(_bad_square, [np.array([[1.0]])], h=0.0)
+
+    @pytest.mark.parametrize("h", [float("nan"), float("inf"), -1e-5])
+    def test_rejects_non_finite_or_negative_step(self, h):
+        # At h = nan or inf the wrong rule of _bad_square used to read 0.0.
+        with pytest.raises(ValueError):
+            ad.finite_difference_check(_bad_square, [np.array([[1.0]])], h=h)
 
     def test_detects_wrong_backward(self):
         # Negative control: a deliberately wrong rule must exceed tolerance.
-        def f(ps, value_only=False):
-            g = Graph()
-            x = g.leaf(ps[0])
-
-            def bad_backward(grad):
-                x.grad += 3.0 * grad  # true derivative is 2x = 2
-
-            y = g.record(x.value**2, (x,), bad_backward, op="bad_square")
-            loss = ad.reduce_sum(y, "cols")
-            if value_only:
-                return loss.item(), None
-            g.backward(loss)
-            return loss.item(), [x.grad]
-
-        err = ad.finite_difference_check(f, [np.array([[1.0]])])
+        err = ad.finite_difference_check(_bad_square, [np.array([[1.0]])])
         assert err > 1e-2
 
     def test_rounding_noise_on_a_zero_gradient_passes(self):
         # f is constant in x, but sum(a + x) - n x rounds differently at x +- h.
         a = np.random.default_rng(0).uniform(0.0, 1.0, 50)
 
-        def f(ps, value_only=False):
-            x = ps[0][0, 0]
-            return float(np.sum(a + x) - a.size * x), None if value_only else [np.zeros((1, 1))]
+        def forward(g, ps):
+            x = g.leaf(ps[0])
+            noise = _no_gradient_op(
+                g, x, lambda v: np.sum(a + v, axis=-1, keepdims=True) - a.size * v
+            )
+            return noise, [x]
 
         x0 = np.array([[0.3]])
         h = 1e-5
-        assert (f([x0 + h])[0] - f([x0 - h])[0]) != 0.0  # the noise is there
-        assert ad.finite_difference_check(f, [x0], h=h) == 0.0
+
+        def value(p):
+            return forward(ad.ConstantGraph(), [p])[0].item()
+
+        assert value(x0 + h) - value(x0 - h) != 0.0  # the noise is there
+        assert ad.finite_difference_check(forward, [x0], h=h) == 0.0
 
     def test_small_true_gradient_with_zero_analytic_fails(self):
         # Negative control below the old noise scale: true slope 1e-6.
-        def f(ps, value_only=False):
-            return 1.0 + 1e-6 * ps[0][0, 0], None if value_only else [np.zeros((1, 1))]
+        def forward(g, ps):
+            x = g.leaf(ps[0])
+            return _no_gradient_op(g, x, lambda v: 1.0 + 1e-6 * v), [x]
 
-        assert ad.finite_difference_check(f, [np.array([[0.3]])]) > 1e-2
+        assert ad.finite_difference_check(forward, [np.array([[0.3]])]) > 1e-2
+
+    def test_nan_numeric_side_fails(self):
+        # NaN compares false against the floor; it must not count as agreeing.
+        def forward(g, ps):
+            x = g.leaf(ps[0])
+            return _no_gradient_op(g, x, lambda v: np.where(v > 0.3, np.nan, 0.0)), [x]
+
+        assert ad.finite_difference_check(forward, [np.array([[0.3]])]) == float("inf")
+
+    def test_nan_analytic_side_fails(self):
+        def forward(g, ps):
+            x = g.leaf(ps[0])
+
+            def nan_backward(grad):
+                x.grad += np.nan * grad
+
+            return g.record(x.value.copy(), (x,), nan_backward, op="nan_rule"), [x]
+
+        assert ad.finite_difference_check(forward, [np.array([[0.3]])]) == float("inf")
+
+    def test_forward_that_drops_the_perturbation_axis_is_rejected(self):
+        # Summing over every axis folds the 2N perturbed copies into one value.
+        def forward(g, ps):
+            x = g.leaf(ps[0])
+            total = g.record(x.value.sum(keepdims=True).reshape(1, 1), (x,), lambda grad: None)
+            return total, [x]
+
+        with pytest.raises(ShapeError):
+            ad.finite_difference_check(forward, [np.array([[0.3, 0.4]])])
+
+    def test_forward_must_name_one_node_per_param(self):
+        def forward(g, ps):
+            x = g.leaf(ps[0])
+            return ad.reduce_sum(x, "cols"), [x, x]
+
+        with pytest.raises(ValueError):
+            ad.finite_difference_check(forward, [np.array([[0.3]])])

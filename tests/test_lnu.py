@@ -1,6 +1,8 @@
 """Gated logic layer tests: branch shapes, the fixed-weight corner values,
 gating locality, symmetry, normalization, residual stacking, gradients."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -166,21 +168,14 @@ class TestGatedReduce:
         probe = rng.uniform(0.5, 1.5, (3, 4))
         names = list(params.trainables())
 
-        def f(ps, value_only=False):
-            arrays = params.trainables()
-            for name, arr in zip(names, ps):
-                arrays[name][...] = arr
-            g = Graph()
-            gates = lift_layer(g, params)
+        def forward(g, ps):
+            gates = lift_layer(g, dataclasses.replace(params, **dict(zip(names, ps))))
             out = lnu_forward(g.leaf(x0), gates)
             loss = ad.reduce_sum(ad.reduce_sum(ad.mul(out, g.leaf(probe)), "cols"), "rows")
-            if value_only:
-                return loss.item(), None
-            g.backward(loss)
             leaves = gates.leaves()
-            return loss.item(), [leaves[n].grad for n in names]
+            return loss, [leaves[n] for n in names]
 
-        err = ad.finite_difference_check(f, [params.trainables()[n].copy() for n in names])
+        err = ad.finite_difference_check(forward, list(params.trainables().values()))
         assert err <= 1e-4
         assert "rho" in names  # the sharpness parameter is being checked
 
@@ -191,16 +186,11 @@ class TestSoftAndAsGraphFunction:
         rng = np.random.default_rng(16)
         z0 = rng.uniform(0.1, 0.9, (1, 5))
 
-        def f(ps, value_only=False):
-            g = Graph()
+        def forward(g, ps):
             z = g.leaf(ps[0])
-            out = gated_reduce(z, g.leaf(np.ones((5, 1))), "and", 10.0)
-            if value_only:
-                return out.item(), None
-            g.backward(out)
-            return out.item(), [z.grad]
+            return gated_reduce(z, g.leaf(np.ones((5, 1))), "and", 10.0), [z]
 
-        assert ad.finite_difference_check(f, [z0]) <= 1e-5
+        assert ad.finite_difference_check(forward, [z0]) <= 1e-5
 
 
 class TestSoftImplyNodes:
@@ -254,27 +244,28 @@ class TestStacks:
         probe = rng.uniform(0.5, 1.5, (3, 4))
         names = list(stack.trainables())
 
-        def f(ps, value_only=False):
-            arrays = stack.trainables()
-            for name, arr in zip(names, ps[:-1]):
-                arrays[name][...] = arr
-            g = Graph()
+        def forward(g, ps):
+            arrays = dict(zip(names, ps[:-1]))
+            batch = LnuStack(
+                [
+                    dataclasses.replace(layer, **{n: arrays[f"layer{i}.{n}"] for n in layer.trainables()})
+                    for i, layer in enumerate(stack.layers)
+                ],
+                residual_mode=stack.residual_mode,
+            )
             x = g.leaf(ps[-1])
-            gates = lift_stack(g, stack)
-            out = lnu_stack_forward(x, stack, gates)
+            gates = lift_stack(g, batch)
+            out = lnu_stack_forward(x, batch, gates)
             loss = ad.reduce_sum(ad.reduce_sum(ad.mul(out, g.leaf(probe)), "cols"), "rows")
-            if value_only:
-                return loss.item(), None
-            g.backward(loss)
             leaves = {
                 f"layer{i}.{n}": node
                 for i, lg in enumerate(gates)
                 for n, node in lg.leaves().items()
             }
-            return loss.item(), [leaves[n].grad for n in names] + [x.grad]
+            return loss, [leaves[n] for n in names] + [x]
 
-        params = [stack.trainables()[n].copy() for n in names] + [x0]
-        assert ad.finite_difference_check(f, params) <= 1e-4
+        params = list(stack.trainables().values()) + [x0]
+        assert ad.finite_difference_check(forward, params) <= 1e-4
 
 
 class TestParamValidation:

@@ -13,6 +13,7 @@ from logiclab.models import (
     build_model,
     count_params,
     default_model_suite,
+    with_params,
 )
 
 # The PCG64 state in which gradcheck_suite(points=20, seed=3) reached
@@ -100,6 +101,24 @@ class TestBuild:
                 ModelSpec("logicron", sharpness=bad)
             with pytest.raises(ValueError, match="sharpness"):
                 default_model_suite(sharpness=bad)
+
+    @pytest.mark.parametrize("name", ["MLP-GeLU", "Logicron+Neg"])
+    def test_with_params_leaves_the_model_as_it_is(self, name):
+        model = build_model(dict(default_model_suite())[name], seed=7)
+        before = {k: arr.tobytes() for k, arr in model.params.items()}
+        lnu_before = getattr(model, "lnu", None)
+        params = {k: arr + 1.0 for k, arr in model.params.items()}
+        other = with_params(model, params)
+        assert {k: arr.tobytes() for k, arr in model.params.items()} == before
+        assert getattr(model, "lnu", None) is lnu_before
+        for k, arr in params.items():
+            assert other.params[k].tobytes() == arr.tobytes(), k
+        if lnu_before is not None:  # the layer reads the new arrays, one per param
+            for k, arr in other.lnu.trainables().items():
+                assert other.params[k] is arr, k
+        x = np.random.default_rng(7).uniform(0, 1, (5, 3))
+        moved, _ = other.forward(Graph(), x)
+        assert not np.array_equal(moved.value, model.forward(Graph(), x)[0].value)
 
     def test_suite_has_five_contenders(self):
         names = [name for name, _ in default_model_suite()]
