@@ -295,10 +295,14 @@ def gate(z: np.ndarray, t: float, axis: int = -1) -> tuple[np.ndarray, np.ndarra
 
     ``t`` is the signed sharpness: > 0 for OR (softmax), < 0 for AND (softmin).
     It is a float, or an array broadcasting against ``z`` (one per batch entry).
+    ``z`` is left untouched; the gates are computed in place in one
+    temporary.  The reductions are fastest over a leading axis of a
+    C-contiguous ``z``, where each adds whole slabs (``lnu.gated_reduce``
+    gates over axis -3 of a feature-major tensor for this reason).
     """
     a = t * z
     a -= a.max(axis=axis, keepdims=True)
-    gates = np.exp(a)
+    gates = np.exp(a, out=a)
     gates /= gates.sum(axis=axis, keepdims=True)
     return gates, (gates * z).sum(axis=axis)
 

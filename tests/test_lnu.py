@@ -5,6 +5,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logiclab import autodiff as ad
 from logiclab import softlogic as sl
@@ -178,6 +180,38 @@ class TestGatedReduce:
         err = ad.finite_difference_check(forward, list(params.trainables().values()))
         assert err <= 1e-4
         assert "rho" in names  # the sharpness parameter is being checked
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([(), (1,), (3,)]),
+        st.integers(1, 6),
+        st.integers(1, 9),
+        st.integers(1, 4),
+        st.floats(min_value=0.0, max_value=1e3),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_soft_operators_per_unit(self, batch, n, d, o, sharp, per_entry, seed):
+        # Each output is soft_and / soft_or of its unit's weighted row, at
+        # the layer's (or the batch entry's) sharpness; inputs hold exact 0
+        # and 1.
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.0, 1.0, batch + (n, d))
+        corner = rng.uniform(size=x.shape)
+        x[corner < 0.1] = 0.0
+        x[corner > 0.9] = 1.0
+        w = rng.uniform(0.0, 1.0, batch + (d, o))
+        sharps = rng.uniform(0.0, sharp, batch + (1, 1)) if per_entry else np.full(batch + (1, 1), sharp)
+        for mode, op in (("and", sl.soft_and), ("or", sl.soft_or)):
+            g = Graph()
+            s = g.leaf(sharps) if per_entry else sharp
+            out = gated_reduce(g.leaf(x), g.leaf(w), mode, s).value
+            assert out.shape == batch + (n, o)
+            for b in np.ndindex(*batch):
+                for i in range(n):
+                    for k in range(o):
+                        want = op(x[b][i] * w[b][:, k], float(sharps[b][0, 0]))
+                        assert out[b][i, k] == pytest.approx(want, abs=1e-14)
 
 
 class TestSoftAndAsGraphFunction:

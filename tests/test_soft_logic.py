@@ -3,7 +3,7 @@ soft operators and their exact identities, and the weighted baselines."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from logiclab import softlogic as sl
@@ -155,6 +155,44 @@ class TestGatedSoftOps:
             m = float(np.mean(z))
             assert abs(sl.soft_and(z, 0.0) - m) <= 1e-12
             assert abs(sl.soft_or(z, 0.0) - m) <= 1e-12
+
+
+class TestGateKernel:
+    # The oracle fixture is a plain function, so sharing it across examples is safe.
+    @settings(
+        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        st.lists(st.integers(1, 6), min_size=1, max_size=3),
+        st.data(),
+        st.floats(min_value=0.0, max_value=1e3),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_math_exp_oracle(self, gate_oracle, shape, data, sharp, per_entry, seed):
+        # Random shapes and axes, a float or per-entry signed sharpness, and
+        # inputs with exact 0 and 1; the caller's z must come back untouched.
+        axis = data.draw(st.integers(-len(shape), len(shape) - 1))
+        rng = np.random.default_rng(seed)
+        z = rng.uniform(0.0, 1.0, shape)
+        corner = rng.uniform(size=shape)
+        z[corner < 0.1] = 0.0
+        z[corner > 0.9] = 1.0
+        if per_entry:
+            t_shape = list(shape)
+            t_shape[axis] = 1
+            t = rng.choice([-1.0, 1.0], t_shape) * rng.uniform(0.0, sharp, t_shape)
+        else:
+            t = float(rng.choice([-1.0, 1.0])) * sharp
+        before = z.copy()
+        gates, out = sl.gate(z, t, axis=axis)
+        assert z.tobytes() == before.tobytes()
+        assert gates.shape == z.shape
+        np.testing.assert_allclose(gates.sum(axis=axis), 1.0, rtol=0, atol=1e-14)
+        rows = np.moveaxis(z, axis, -1).reshape(-1, shape[axis])
+        ts = np.moveaxis(np.broadcast_to(t, z.shape), axis, -1).reshape(-1, shape[axis])[:, 0]
+        for row, t_row, got in zip(rows, ts, out.reshape(-1)):
+            assert got == pytest.approx(gate_oracle(row, t_row), abs=1e-14)
 
 
 class TestWeightedGate:
