@@ -244,72 +244,111 @@ def gradcheck_suite(
 # ---------------------------------------------------------------------------
 
 
+# Each residual draws its samples one at a time, in the order of the scalar
+# loops it replaced, then evaluates every operator once per width: one
+# ``gate`` call, min/max or weighted kernel over the last axis of an (m, d)
+# matrix.  Row by row these give the bytes of the scalar operators
+# (``tests/test_logic_reference.py`` keeps the loops as the oracle).
+
+
+def _by_width(samples: list[tuple]) -> list[tuple[np.ndarray, ...]]:
+    """Group per-sample tuples by the width of their first vector and stack
+    each field: (m, d) matrices for vectors, (m,) arrays for floats."""
+    groups: dict[int, list[tuple]] = {}
+    for sample in samples:
+        groups.setdefault(len(sample[0]), []).append(sample)
+    return [tuple(np.array(field) for field in zip(*group)) for group in groups.values()]
+
+
+def _worst(worst: float, *residuals: np.ndarray) -> float:
+    """``worst`` raised to the largest entry of ``residuals``; an all-zero
+    batch keeps it, and its sign, as the scalar ``max(worst, r)`` did."""
+    return max(worst, *(float(r.max()) for r in residuals))
+
+
+def _operator_values(z: np.ndarray, w: np.ndarray, sharp: np.ndarray) -> dict[str, np.ndarray]:
+    """Every AND/OR operator over the last axis of (m, d) truth degrees ``z``
+    with weights ``w`` and an (m, 1) sharpness column: row i equals the
+    scalar operator on ``z[i]`` byte for byte."""
+    return {
+        "godel_and": z.min(axis=-1),
+        "godel_or": z.max(axis=-1),
+        "soft_and": sl.gate(z, -sharp)[1],
+        "soft_or": sl.gate(z, sharp)[1],
+        "nln_and": sl._nln_and_values(z, w),
+        "nln_or": sl._nln_or_values(z, w),
+        "lnn_and": sl._lnn_and_values(z, w),
+        "lnn_or": sl._lnn_or_values(z, w),
+    }
+
+
 def _demorgan_residual(samples: int, rng: np.random.Generator) -> float:
     dims = (2, 3, 8)
+    drawn = [(rng.uniform(0.0, 1.0, dims[i % len(dims)]),) for i in range(samples)]
     worst = 0.0
-    for i in range(samples):
-        z = rng.uniform(0.0, 1.0, dims[i % len(dims)])
+    for (z,) in _by_width(drawn):
         for sharp in (0.0, 1.0, 10.0, 100.0):
-            lhs = sl.soft_or(1.0 - z, sharp)
-            rhs = 1.0 - sl.soft_and(z, sharp)
-            worst = max(worst, abs(lhs - rhs))
+            lhs = sl.gate(1.0 - z, sharp)[1]
+            rhs = 1.0 - sl.gate(z, -sharp)[1]
+            worst = _worst(worst, np.abs(lhs - rhs))
     return worst
 
 
 def _convex_hull_residual(samples: int, rng: np.random.Generator) -> float:
-    worst = 0.0
+    drawn = []
     for _ in range(samples):
         d = int(rng.integers(2, 9))
-        z = rng.uniform(0.0, 1.0, d)
-        sharp = float(rng.uniform(0.0, 200.0))
-        lo, hi = z.min(), z.max()
-        for val in (sl.soft_and(z, sharp), sl.soft_or(z, sharp)):
-            worst = max(worst, lo - val, val - hi, 0.0)
+        drawn.append((rng.uniform(0.0, 1.0, d), float(rng.uniform(0.0, 200.0))))
+    worst = 0.0
+    for z, sharp in _by_width(drawn):
+        t = sharp[:, None]
+        lo, hi = z.min(axis=-1), z.max(axis=-1)
+        for val in (sl.gate(z, -t)[1], sl.gate(z, t)[1]):
+            worst = _worst(worst, lo - val, val - hi)
     return worst
 
 
 def _sharp_limit_residual(samples: int, rng: np.random.Generator) -> float:
-    worst = 0.0
+    lows, tops = [], []
     for _ in range(samples):
         d = int(rng.integers(2, 9))
         m = float(rng.uniform(0.0, 0.5))
-        z = np.concatenate([[m], rng.uniform(m + 0.1, 1.0, d - 1)])
-        worst = max(worst, abs(sl.soft_and(z, 200.0) - m))
+        lows.append((np.concatenate([[m], rng.uniform(m + 0.1, 1.0, d - 1)]), m))
         top = float(rng.uniform(0.5, 1.0))
-        z = np.concatenate([[top], rng.uniform(0.0, top - 0.1, d - 1)])
-        worst = max(worst, abs(sl.soft_or(z, 200.0) - top))
+        tops.append((np.concatenate([[top], rng.uniform(0.0, top - 0.1, d - 1)]), top))
+    worst = 0.0
+    for z, m in _by_width(lows):
+        worst = _worst(worst, np.abs(sl.gate(z, -200.0)[1] - m))
+    for z, top in _by_width(tops):
+        worst = _worst(worst, np.abs(sl.gate(z, 200.0)[1] - top))
     return worst
 
 
 def _mean_residual(samples: int, rng: np.random.Generator) -> float:
+    drawn = [(rng.uniform(0.0, 1.0, int(rng.integers(2, 9))),) for _ in range(samples)]
     worst = 0.0
-    for _ in range(samples):
-        d = int(rng.integers(2, 9))
-        z = rng.uniform(0.0, 1.0, d)
-        mean = float(np.mean(z))
-        worst = max(worst, abs(sl.soft_and(z, 0.0) - mean), abs(sl.soft_or(z, 0.0) - mean))
+    for (z,) in _by_width(drawn):
+        mean = z.mean(axis=-1)
+        # -0.0: the signed zero soft_and(z, 0.0) passes to the gate.
+        worst = _worst(worst, np.abs(sl.gate(z, -0.0)[1] - mean), np.abs(sl.gate(z, 0.0)[1] - mean))
     return worst
 
 
 def _permutation_residual(samples: int, rng: np.random.Generator) -> float:
-    worst = 0.0
+    drawn = []
     for _ in range(samples):
         d = int(rng.integers(2, 6))
         z = rng.uniform(0.0, 1.0, d)
         w = rng.uniform(0.0, 1.0, d)
-        perm = rng.permutation(d)
-        sharp = float(rng.uniform(0.0, 100.0))
-        pairs = [
-            (sl.godel_and(z), sl.godel_and(z[perm])),
-            (sl.godel_or(z), sl.godel_or(z[perm])),
-            (sl.soft_and(z, sharp), sl.soft_and(z[perm], sharp)),
-            (sl.soft_or(z, sharp), sl.soft_or(z[perm], sharp)),
-            (sl.nln_and(z, w), sl.nln_and(z[perm], w[perm])),
-            (sl.nln_or(z, w), sl.nln_or(z[perm], w[perm])),
-            (sl.lnn_and(z, w), sl.lnn_and(z[perm], w[perm])),
-            (sl.lnn_or(z, w), sl.lnn_or(z[perm], w[perm])),
-        ]
-        worst = max(worst, max(abs(a - b) for a, b in pairs))
+        drawn.append((z, w, rng.permutation(d), float(rng.uniform(0.0, 100.0))))
+    worst = 0.0
+    for z, w, perm, sharp in _by_width(drawn):
+        sharp = sharp[:, None]
+        values = _operator_values(z, w, sharp)
+        permuted = _operator_values(
+            np.take_along_axis(z, perm, axis=-1), np.take_along_axis(w, perm, axis=-1), sharp
+        )
+        worst = _worst(worst, *(np.abs(values[name] - permuted[name]) for name in values))
     return worst
 
 

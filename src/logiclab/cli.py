@@ -20,6 +20,8 @@ from .experiments import (
     TrainConfig,
     default_grid_specs,
     decision_boundary_grid,
+    grid_agreement,
+    grid_mean_abs_deviation,
     run_multi_seed,
     truth_table_sweep,
     write_grid_csv,
@@ -219,8 +221,9 @@ def cmd_boundary(cfg: ExperimentConfig) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     _ensure_out_dir(cfg.out_dir)
+    grids = {}
     for name, spec in specs:
-        grid = decision_boundary_grid(spec)
+        grid = grids[name] = decision_boundary_grid(spec)
         csv_path = os.path.join(cfg.out_dir, f"boundary_{name}.csv")
         write_grid_csv(csv_path, grid)
         print(f"wrote {csv_path}")
@@ -228,6 +231,15 @@ def cmd_boundary(cfg: ExperimentConfig) -> int:
             svg_path = os.path.join(cfg.out_dir, f"boundary_{name}.svg")
             write_grid_svg(svg_path, grid)
             print(f"wrote {svg_path}")
+    # Each gated grid against the hard grid of its kind: thresholded
+    # agreement (default threshold and exclusion band) and mean |deviation|.
+    for name, grid in grids.items():
+        kind = grid.spec.kind
+        if kind.startswith("lnu_"):
+            hard_name = kind.replace("lnu_", "hard_")
+            hard = grids[hard_name]
+            print(f"{name} vs {hard_name}: agreement={grid_agreement(grid, hard):.6f} "
+                  f"mean_abs_deviation={grid_mean_abs_deviation(grid, hard):.6f}")
     return 0
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Graph, Node, ShapeError
+from .autodiff import Graph, Node, ShapeError, _unbroadcast
 from .softlogic import check_sharpness, gate
 
 __all__ = [
@@ -63,8 +63,9 @@ def gated_reduce(x: Node, w: Node, mode: str, sharpness: float | Node) -> Node:
 
     ``mode`` selects the gate: "or" uses softmax weights, "and" softmin.
     ``sharpness`` may be a plain float or a ``(..., 1, 1)`` node (trainable).
-    ``x``, ``w`` and a sharpness node share their leading batch axes: one
-    layer, and one sharpness, per batch entry.  The forward is
+    ``x``, ``w`` and a sharpness node broadcast over their leading batch
+    axes: one layer, and one sharpness, per batch entry; an operand without
+    an axis gets its gradient summed over it.  The forward is
     ``softlogic.gate`` over axis -3 of the feature-major ``(..., d, n, o)``
     tensor z; this op adds its backward rule, built in place in one buffer
     of z's size.  For two or more units numpy sums in the same order as over
@@ -108,16 +109,17 @@ def gated_reduce(x: Node, w: Node, mode: str, sharpness: float | Node) -> Node:
         dz *= gates
         dz *= grad[..., None, :, :]
         if x.needs_grad:
-            x.grad += (dz * wv[..., :, None, :]).sum(axis=-1).swapaxes(-1, -2)
+            x.grad += _unbroadcast((dz * wv[..., :, None, :]).sum(axis=-1).swapaxes(-1, -2), x.shape)
         if w.needs_grad:
             dz *= xt[..., :, :, None]
-            w.grad += dz.sum(axis=-2)
+            w.grad += _unbroadcast(dz.sum(axis=-2), w.shape)
         if sharp_node is not None and sharp_node.needs_grad:
             # d out[i,k] / d s = sign * (sum_j gate * z^2 - out^2)
             gz2 = gates * z
             gz2 *= z
             d_sharp = sign * (gz2.sum(axis=-3) - out_val * out_val)
-            sharp_node.grad += (grad * d_sharp).sum(axis=(-2, -1), keepdims=True)
+            d_sharp = (grad * d_sharp).sum(axis=(-2, -1), keepdims=True)
+            sharp_node.grad += _unbroadcast(d_sharp, sharp_node.shape)
 
     return x.graph.record(out_val, inputs, backward, op=f"gated_reduce_{mode}")
 

@@ -20,8 +20,6 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .autodiff import sigmoid_values
-
 __all__ = [
     "Var",
     "Not",
@@ -330,14 +328,10 @@ def weighted_gate(x, w) -> np.ndarray:
     return xv * wv
 
 
-def soft_not(x, mode: str = "affine", w_not: float | None = None):
-    """Negation: involutive ``1 - x`` or trainable ``1 - sigmoid(w_not * x)``."""
+def soft_not(x, mode: str = "affine"):
+    """Involutive negation ``1 - x``; "affine" is the only mode."""
     if mode == "affine":
         return 1.0 - np.asarray(x, dtype=np.float64)
-    if mode == "learned":
-        if w_not is None:
-            raise ValueError("soft_not: learned mode requires w_not")
-        return 1.0 - sigmoid_values(np.asarray(x, dtype=np.float64) * w_not)
     raise ValueError(f"soft_not: unknown mode {mode!r}")
 
 
@@ -349,7 +343,7 @@ def soft_imply(a, b, sharpness: float):
         raise ValueError(f"soft_imply: shapes differ, {av.shape} vs {bv.shape}")
     if not (np.isfinite(av).all() and np.isfinite(bv).all()):
         raise ValueError("soft_imply: truth degrees must be finite")
-    return gate(np.stack([1.0 - av, bv]), check_sharpness(sharpness), axis=0)[1]
+    return gate(np.stack([soft_not(av), bv]), check_sharpness(sharpness), axis=0)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -365,25 +359,52 @@ def _paired(x, w, name: str) -> tuple[np.ndarray, np.ndarray]:
     return xv, wv
 
 
+# The arithmetic of each weighted operator is one kernel over the last axis,
+# so the scalar operators (after validating) and the batched algebra checks
+# in ``checks`` compute the same bytes.
+
+
+def _nln_and_values(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return np.prod(1.0 - w * (1.0 - x), axis=-1)
+
+
+def _nln_or_values(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return 1.0 - np.prod(1.0 - w * x, axis=-1)
+
+
+def _dot(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_i w_i * v_i over the last axis as a batched matmul, which on
+    vectors gives the bytes of ``w @ v``; an elementwise product summed with
+    ``.sum(-1)`` or ``einsum`` rounds differently for some rows."""
+    return (w[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def _lnn_clamp(raw: np.ndarray, mode: str) -> np.ndarray:
+    if mode == "clip":
+        return np.clip(raw, 0.0, 1.0)
+    if mode == "relu":
+        # Lower-capped only; can exceed 1 for large weight sums.  Keeps a raw
+        # -0.0 and a NaN, as ``max(raw, 0.0)`` does.
+        return np.where(0.0 > raw, 0.0, raw)
+    raise ValueError(f"lnn clamp mode must be 'clip' or 'relu', got {mode!r}")
+
+
+def _lnn_and_values(x: np.ndarray, w: np.ndarray, b: float = 1.0, clamp: str = "clip") -> np.ndarray:
+    return _lnn_clamp(b - _dot(w, 1.0 - x), clamp)
+
+
+def _lnn_or_values(x: np.ndarray, w: np.ndarray, b: float = 1.0, clamp: str = "clip") -> np.ndarray:
+    return _lnn_clamp((1.0 - b) + _dot(w, x), clamp)
+
+
 def nln_and(x, w) -> float:
     """Product form: prod_i [1 - w_i * (1 - x_i)]."""
-    xv, wv = _paired(x, w, "nln_and")
-    return float(np.prod(1.0 - wv * (1.0 - xv)))
+    return float(_nln_and_values(*_paired(x, w, "nln_and")))
 
 
 def nln_or(x, w) -> float:
     """Product form: 1 - prod_i [1 - w_i * x_i]."""
-    xv, wv = _paired(x, w, "nln_or")
-    return float(1.0 - np.prod(1.0 - wv * xv))
-
-
-def _lnn_clamp(raw: float, mode: str) -> float:
-    if mode == "clip":
-        return float(np.clip(raw, 0.0, 1.0))
-    if mode == "relu":
-        # Lower-capped only; can exceed 1 for large weight sums.
-        return float(max(raw, 0.0))
-    raise ValueError(f"lnn clamp mode must be 'clip' or 'relu', got {mode!r}")
+    return float(_nln_or_values(*_paired(x, w, "nln_or")))
 
 
 def _lnn_check(x, w, bias_b: float, name: str) -> tuple[np.ndarray, np.ndarray, float]:
@@ -398,11 +419,9 @@ def _lnn_check(x, w, bias_b: float, name: str) -> tuple[np.ndarray, np.ndarray, 
 
 def lnn_and(x, w, bias_b: float = 1.0, clamp: str = "clip") -> float:
     """Sum form: f(b - sum_i w_i * (1 - x_i)) with f clamping to [0, 1]."""
-    xv, wv, b = _lnn_check(x, w, bias_b, "lnn_and")
-    return _lnn_clamp(b - float(wv @ (1.0 - xv)), clamp)
+    return float(_lnn_and_values(*_lnn_check(x, w, bias_b, "lnn_and"), clamp))
 
 
 def lnn_or(x, w, bias_b: float = 1.0, clamp: str = "clip") -> float:
     """Sum form: f(1 - b + sum_i w_i * x_i) with f clamping to [0, 1]."""
-    xv, wv, b = _lnn_check(x, w, bias_b, "lnn_or")
-    return _lnn_clamp(1.0 - b + float(wv @ xv), clamp)
+    return float(_lnn_or_values(*_lnn_check(x, w, bias_b, "lnn_or"), clamp))

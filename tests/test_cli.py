@@ -147,6 +147,25 @@ class TestBoundary:
         grid = np.loadtxt(out / "boundary_hard_and.csv", delimiter=",")
         assert (grid[0, 0], grid[-1, 0], grid[0, -1], grid[-1, -1]) == (0, 0, 0, 1)
 
+    def test_reports_agreement_against_hard_grids(self, tmp_path, capsys):
+        from logiclab.experiments import (
+            GridSpec, decision_boundary_grid, grid_agreement, grid_mean_abs_deviation,
+        )
+
+        assert run_cli("boundary", "--out", str(tmp_path / "g"), "--resolution", "21",
+                       "--beta", "2,50") == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if " vs " in line]
+        assert len(lines) == 4
+        for line in lines:
+            name, rest = line.split(" vs ")
+            hard_name, fields = rest.split(": ")
+            kind, beta = name.split("_beta")
+            assert hard_name == kind.replace("lnu_", "hard_")
+            grid = decision_boundary_grid(GridSpec(kind, 21, sharpness=float(beta)))
+            hard = decision_boundary_grid(GridSpec(hard_name, 21))
+            assert fields == (f"agreement={grid_agreement(grid, hard):.6f} "
+                              f"mean_abs_deviation={grid_mean_abs_deviation(grid, hard):.6f}")
+
     def test_resolution_too_small(self, tmp_path):
         assert run_cli("boundary", "--out", str(tmp_path / "g"), "--resolution", "1") == 2
 

@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from logiclab import autodiff as ad
 from logiclab import softlogic as sl
@@ -234,6 +236,27 @@ class TestBoundaryGrids:
                     for j, x1 in enumerate(grid.xs):
                         want = gate_oracle([0.5 * x1, 0.5 * x2], sign * sharp)
                         assert grid.values[i, j] == pytest.approx(want, abs=1e-12)
+
+    # The oracle fixture is a plain function, so sharing it across examples is safe.
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        st.sampled_from(["lnu_and", "lnu_or"]),
+        st.integers(2, 12),
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+        st.one_of(st.sampled_from([0.0, 1e3]), st.floats(min_value=0.0, max_value=1e3)),
+    )
+    def test_gated_grid_property_matches_oracle(self, gate_oracle, kind, resolution, weight, sharp):
+        # Every cell, including the exact 0 and 1 edges of the square, is the
+        # two-entry gate of (w * x1, w * x2) at the kind's signed sharpness.
+        grid = decision_boundary_grid(GridSpec(kind, resolution, weight=weight, sharpness=sharp))
+        assert grid.xs[0] == 0.0 and grid.xs[-1] == 1.0
+        sign = -1.0 if kind == "lnu_and" else 1.0
+        for i, x2 in enumerate(grid.xs):
+            for j, x1 in enumerate(grid.xs):
+                want = gate_oracle([weight * x1, weight * x2], sign * sharp)
+                assert grid.values[i, j] == pytest.approx(want, abs=1e-14)
 
     def test_resolution_validation(self):
         with pytest.raises(ValueError):

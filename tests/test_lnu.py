@@ -181,6 +181,50 @@ class TestGatedReduce:
         assert err <= 1e-4
         assert "rho" in names  # the sharpness parameter is being checked
 
+    @pytest.mark.parametrize("mode", ["and", "or"])
+    @pytest.mark.parametrize(
+        "x_shape, w_shape, sharp_shape",
+        [
+            ((4, 3), (2, 3, 2), None),
+            ((4, 3), (2, 3, 2), (2, 1, 1)),
+            ((2, 4, 3), (3, 2), (1, 1)),
+            ((4, 3), (3, 2), (3, 1, 1)),
+            ((1, 4, 3), (3, 3, 2), (3, 1, 1)),
+        ],
+    )
+    def test_unequal_batch_axes_gradients(self, mode, x_shape, w_shape, sharp_shape):
+        # Operands broadcast over the batch axes; the gradient of one that
+        # lacks an axis (or has it at size 1) is the sum over that axis of
+        # the per-entry gradients, computed here one batch entry at a time.
+        rng = np.random.default_rng(4)
+        x0 = rng.uniform(0.0, 1.0, x_shape)
+        w0 = rng.uniform(0.0, 1.0, w_shape)
+        s0 = None if sharp_shape is None else rng.uniform(1.0, 20.0, sharp_shape)
+        batch = np.broadcast_shapes(x_shape[:-2], w_shape[:-2], () if s0 is None else sharp_shape[:-2])
+        probe = rng.normal(0.0, 1.0, batch + (x_shape[-2], w_shape[-1]))
+
+        def sweep(x, w, s, probe):
+            g = Graph()
+            leaves = [g.leaf(x), g.leaf(w)] + ([] if s is None else [g.leaf(s)])
+            out = gated_reduce(leaves[0], leaves[1], mode, 7.0 if s is None else leaves[2])
+            g.backward(ad.reduce_sum(ad.reduce_sum(ad.mul(out, g.constant(probe)), "cols"), "rows"))
+            return [leaf.grad for leaf in leaves]
+
+        operands = [x0, w0] + ([] if s0 is None else [s0])
+        grads = sweep(x0, w0, s0, probe)
+        want = [np.zeros(a.shape) for a in operands]
+        for b in np.ndindex(*batch):
+            entry = [np.broadcast_to(a, batch + a.shape[-2:])[b] for a in operands]
+            if s0 is None:
+                entry.append(None)
+            for k, grad in enumerate(sweep(*entry, probe[b])):
+                axes = operands[k].shape[:-2]
+                idx = tuple(0 if size == 1 else i for i, size in zip(b[len(b) - len(axes):], axes))
+                want[k][idx] += grad
+        for grad, ref in zip(grads, want):
+            assert grad.shape == ref.shape
+            np.testing.assert_allclose(grad, ref, rtol=1e-13, atol=1e-15)
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.sampled_from([(), (1,), (3,)]),

@@ -221,14 +221,6 @@ class TestSoftNot:
     def test_affine_involution(self, x):
         assert sl.soft_not(sl.soft_not(x)) == pytest.approx(x, abs=1e-15)
 
-    def test_learned_zero_weight_is_half(self):
-        for x in (0.0, 0.4, 1.0):
-            assert sl.soft_not(x, mode="learned", w_not=0.0) == 0.5
-
-    def test_learned_requires_weight(self):
-        with pytest.raises(ValueError):
-            sl.soft_not(0.5, mode="learned")
-
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             sl.soft_not(0.5, mode="fuzzy")
