@@ -11,8 +11,9 @@ of S independent problems is one ``(S, n, d)`` value.  Matrix ops (matmul,
 column concat, row and column sums, the BCE mean) act on the last two axes
 of each batch entry; no op reduces across a batch axis, so each entry's
 gradient is its own.  Binary elementwise ops broadcast numpy-style (a
-``1xc`` row, a ``1x1`` scalar, a ``(S, 1, 1)`` per-entry scalar); gradients
-are summed back over the broadcast axes.
+``1xc`` row, a ``1x1`` scalar, a ``(S, 1, 1)`` per-entry scalar), and
+matmul broadcasts its operands' batch axes; gradients are summed back over
+the broadcast axes, and shapes that do not broadcast raise ``ShapeError``.
 
 ``Graph.leaf`` records a node that receives a gradient (a parameter, or an
 input whose gradient is wanted); ``Graph.constant`` records data that never
@@ -31,9 +32,10 @@ collector.  The leaves keep their ``grad``.  A ``ConstantGraph`` runs the
 same forward for its value alone and keeps no tape at all.
 
 ``finite_difference_check`` checks the backward rules against central
-differences.  Its numeric side is one forward-only evaluation on a
-``ConstantGraph``: every ``+h`` and ``-h`` perturbation of every coordinate
-is one entry of a leading batch axis, so it never runs a backward rule.
+differences, for one problem or a batch of them at once.  Its numeric side
+is one forward-only evaluation on a ``ConstantGraph``: every ``+h`` and
+``-h`` perturbation of every coordinate is one entry of a leading batch
+axis, so it never runs a backward rule.
 """
 
 from __future__ import annotations
@@ -239,6 +241,7 @@ class ConstantGraph(Graph):
 
 
 def _check_broadcast(a: tuple[int, ...], b: tuple[int, ...], op: str) -> None:
+    """Raise ``ShapeError`` unless shapes ``a`` and ``b`` broadcast."""
     if a == b:
         return
     for m, n in zip(reversed(a), reversed(b)):
@@ -333,17 +336,18 @@ def one_minus(x: Node) -> Node:
 
 
 def matmul(a: Node, b: Node) -> Node:
-    """Matrix product over the last two axes of operands with the same batch axes."""
+    """Matrix product over the last two axes; the batch axes broadcast."""
     g = a.graph
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
+    _check_broadcast(a.shape[:-2], b.shape[:-2], "matmul")
     out_val = a.value @ b.value
 
     def backward(grad: np.ndarray) -> None:
         if a.needs_grad:
-            a.grad += grad @ b.value.swapaxes(-1, -2)
+            a.grad += _unbroadcast(grad @ b.value.swapaxes(-1, -2), a.shape)
         if b.needs_grad:
-            b.grad += a.value.swapaxes(-1, -2) @ grad
+            b.grad += _unbroadcast(a.value.swapaxes(-1, -2) @ grad, b.shape)
 
     return g.record(out_val, (a, b), backward, op="matmul")
 
@@ -508,24 +512,26 @@ def finite_difference_check(
     forward: Callable[["Graph", list[np.ndarray]], tuple[Node, Sequence[Node]]],
     params: Sequence[np.ndarray],
     h: float = 1e-5,
-) -> float:
+) -> float | np.ndarray:
     """Compare analytic gradients against central finite differences.
 
     ``forward(graph, params)`` builds a loss on ``graph`` from ``params``
     and returns ``(loss, nodes)``, the nodes whose gradients align with
-    ``params``.  It runs twice.  First on a ``Graph`` with the params as
-    given: one backward sweep of its ``(1, 1)`` loss gives the analytic
-    gradients.  Then once on a ``ConstantGraph``, with every param stacked
-    along a new leading axis of 2N copies, N the number of coordinates of
-    all params together: row i holds ``p_i + h`` and row N + i holds
-    ``p_i - h``, every other coordinate as given.  The forward must carry
-    that batch axis through, as every autodiff op does, and return a
-    ``(2N, 1, 1)`` loss, row r the value at copy r.  The numeric side is
-    this one forward-only evaluation, so it stays independent of the
-    backward it checks.
+    ``params``.  The params may share leading batch axes, those of the
+    ``(..., 1, 1)`` loss: each batch entry is a problem of its own, with N
+    coordinates over all its params together.  ``forward`` runs twice.
+    First on a ``Graph`` with the params as given: one backward sweep of the
+    loss gives the analytic gradients of every entry.  Then once on a
+    ``ConstantGraph``, with every param stacked along a new leading axis of
+    2N copies: row i perturbs coordinate i of every entry by ``+h`` and row
+    N + i by ``-h``, every other coordinate as given.  The forward must
+    carry that axis through, as every autodiff op does, and return a
+    ``(2N, ..., 1, 1)`` loss.  The numeric side is this one forward-only
+    evaluation, so it stays independent of the backward it checks.
 
-    Returns the max over all coordinates of
-    ``|analytic - numeric| / max(1e-8, |analytic| + |numeric|)``.  A
+    Returns, per batch entry, the max over its coordinates of
+    ``|analytic - numeric| / max(1e-8, |analytic| + |numeric|)``: a float
+    for params without batch axes, else an array of the batch shape.  A
     coordinate whose difference lies within the central difference's own
     rounding floor, ``4 eps (|f(p + h)| + |f(p - h)|) / 2h``, counts as 0:
     below that floor the numeric side is noise, not a derivative.  A
@@ -539,24 +545,32 @@ def finite_difference_check(
     if len(nodes) != len(params):
         raise ValueError("forward returned a node list with the wrong length")
     graph.backward(loss)
+    batch = loss.shape[:-2]
+    entries = int(np.prod(batch))
     for node, p in zip(nodes, params):
         if node.shape != p.shape:
             raise ShapeError(f"forward returned a {node.shape} node for a {p.shape} param")
-    analytic = np.concatenate([node.grad.reshape(-1) for node in nodes])
-    n = analytic.size
-    batch, start = [], 0
+        if p.shape[:len(batch)] != batch:
+            raise ShapeError(f"a {p.shape} param lacks the batch axes {batch} of the loss")
+    analytic = np.concatenate([node.grad.reshape(entries, -1) for node in nodes], axis=1)
+    n = analytic.shape[1]
+    stacks, start = [], 0
     for p in params:
         stacked = np.repeat(p[None], 2 * n, axis=0)
-        rows = np.arange(p.size)
-        flat = stacked.reshape(2 * n, p.size)
-        flat[start + rows, rows] += h
-        flat[n + start + rows, rows] -= h
-        batch.append(stacked)
-        start += p.size
-    values = forward(ConstantGraph(), batch)[0].value
-    if values.shape != (2 * n, 1, 1):
-        raise ShapeError(f"the stacked forward must give a {(2 * n, 1, 1)} loss, got {values.shape}")
-    f_plus, f_minus = values[:n, 0, 0], values[n:, 0, 0]
+        size = p.size // entries
+        rows = np.arange(size)
+        flat = stacked.reshape(2 * n, entries, size)
+        flat[start + rows, :, rows] += h
+        flat[n + start + rows, :, rows] -= h
+        stacks.append(stacked)
+        start += size
+    values = forward(ConstantGraph(), stacks)[0].value
+    if values.shape != (2 * n, *batch, 1, 1):
+        raise ShapeError(
+            f"the stacked forward must give a {(2 * n, *batch, 1, 1)} loss, got {values.shape}"
+        )
+    values = values.reshape(2 * n, entries)
+    f_plus, f_minus = values[:n].T, values[n:].T  # (entries, n), as analytic
     with np.errstate(invalid="ignore", over="ignore"):
         numeric = (f_plus - f_minus) / (2.0 * h)
         diff = np.abs(analytic - numeric)
@@ -564,4 +578,5 @@ def finite_difference_check(
         rel = diff / np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
     rel = np.where(diff > floor, rel, 0.0)
     rel[~(np.isfinite(analytic) & np.isfinite(numeric))] = np.inf
-    return float(rel.max(initial=0.0))
+    worst = rel.max(axis=1, initial=0.0)
+    return worst.reshape(batch) if batch else float(worst[0])

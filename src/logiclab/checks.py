@@ -3,11 +3,18 @@ numerical checks of the operator algebra.
 
 Both suites are deterministic given a seed and are shared by the CLI and the
 test suite.
+
+A gradient check draws all its points from the suite's generator first,
+then checks them in chunks stacked along a leading batch axis: a chunk is
+one analytic tape and one forward-only evaluation of every perturbation of
+every point, sized so its perturbed copies stay within ``_FD_ROW_BUDGET``
+rows.  Points are independent batch entries, so each gets the error it
+would get alone (``tests/test_gradcheck_points.py`` keeps the per-point loop
+as the oracle).
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Callable
 
 import numpy as np
@@ -26,12 +33,16 @@ __all__ = [
 
 GRAD_TOLERANCE = 1e-4
 
-# builder(rng) -> (forward, params); forward(graph, params) -> (loss, nodes)
-# builds the loss on ``graph`` from ``params`` alone and returns the nodes
-# whose gradients align with ``params``.  ``finite_difference_check`` also
-# calls it with every param stacked along a leading axis of perturbations,
-# so it builds its layer, stack or model from the params it is given.
-CheckBuilder = Callable[[np.random.Generator], tuple[Callable, list[np.ndarray]]]
+# A check is a pair (draw, forward).  draw(rng) -> (params, consts) draws one
+# point: the arrays the gradient is taken with respect to, and the data the
+# loss also reads (inputs, targets, probe weights, a fixed sharpness).
+# forward(graph, params, consts) -> (loss, nodes) builds the loss on
+# ``graph`` from those arrays alone and returns the nodes whose gradients
+# align with ``params``.  It is called with the arrays of many points
+# stacked along leading batch axes, and ``finite_difference_check`` stacks
+# the params along one more axis of perturbations, so it keeps no state of
+# any one point.
+GradCheck = tuple[Callable, Callable]
 
 
 def _scalar_loss(out):
@@ -58,53 +69,50 @@ def _probe_weights(rng: np.random.Generator, shape) -> np.ndarray:
     return _away_from_zero(rng, shape, margin=0.5)
 
 
-def _unary(op: Callable, kink_margin: float = 0.0) -> CheckBuilder:
-    def build(rng):
+def _unary(op: Callable, kink_margin: float = 0.0) -> GradCheck:
+    def draw(rng):
         if kink_margin > 0.0:
-            x0 = _away_from_zero(rng, (3, 4), kink_margin)
-        else:
-            x0 = rng.uniform(-2.0, 2.0, (3, 4))
+            return [_away_from_zero(rng, (3, 4), kink_margin)], []
+        return [rng.uniform(-2.0, 2.0, (3, 4))], []
 
-        def forward(g, params):
-            x = g.leaf(params[0])
-            return _scalar_loss(op(x)), [x]
-
-        return forward, [x0]
-
-    return build
-
-
-def _binary(op: Callable, b_shape=(3, 4), bound: float = 2.0) -> CheckBuilder:
-    def build(rng):
-        a0 = rng.uniform(-bound, bound, (3, 4))
-        b0 = rng.uniform(-bound, bound, b_shape)
-
-        def forward(g, params):
-            a, b = g.leaf(params[0]), g.leaf(params[1])
-            return _scalar_loss(op(a, b)), [a, b]
-
-        return forward, [a0, b0]
-
-    return build
-
-
-def _bce_check(rng):
-    x0 = rng.uniform(-2.0, 2.0, (5, 1))
-    target = (rng.uniform(0.0, 1.0, (5, 1)) > 0.5).astype(np.float64)
-
-    def forward(g, params):
+    def forward(g, params, consts):
         x = g.leaf(params[0])
-        return ad.bce_loss(ad.sigmoid(x), target), [x]
+        return _scalar_loss(op(x)), [x]
 
-    return forward, [x0]
+    return draw, forward
 
 
-def _lnu_layer_check(trainable: bool, negation: bool, normalize: bool) -> CheckBuilder:
-    def build(rng):
+def _binary(op: Callable, b_shape=(3, 4), bound: float = 2.0) -> GradCheck:
+    def draw(rng):
+        a0 = rng.uniform(-bound, bound, (3, 4))
+        return [a0, rng.uniform(-bound, bound, b_shape)], []
+
+    def forward(g, params, consts):
+        a, b = g.leaf(params[0]), g.leaf(params[1])
+        return _scalar_loss(op(a, b)), [a, b]
+
+    return draw, forward
+
+
+def _bce_draw(rng):
+    x0 = rng.uniform(-2.0, 2.0, (5, 1))
+    return [x0], [(rng.uniform(0.0, 1.0, (5, 1)) > 0.5).astype(np.float64)]
+
+
+def _bce_forward(g, params, consts):
+    x = g.leaf(params[0])
+    return ad.bce_loss(ad.sigmoid(x), consts[0]), [x]
+
+
+def _lnu_layer_check(trainable: bool, negation: bool, normalize: bool) -> GradCheck:
+    names = ["w_and", "w_or"] + ["rho"] * trainable + ["w_not"] * negation
+
+    def draw(rng):
+        sharpness = float(rng.uniform(2.0, 12.0))
         layer = LnuParams.create(
             4,
             3,
-            sharpness=float(rng.uniform(2.0, 12.0)),
+            sharpness=sharpness,
             trainable_sharpness=trainable,
             negation_units=2 if negation else 0,
             normalize=normalize,
@@ -113,66 +121,69 @@ def _lnu_layer_check(trainable: bool, negation: bool, normalize: bool) -> CheckB
         if negation:
             layer.w_not[...] = rng.uniform(-0.5, 0.5, layer.w_not.shape)
         x0 = rng.uniform(0.05, 0.95, (3, 4))
-        probe = _probe_weights(rng, (3, layer.out_width))
-        names = list(layer.trainables())
+        consts = [_probe_weights(rng, (3, layer.out_width))]
+        if not trainable:
+            consts.append(np.array([[sharpness]]))
+        return list(layer.trainables().values()) + [x0], consts
 
-        def forward(g, params):
-            x = g.leaf(params[-1])
-            gates = lift_layer(g, dataclasses.replace(layer, **dict(zip(names, params[:-1]))))
-            leaves = gates.leaves()
-            return _weighted_loss(lnu_forward(x, gates), probe), [leaves[n] for n in names] + [x]
+    def forward(g, params, consts):
+        x = g.leaf(params[-1])
+        gates = lift_layer(g, LnuParams(**dict(zip(names, params[:-1])), normalize=normalize))
+        if not trainable:
+            gates.sharp = g.constant(consts[1])  # one fixed sharpness per point
+        leaves = gates.leaves()
+        return _weighted_loss(lnu_forward(x, gates), consts[0]), [leaves[n] for n in names] + [x]
 
-        return forward, list(layer.trainables().values()) + [x0]
-
-    return build
+    return draw, forward
 
 
-def _lnu_stack_check(rng):
-    # 4 -> 4 -> 4 -> 4 with implication residuals; all sharpnesses trainable.
-    # Sharpness stays moderate: composition multiplies curvature, which costs
-    # finite-difference accuracy at the default step.
+# 4 -> 4 -> 4 -> 4 with implication residuals; all sharpnesses trainable.
+# Sharpness stays moderate: composition multiplies curvature, which costs
+# finite-difference accuracy at the default step.
+_STACK_DEPTH = 3
+
+
+def _lnu_stack_draw(rng):
     layers = [
         LnuParams.create(4, 2, sharpness=float(rng.uniform(1.0, 5.0)),
                          trainable_sharpness=True, rng=rng)
-        for _ in range(3)
+        for _ in range(_STACK_DEPTH)
     ]
-    stack = LnuStack(layers, residual_mode="soft-imply")
     x0 = rng.uniform(0.05, 0.95, (3, 4))
     probe = _probe_weights(rng, (3, 4))
-    names = list(stack.trainables())
-
-    def forward(g, params):
-        arrays = dict(zip(names, params[:-1]))
-        batch = dataclasses.replace(stack, layers=[
-            dataclasses.replace(layer, **{n: arrays[f"layer{i}.{n}"] for n in layer.trainables()})
-            for i, layer in enumerate(stack.layers)
-        ])
-        x = g.leaf(params[-1])
-        gates = lift_stack(g, batch)
-        leaves = {f"layer{i}.{n}": node for i, lg in enumerate(gates) for n, node in lg.leaves().items()}
-        loss = _weighted_loss(lnu_stack_forward(x, batch, gates), probe)
-        return loss, [leaves[n] for n in names] + [x]
-
-    return forward, list(stack.trainables().values()) + [x0]
+    return list(LnuStack(layers).trainables().values()) + [x0], [probe]
 
 
-def _model_check(spec: ModelSpec) -> CheckBuilder:
-    def build(rng):
+def _lnu_stack_forward(g, params, consts):
+    # Three trainables per layer (w_and, w_or, rho), in the order of
+    # LnuStack.trainables.
+    stack = LnuStack(
+        [LnuParams(*params[3 * i:3 * i + 2], rho=params[3 * i + 2]) for i in range(_STACK_DEPTH)],
+        residual_mode="soft-imply",
+    )
+    x = g.leaf(params[-1])
+    gates = lift_stack(g, stack)
+    loss = _weighted_loss(lnu_stack_forward(x, stack, gates), consts[0])
+    return loss, [node for lg in gates for node in lg.leaves().values()] + [x]
+
+
+def _model_check(spec: ModelSpec) -> GradCheck:
+    def draw(rng):
         model = build_model(spec, int(rng.integers(2**31)))
         x0 = rng.uniform(0.0, 1.0, (4, spec.input_dim))
-        target = ad.BinaryTarget(rng.uniform(0.0, 1.0, (4, 1)) > 0.5)
-        names = list(model.params)
+        target = (rng.uniform(0.0, 1.0, (4, 1)) > 0.5).astype(np.float64)
+        return list(model.params.values()), [x0, target]
 
-        def forward(g, params):
-            out, leaves = with_params(model, dict(zip(names, params))).forward(g, x0)
-            return ad.bce_loss(out, target), [leaves[n] for n in names]
+    def forward(g, params, consts):
+        # A model of this spec carries the structure; the params replace its own.
+        model = build_model(spec)
+        out, leaves = with_params(model, dict(zip(model.params, params))).forward(g, consts[0])
+        return ad.bce_loss(out, consts[1]), [leaves[n] for n in model.params]
 
-        return forward, list(model.params.values())
-
-    return build
+    return draw, forward
 
 
-GRADCHECKS: dict[str, CheckBuilder] = {
+GRADCHECKS: dict[str, GradCheck] = {
     "add": _binary(ad.add),
     "add_broadcast_row": _binary(ad.add, b_shape=(1, 4)),
     "sub": _binary(ad.sub),
@@ -187,10 +198,10 @@ GRADCHECKS: dict[str, CheckBuilder] = {
     "softplus": _unary(ad.softplus),
     "reduce_sum_rows": _unary(lambda x: ad.reduce_sum(x, "rows")),
     "concat_cols": _binary(ad.concat_cols, b_shape=(3, 2)),
-    "bce_loss": _bce_check,
+    "bce_loss": (_bce_draw, _bce_forward),
     "lnu_layer": _lnu_layer_check(trainable=False, negation=False, normalize=False),
     "lnu_layer_trainable_full": _lnu_layer_check(trainable=True, negation=True, normalize=True),
-    "lnu_stack_depth3_residual": _lnu_stack_check,
+    "lnu_stack_depth3_residual": (_lnu_stack_draw, _lnu_stack_forward),
     "perceptron_sigmoid": _model_check(ModelSpec("perceptron", hidden=5, activation="sigmoid")),
     "perceptron_relu": _model_check(ModelSpec("perceptron", hidden=5, activation="relu")),
     "perceptron_gelu": _model_check(ModelSpec("perceptron", hidden=5, activation="gelu")),
@@ -206,37 +217,63 @@ GRADCHECKS: dict[str, CheckBuilder] = {
 # backward rule disagrees at every step.
 SUITE_FD_STEPS = (1e-5, 5e-5)
 
+# The points of a check are stacked along a leading batch axis, in chunks of
+# ``max(1, _FD_ROW_BUDGET // (2 * n))`` points for n coordinates a point: a
+# chunk is one analytic tape and one forward over its 2n perturbations of
+# every point, at most this many rows.  One point at a time, per-op overhead
+# dominates these small tapes.  Without a bound, the 20 points of verify's
+# suite in one stack raised its peak RSS by 12.5 %; at 512 rows by 0.3 MB.
+_FD_ROW_BUDGET = 512
+
 
 def run_gradcheck(
-    builder: CheckBuilder,
+    check: GradCheck,
     points: int,
     rng: np.random.Generator,
     steps: tuple[float, ...] = SUITE_FD_STEPS,
 ) -> float:
+    """Max over ``points`` drawn points of the error at the best step.
+
+    A point is checked at ``steps[0]``, and at each later step only while
+    its error so far exceeds 1e-5; its error is the least of its steps.
+    """
+    if points < 1:
+        raise ValueError(f"points must be >= 1, got {points}")
+    draw, forward = check
+    drawn = [draw(rng) for _ in range(points)]  # finite differences draw nothing
+    n = sum(np.size(p) for p in drawn[0][0])
+    size = max(1, _FD_ROW_BUDGET // (2 * n))
     worst = 0.0
-    for _ in range(points):
-        forward, params = builder(rng)
-        err = ad.finite_difference_check(forward, params, h=steps[0])
+    for start in range(0, points, size):
+        chunk = drawn[start:start + size]
+        params = [np.stack(field) for field in zip(*(p for p, _ in chunk))]
+        consts = [np.stack(field) for field in zip(*(c for _, c in chunk))]
+        err = _fd_errors(forward, params, consts, steps[0])
         for h in steps[1:]:
-            if err <= 1e-5:
+            retry = np.flatnonzero(err > 1e-5)
+            if retry.size == 0:
                 break
-            err = min(err, ad.finite_difference_check(forward, params, h=h))
-        worst = max(worst, err)
+            again = _fd_errors(forward, [p[retry] for p in params], [c[retry] for c in consts], h)
+            err[retry] = np.minimum(err[retry], again)
+        worst = max(worst, float(err.max()))
     return worst
+
+
+def _fd_errors(forward, params, consts, h: float) -> np.ndarray:
+    """Per-point finite-difference errors of points stacked on axis 0."""
+    return ad.finite_difference_check(lambda g, p: forward(g, p, consts), params, h=h)
 
 
 def gradcheck_suite(
     points: int = 100,
     seed: int = 0,
-    checks: dict[str, CheckBuilder] | None = None,
+    checks: dict[str, GradCheck] | None = None,
 ) -> dict[str, float]:
     """Max relative finite-difference error per named check."""
-    if points < 1:
-        raise ValueError(f"points must be >= 1, got {points}")
     if checks is None:
         checks = GRADCHECKS
     rng = np.random.default_rng(seed)
-    return {name: run_gradcheck(builder, points, rng) for name, builder in checks.items()}
+    return {name: run_gradcheck(check, points, rng) for name, check in checks.items()}
 
 
 # ---------------------------------------------------------------------------

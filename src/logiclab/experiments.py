@@ -563,10 +563,14 @@ def write_summary_json(path, aggregate: AggregateResult, config: TrainConfig, fo
 
 
 def write_grid_csv(path, grid: BoundaryGrid) -> None:
+    """One line per grid row: the repr of each value, comma-separated.
+
+    A float repr never needs CSV quoting, so the rows are written directly,
+    each ended by CRLF as ``csv.writer`` ends it, in one write.
+    """
+    rows = grid.values.tolist()
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in grid.values:
-            writer.writerow([repr(float(v)) for v in row])
+        fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in rows))
 
 
 # 3-stop colormap (low, mid, high), linearly interpolated.

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Graph, Node, ShapeError, _unbroadcast
+from .autodiff import Graph, Node, ShapeError, _check_broadcast, _unbroadcast
 from .softlogic import check_sharpness, gate
 
 __all__ = [
@@ -65,7 +65,8 @@ def gated_reduce(x: Node, w: Node, mode: str, sharpness: float | Node) -> Node:
     ``sharpness`` may be a plain float or a ``(..., 1, 1)`` node (trainable).
     ``x``, ``w`` and a sharpness node broadcast over their leading batch
     axes: one layer, and one sharpness, per batch entry; an operand without
-    an axis gets its gradient summed over it.  The forward is
+    an axis gets its gradient summed over it.  Batch axes that do not
+    broadcast raise ``ShapeError``.  The forward is
     ``softlogic.gate`` over axis -3 of the feature-major ``(..., d, n, o)``
     tensor z; this op adds its backward rule, built in place in one buffer
     of z's size.  For two or more units numpy sums in the same order as over
@@ -81,10 +82,14 @@ def gated_reduce(x: Node, w: Node, mode: str, sharpness: float | Node) -> Node:
     if x.shape[-1] != w.shape[-2]:
         raise ShapeError(f"gated_reduce: input width {x.shape} does not match weights {w.shape}")
 
+    _check_broadcast(x.shape[:-2], w.shape[:-2], "gated_reduce")
     sharp_node = sharpness if isinstance(sharpness, Node) else None
     if sharp_node is not None:
         if sharp_node.shape[-2:] != (1, 1):
             raise ShapeError(f"sharpness node must be (..., 1, 1), got {sharp_node.shape}")
+        # Pairwise broadcasting batch axes broadcast all together.
+        _check_broadcast(x.shape[:-2], sharp_node.shape[:-2], "gated_reduce")
+        _check_broadcast(w.shape[:-2], sharp_node.shape[:-2], "gated_reduce")
         # Trained values are not checked: a NaN must reach the loss, where
         # training flags the run as diverged.  The node's (..., 1, 1) value
         # broadcasts as (..., 1, 1, 1) against z.

@@ -6,6 +6,7 @@ byte-identical only if no kernel sums, multiplies or gates a slice of a
 stacked operand differently from the 2-D operand on its own."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -138,3 +139,98 @@ class TestGatedReduce:
         slices = [_draw(rng, [(n, d), (d, o)], 0.0, 1.0) + [rng.uniform(0.0, 20.0, (1, 1))]
                   for _ in range(s)]
         assert_batch_equals_slices(lambda x, w, t: gated_reduce(x, w, mode, t), slices, seed)
+
+
+# ---------------------------------------------------------------------------
+# unequal batch axes
+# ---------------------------------------------------------------------------
+
+
+def _operand_batch(rng, full):
+    """A batch shape that broadcasts to ``full``: some leading axes dropped,
+    some of the others set to 1."""
+    kept = full[rng.integers(0, len(full) + 1):]
+    return tuple(1 if rng.uniform() < 0.5 else size for size in kept)
+
+
+def assert_broadcast_equals_loop(op, operands, seed):
+    """Forward ``op`` on leaves holding ``operands`` (each ``batch + matrix``,
+    the batch axes broadcasting) and compare with a loop over the broadcast
+    batch entries: equal values, and each leaf gradient of its operand's
+    shape, the sum of the gradients of the entries that read it."""
+    rng = np.random.default_rng(seed)
+    g = ad.ConstantGraph()
+    out_shape = op(*[g.leaf(a) for a in operands]).shape
+    batch = out_shape[:-2]
+    probe = rng.normal(0.0, 1.0, out_shape)
+    out, grads = _run(op, operands, [], probe)
+    assert out.shape == out_shape
+    expected = [np.zeros_like(a) for a in operands]
+    for idx in np.ndindex(*batch):
+        where = []
+        for a in operands:
+            own = a.shape[:-2]
+            tail = idx[len(idx) - len(own):] if own else ()
+            where.append(tuple(0 if size == 1 else i for size, i in zip(own, tail)))
+        value, slice_grads = _run(op, [a[w] for a, w in zip(operands, where)], [], probe[idx])
+        assert out[idx].tobytes() == value.tobytes(), f"value of entry {idx}"
+        for acc, w, g in zip(expected, where, slice_grads):
+            acc[w] += g
+    for k, (grad, ref, a) in enumerate(zip(grads, expected, operands)):
+        assert grad.shape == a.shape, f"gradient shape of operand {k}"
+        np.testing.assert_allclose(grad, ref, rtol=1e-12, atol=1e-12, err_msg=f"operand {k}")
+
+
+full_batch = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple)
+
+
+def _broadcast_ops(n, k, m):
+    """(op, matrix shapes of its operands) for every op with batch broadcasting."""
+    sharp = lambda x, w, t: gated_reduce(x, w, "and", t)  # noqa: E731
+    return [
+        (ad.add, [(n, k), (n, k)]),
+        (ad.sub, [(n, k), (n, k)]),
+        (ad.mul, [(n, k), (n, k)]),
+        (ad.matmul, [(n, k), (k, m)]),
+        (lambda x, w: gated_reduce(x, w, "or", 10.0), [(n, k), (k, m)]),
+        (sharp, [(n, k), (k, m), (1, 1)]),
+    ]
+
+
+class TestUnequalBatchAxes:
+    @SETTINGS
+    @given(full_batch, st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), seeds)
+    def test_values_and_gradients_equal_a_loop(self, full, n, k, m, seed):
+        rng = np.random.default_rng(seed)
+        for op, matrices in _broadcast_ops(n, k, m):
+            operands = [rng.uniform(0.0, 1.0, _operand_batch(rng, full) + shape)
+                        for shape in matrices]
+            assert_broadcast_equals_loop(op, operands, seed)
+
+    @SETTINGS
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.integers(0, 2), seeds)
+    def test_batch_axes_that_do_not_broadcast_are_rejected(self, n, k, m, odd, seed):
+        rng = np.random.default_rng(seed)
+        for op, matrices in _broadcast_ops(n, k, m):
+            # Operand ``odd`` has a batch axis of 3 where the others have 2.
+            odd_one = odd % len(matrices)
+            g = Graph()
+            leaves = [g.leaf(rng.uniform(0.0, 1.0, ((3,) if i == odd_one else (2,)) + shape))
+                      for i, shape in enumerate(matrices)]
+            with pytest.raises(ad.ShapeError):
+                op(*leaves)
+
+    def test_matmul_of_a_2d_operand_and_a_stack(self):
+        # A (3, 4) @ (2, 4, 2) product used to die in backward.
+        rng = np.random.default_rng(0)
+        assert_broadcast_equals_loop(
+            ad.matmul, [rng.uniform(-1.0, 1.0, (3, 4)), rng.uniform(-1.0, 1.0, (2, 4, 2))], 0
+        )
+        g = Graph()
+        with pytest.raises(ad.ShapeError):
+            ad.matmul(g.leaf(np.ones((3, 3, 4))), g.leaf(np.ones((2, 4, 2))))
+
+    def test_gated_reduce_rejects_batch_axes_that_do_not_broadcast(self):
+        g = Graph()
+        with pytest.raises(ad.ShapeError):
+            gated_reduce(g.leaf(np.full((3, 4, 2), 0.5)), g.leaf(np.full((2, 2, 5), 0.5)), "or", 1.0)

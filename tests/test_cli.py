@@ -200,21 +200,19 @@ class TestGradcheck:
         assert len(listed) >= 10
 
     def test_injected_wrong_backward_fails(self, capsys, monkeypatch):
-        def broken_builder(rng):
-            x0 = rng.uniform(0.5, 1.5, (2, 2))
+        def draw(rng):
+            return [rng.uniform(0.5, 1.5, (2, 2))], []
 
-            def forward(g, params):
-                x = g.leaf(params[0])
+        def forward(g, params, consts):
+            x = g.leaf(params[0])
 
-                def bad_backward(grad):
-                    x.grad += 3.0 * grad  # true rule is 2x
+            def bad_backward(grad):
+                x.grad += 3.0 * grad  # true rule is 2x
 
-                y = g.record(x.value**2, (x,), bad_backward, op="bad_square")
-                return ad.reduce_sum(ad.reduce_sum(y, "cols"), "rows"), [x]
+            y = g.record(x.value**2, (x,), bad_backward, op="bad_square")
+            return ad.reduce_sum(ad.reduce_sum(y, "cols"), "rows"), [x]
 
-            return forward, [x0]
-
-        monkeypatch.setitem(checks.GRADCHECKS, "bad_square", broken_builder)
+        monkeypatch.setitem(checks.GRADCHECKS, "bad_square", (draw, forward))
         assert run_cli("gradcheck", "--points", "1") == 1
         assert "FAIL" in capsys.readouterr().out
 

@@ -15,6 +15,7 @@ from logiclab.autodiff import Graph
 from logiclab.experiments import (
     Adam,
     AggregateResult,
+    BoundaryGrid,
     GridSpec,
     ToyDataset,
     TrainConfig,
@@ -367,6 +368,30 @@ class TestEmission:
         write_grid_csv(path, grid)
         loaded = np.loadtxt(path, delimiter=",")
         np.testing.assert_array_equal(loaded, grid.values)
+
+    @staticmethod
+    def _csv_writer_grid(path, grid):
+        """The writer ``write_grid_csv`` replaced, kept as its oracle."""
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            for row in grid.values:
+                writer.writerow([repr(float(v)) for v in row])
+
+    @pytest.mark.parametrize("name, spec", default_grid_specs())
+    def test_grid_csv_bytes_equal_csv_writer(self, tmp_path, name, spec):
+        grid = decision_boundary_grid(spec)
+        write_grid_csv(tmp_path / "fast.csv", grid)
+        self._csv_writer_grid(tmp_path / "oracle.csv", grid)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    def test_grid_csv_special_values_bytes_equal_csv_writer(self, tmp_path):
+        values = np.array([[-0.0, np.inf, -np.inf], [np.nan, 5e-324, 1e308]])
+        grid = BoundaryGrid(GridSpec("hard_and", 2), np.linspace(0.0, 1.0, 3), values)
+        write_grid_csv(tmp_path / "fast.csv", grid)
+        self._csv_writer_grid(tmp_path / "oracle.csv", grid)
+        text = (tmp_path / "fast.csv").read_bytes()
+        assert text == (tmp_path / "oracle.csv").read_bytes()
+        assert text == b"-0.0,inf,-inf\r\nnan,5e-324,1e+308\r\n"
 
     def test_svg_emission(self, tmp_path):
         grid = decision_boundary_grid(GridSpec("hard_or", resolution=5))

@@ -172,18 +172,19 @@ class TestGradients:
         # From this state one perceptron_relu point pushes every prediction
         # past the BCE clamp: the analytic b_head gradient is exactly 0 and
         # the central difference is rounding noise of about 1e-12.
-        builder = GRADCHECKS["perceptron_relu"]
+        check = GRADCHECKS["perceptron_relu"]
+        draw, forward = check
         rng = np.random.default_rng(0)
         rng.bit_generator.state = CLAMPED_RELU_STATE
         zero_b_head = 0
         for _ in range(20):
-            forward, params = builder(rng)
+            params, consts = draw(rng)
             graph = Graph()
-            loss, nodes = forward(graph, params)
+            loss, nodes = forward(graph, params, consts)
             graph.backward(loss)
             b_head = nodes[-1].grad  # params are w_hidden, w_head, b_head
             assert b_head.shape == (1, 1)
             zero_b_head += b_head[0, 0] == 0.0
         assert zero_b_head >= 1
         rng.bit_generator.state = CLAMPED_RELU_STATE
-        assert run_gradcheck(builder, 20, rng) <= GRAD_TOLERANCE
+        assert run_gradcheck(check, 20, rng) <= GRAD_TOLERANCE
