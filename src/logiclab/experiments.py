@@ -2,10 +2,13 @@
 decision-boundary grids, truth-table sweeps, and CSV/JSON/SVG emission.
 
 Everything is deterministic given the seeds in the configuration; seed-level
-runs are independent (fresh data, fresh init, fresh optimizer state).  The
-seeds of one model are trained together, as one batch whose params, data and
-Adam moments carry a leading seed axis; no operation mixes seeds, so each
-seed's run is byte for byte what it would be alone.
+runs are independent (fresh data, fresh init, fresh optimizer state).
+``train`` is the one trainer: it trains the seeds of one model together, as
+one batch whose params, data and Adam moments carry a leading seed axis; no
+operation mixes seeds, so each seed's run is byte for byte what it would be
+alone.  ``run_multi_seed`` draws the data and models and calls it per batch.
+Adam reads its learning rate, betas and eps from ``TrainConfig``, the one
+set of training defaults.
 """
 
 from __future__ import annotations
@@ -101,9 +104,7 @@ def _stack_data(datasets: Sequence[ToyDataset]) -> ToyDataset:
 
 
 def _labels_for(inputs: np.ndarray, formula: Formula) -> np.ndarray:
-    bits = inputs > 0.5
-    vals = [hard_eval(formula, row) for row in bits]
-    return np.asarray(vals, dtype=np.float64).reshape(-1, 1)
+    return hard_eval(formula, inputs > 0.5).astype(np.float64).reshape(-1, 1)
 
 
 def generate_toy_data(
@@ -163,24 +164,15 @@ class TrainConfig:
 class Adam:
     """Standard Adam with bias correction; updates parameter arrays in place.
 
-    The moments of all parameters live in one flat vector each, in the order
-    of ``params``; a step is one vector update whose slices are subtracted
-    from the parameter arrays, which stay the same objects.
+    The learning rate, betas and eps come from ``config``.  The moments of
+    all parameters live in one flat vector each, in the order of ``params``;
+    a step is one vector update whose slices are subtracted from the
+    parameter arrays, which stay the same objects.
     """
 
-    def __init__(
-        self,
-        params: dict[str, np.ndarray],
-        lr: float = 0.1,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: dict[str, np.ndarray], config: TrainConfig):
         self.params = params
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+        self.config = config
         self.t = 0
         self._spans = []  # (array, start, end): its slice of the flat moments
         size = 0
@@ -192,13 +184,14 @@ class Adam:
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        cfg = self.config
+        b1, b2 = cfg.beta1, cfg.beta2
         g = np.concatenate([grads[name] for name in self.params], axis=None)
         self.m = b1 * self.m + (1.0 - b1) * g
         self.v = b2 * self.v + (1.0 - b2) * g * g
         m_hat = self.m / (1.0 - b1**self.t)
         v_hat = self.v / (1.0 - b2**self.t)
-        update = self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        update = cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
         for p, start, end in self._spans:
             p -= update[start:end].reshape(p.shape)
 
@@ -240,24 +233,6 @@ def train(
     train_data: ToyDataset,
     test_data: ToyDataset,
     config: TrainConfig,
-    model_name: str = "model",
-    seed: int = 0,
-) -> RunResult:
-    """Run the configured epochs; metrics are recorded after each epoch.
-
-    A non-finite loss flags the run as diverged (remaining epochs are
-    recorded as NaN) instead of dropping it.  This is ``_train_batch`` on a
-    batch of one.
-    """
-    (result,) = _train_batch(model, train_data, test_data, config, model_name, (seed,))
-    return result
-
-
-def _train_batch(
-    model: Model,
-    train_data: ToyDataset,
-    test_data: ToyDataset,
-    config: TrainConfig,
     model_name: str,
     seeds: Sequence[int],
 ) -> list[RunResult]:
@@ -265,13 +240,13 @@ def _train_batch(
 
     ``model``'s params and both datasets hold the seeds' entries along one
     leading axis (none for a single seed).  A step is one tape and one Adam
-    update for the whole batch.  A seed whose loss turns non-finite is
-    flagged as diverged alone and records NaN from that epoch on; its
-    batch-mates run on unchanged.
+    update for the whole batch; metrics are recorded after each epoch.  A
+    seed whose loss turns non-finite is flagged as diverged alone and
+    records NaN from that epoch on; its batch-mates run on unchanged.
     """
     params = count_params(model)
     runs = [RunResult(model_name=model_name, seed=seed, params=params) for seed in seeds]
-    optimizer = Adam(model.params, config.learning_rate, config.beta1, config.beta2, config.eps)
+    optimizer = Adam(model.params, config)
     finite = np.ones(len(seeds), dtype=bool)
     for _ in range(config.epochs):
         for _ in range(config.passes_per_epoch):
@@ -352,7 +327,7 @@ def run_multi_seed(
         batches = []
         for k, (name, spec) in enumerate(specs):
             model = stack_models([build_model(spec, init[k]) for init in inits])
-            batches.append(_train_batch(model, train_data, test_data, config, name, chunk))
+            batches.append(train(model, train_data, test_data, config, name, chunk))
         runs.extend(run for seed_runs in zip(*batches) for run in seed_runs)
 
     stats: dict[str, ModelStats] = {}
@@ -444,20 +419,22 @@ def default_grid_specs(
     return specs
 
 
-def grid_agreement(
-    grid: BoundaryGrid,
-    hard: BoundaryGrid,
-    threshold: float = 0.25,
-    exclusion_band: float = 0.02,
-) -> float:
-    """Fraction of cells where the thresholded grid matches the hard grid,
-    ignoring cells within ``exclusion_band`` of either x = 0.5 line."""
+# The paper's interpretability note: a gated unit at weights 0.5 and
+# sharpness 100, thresholded at 0.25, reproduces the hard regions away from
+# the x = 0.5 lines.
+_AGREEMENT_THRESHOLD = 0.25
+_EXCLUSION_BAND = 0.02
+
+
+def grid_agreement(grid: BoundaryGrid, hard: BoundaryGrid) -> float:
+    """Fraction of cells where the grid thresholded at 0.25 matches the hard
+    grid, ignoring cells within 0.02 of either x = 0.5 line."""
     if grid.values.shape != hard.values.shape:
         raise ValueError("grids have different resolutions")
     xs = grid.xs
-    keep_axis = np.abs(xs - 0.5) > exclusion_band
+    keep_axis = np.abs(xs - 0.5) > _EXCLUSION_BAND
     keep = keep_axis[:, None] & keep_axis[None, :]
-    predicted = grid.values > threshold
+    predicted = grid.values > _AGREEMENT_THRESHOLD
     return float(np.mean(predicted[keep] == (hard.values[keep] > 0.5)))
 
 
@@ -472,11 +449,7 @@ def grid_mean_abs_deviation(grid: BoundaryGrid, hard: BoundaryGrid) -> float:
 # ---------------------------------------------------------------------------
 
 
-def truth_table_sweep(
-    arity: int = 2,
-    sharpness: float = 100.0,
-    operators: Sequence[str] | None = None,
-) -> dict[str, dict]:
+def truth_table_sweep(arity: int = 2, sharpness: float = 100.0) -> dict[str, dict]:
     """Evaluate AND/OR operator families on all Boolean corners with unit weights.
 
     Returns per operator the corner values and the max deviation from the
@@ -496,11 +469,6 @@ def truth_table_sweep(
         "soft_and": lambda z: sl.soft_and(z, sharpness),
         "soft_or": lambda z: sl.soft_or(z, sharpness),
     }
-    if operators is not None:
-        unknown = set(operators) - set(ops)
-        if unknown:
-            raise ValueError(f"unknown operators: {sorted(unknown)}")
-        ops = {k: v for k, v in ops.items() if k in operators}
     corners = [tuple(int(b) for b in format(i, f"0{arity}b")) for i in range(2**arity)]
     for name, fn in ops.items():
         truth = (lambda c: min(c)) if name.endswith("_and") else (lambda c: max(c))
@@ -573,7 +541,9 @@ def write_grid_csv(path, grid: BoundaryGrid) -> None:
         fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in rows))
 
 
-# 3-stop colormap (low, mid, high), linearly interpolated.
+# 3-stop colormap (low, mid, high), linearly interpolated; each grid cell
+# is drawn as a square of _CELL_PX pixels.
+_CELL_PX = 4
 _COLOR_STOPS = ((0x44, 0x01, 0x54), (0x21, 0x91, 0x8C), (0xFD, 0xE7, 0x25))
 
 
@@ -587,20 +557,20 @@ def _color_for(v: float) -> str:
     return "#{:02x}{:02x}{:02x}".format(*rgb)
 
 
-def write_grid_svg(path, grid: BoundaryGrid, cell_px: int = 4) -> None:
+def write_grid_svg(path, grid: BoundaryGrid) -> None:
     """Heatmap rendering; row 0 (x2 = 0) is drawn at the bottom."""
     r = grid.values.shape[0]
-    size = r * cell_px
+    size = r * _CELL_PX
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">'
     ]
     for i in range(r):
-        y = (r - 1 - i) * cell_px
+        y = (r - 1 - i) * _CELL_PX
         for j in range(r):
             color = _color_for(float(grid.values[i, j]))
             parts.append(
-                f'<rect x="{j * cell_px}" y="{y}" width="{cell_px}" height="{cell_px}" '
+                f'<rect x="{j * _CELL_PX}" y="{y}" width="{_CELL_PX}" height="{_CELL_PX}" '
                 f'fill="{color}"/>'
             )
     parts.append("</svg>")

@@ -261,9 +261,9 @@ def lift_layer(graph: Graph, params: LnuParams) -> LnuGates:
     return gates
 
 
-def lnu_forward(x: Node, layer: LnuParams | LnuGates) -> Node:
-    """Apply one gated logic layer; output width 2*units (+negation units)."""
-    gates = lift_layer(x.graph, layer) if isinstance(layer, LnuParams) else layer
+def lnu_forward(x: Node, gates: LnuGates) -> Node:
+    """Apply one gated logic layer, lifted onto ``x``'s graph by ``lift_layer``;
+    output width 2*units (+negation units)."""
     cfg = gates.config
     if x.shape[-1] != cfg.in_width:
         raise ShapeError(f"layer expects width {cfg.in_width}, input has {x.shape}")
@@ -323,10 +323,9 @@ def lift_stack(graph: Graph, stack: LnuStack) -> list[LnuGates]:
     return [lift_layer(graph, layer) for layer in stack.layers]
 
 
-def lnu_stack_forward(x: Node, stack: LnuStack, gates: list[LnuGates] | None = None) -> Node:
-    """Run the stack; with soft-imply residuals each layer yields imply(x, layer(x))."""
-    if gates is None:
-        gates = lift_stack(x.graph, stack)
+def lnu_stack_forward(x: Node, stack: LnuStack, gates: list[LnuGates]) -> Node:
+    """Run the stack, lifted onto ``x``'s graph by ``lift_stack``; with
+    soft-imply residuals each layer yields imply(x, layer(x))."""
     out = x
     for layer_gates in gates:
         produced = lnu_forward(out, layer_gates)

@@ -51,8 +51,8 @@ _DEFAULT_HIDDEN = {"perceptron": 24, "logicron": 11, "logicron_neg": 9}
 class ModelSpec:
     """Architecture description; ``hidden`` is the dense width h or the gate unit count.
 
-    ``sharpness`` is the (trainable, by default) gate temperature's initial
-    value; a soft start generalizes better here than a near-hard gate.
+    ``sharpness`` is the initial value of a Logicron's trainable gate
+    temperature; a soft start generalizes better here than a near-hard gate.
     """
 
     kind: str
@@ -60,8 +60,6 @@ class ModelSpec:
     hidden: int | None = None
     activation: str = "relu"
     sharpness: float = 1.5
-    trainable_sharpness: bool = True
-    normalize: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in MODEL_KINDS:
@@ -120,9 +118,8 @@ class Logicron:
             spec.input_dim,
             units,
             sharpness=spec.sharpness,
-            trainable_sharpness=spec.trainable_sharpness,
+            trainable_sharpness=True,
             negation_units=units if spec.kind == "logicron_neg" else 0,
-            normalize=spec.normalize,
             rng=rng,
         )
         self.params: dict[str, np.ndarray] = dict(self.lnu.trainables())

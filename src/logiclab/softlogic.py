@@ -16,7 +16,7 @@ All functions are pure; inputs are scalars, sequences or numpy arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -83,50 +83,81 @@ class Imply:
 Formula = Union[Var, Not, And, Or, Imply]
 
 
+def _children(node: Formula) -> tuple[Formula, ...]:
+    if isinstance(node, Var):
+        return ()
+    if isinstance(node, Not):
+        return (node.operand,)
+    if isinstance(node, (And, Or)):
+        return (node.left, node.right)
+    if isinstance(node, Imply):
+        return (node.antecedent, node.consequent)
+    raise TypeError(f"not a formula: {node!r}")
+
+
+def _fold(formula: Formula, visit):
+    """``visit(node, child_results)`` over the AST in post-order, children
+    left to right, with an explicit stack instead of recursion, so a
+    hand-built formula of any depth can be walked."""
+    stack: list[tuple[Formula, bool]] = [(formula, False)]
+    results: list = []
+    while stack:
+        node, expanded = stack.pop()
+        children = _children(node)
+        if expanded or not children:
+            split = len(results) - len(children)
+            args = results[split:]
+            del results[split:]
+            results.append(visit(node, args))
+        else:
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(children))
+    return results[0]
+
+
 def num_vars(formula: Formula) -> int:
     """Smallest assignment length the formula can be evaluated on."""
-    if isinstance(formula, Var):
-        return formula.index + 1
-    if isinstance(formula, Not):
-        return num_vars(formula.operand)
-    if isinstance(formula, Imply):
-        return max(num_vars(formula.antecedent), num_vars(formula.consequent))
-    return max(num_vars(formula.left), num_vars(formula.right))
+    return _fold(formula, lambda node, args: node.index + 1 if isinstance(node, Var) else max(args))
 
 
-def hard_eval(formula: Formula, assignment: Sequence[int]) -> int:
-    """Classical Boolean evaluation; IMPLY(a, b) is OR(NOT a, b)."""
-    if isinstance(formula, Var):
-        if formula.index >= len(assignment):
-            raise IndexError(
-                f"formula refers to variable {formula.index} but the assignment has "
-                f"length {len(assignment)}"
-            )
-        return 1 if assignment[formula.index] else 0
-    if isinstance(formula, Not):
-        return 1 - hard_eval(formula.operand, assignment)
-    if isinstance(formula, And):
-        return hard_eval(formula.left, assignment) & hard_eval(formula.right, assignment)
-    if isinstance(formula, Or):
-        return hard_eval(formula.left, assignment) | hard_eval(formula.right, assignment)
-    if isinstance(formula, Imply):
-        return hard_eval(Or(Not(formula.antecedent), formula.consequent), assignment)
-    raise TypeError(f"not a formula: {formula!r}")
+def hard_eval(formula: Formula, assignment) -> int | np.ndarray:
+    """Classical Boolean evaluation; IMPLY(a, b) is OR(NOT a, b).
+
+    ``assignment`` is one sequence of truth values, giving 0 or 1, or an
+    ``(n, k)`` matrix of them, one per row, giving an ``(n,)`` array of 0/1.
+    """
+    bits = np.asarray(assignment).astype(bool)
+    width = bits.shape[-1]
+
+    def visit(node, args):
+        if isinstance(node, Var):
+            if node.index >= width:
+                raise IndexError(
+                    f"formula refers to variable {node.index} but the assignment has "
+                    f"length {width}"
+                )
+            return bits[..., node.index]
+        if isinstance(node, Not):
+            return ~args[0]
+        if isinstance(node, And):
+            return args[0] & args[1]
+        if isinstance(node, Or):
+            return args[0] | args[1]
+        return ~args[0] | args[1]
+
+    value = _fold(formula, visit)
+    return value.astype(np.int64) if bits.ndim > 1 else int(value)
 
 
 # Deepest formula the parser accepts, as AST height and as nesting of '~' and
-# '(', so the parser and the recursive walks above stay clear of Python's limit.
+# '(', so the recursive-descent parser stays clear of Python's limit.
 MAX_FORMULA_DEPTH = 100
 _TOO_DEEP = f"formula is nested deeper than {MAX_FORMULA_DEPTH} levels"
 
 
 def _height(formula: Formula) -> int:
-    """AST height, level by level without recursion (children: the non-index fields)."""
-    height, level = 0, [formula]
-    while level:
-        height += 1
-        level = [child for node in level for child in vars(node).values() if not isinstance(child, int)]
-    return height
+    """AST height; a variable has height 1."""
+    return _fold(formula, lambda node, args: 1 + max(args, default=0))
 
 
 class _FormulaParser:
@@ -242,15 +273,15 @@ def parse_formula(text: str) -> Formula:
 
 
 def format_formula(formula: Formula) -> str:
-    if isinstance(formula, Var):
-        return f"x{formula.index + 1}"
-    if isinstance(formula, Not):
-        return f"~{format_formula(formula.operand)}"
-    if isinstance(formula, And):
-        return f"({format_formula(formula.left)} & {format_formula(formula.right)})"
-    if isinstance(formula, Or):
-        return f"({format_formula(formula.left)} | {format_formula(formula.right)})"
-    return f"({format_formula(formula.antecedent)} -> {format_formula(formula.consequent)})"
+    def visit(node, args):
+        if isinstance(node, Var):
+            return f"x{node.index + 1}"
+        if isinstance(node, Not):
+            return f"~{args[0]}"
+        op = "&" if isinstance(node, And) else "|" if isinstance(node, Or) else "->"
+        return f"({args[0]} {op} {args[1]})"
+
+    return _fold(formula, visit)
 
 
 # ---------------------------------------------------------------------------
@@ -328,11 +359,9 @@ def weighted_gate(x, w) -> np.ndarray:
     return xv * wv
 
 
-def soft_not(x, mode: str = "affine"):
-    """Involutive negation ``1 - x``; "affine" is the only mode."""
-    if mode == "affine":
-        return 1.0 - np.asarray(x, dtype=np.float64)
-    raise ValueError(f"soft_not: unknown mode {mode!r}")
+def soft_not(x):
+    """Involutive negation ``1 - x``."""
+    return 1.0 - np.asarray(x, dtype=np.float64)
 
 
 def soft_imply(a, b, sharpness: float):
@@ -379,22 +408,12 @@ def _dot(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (w[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
-def _lnn_clamp(raw: np.ndarray, mode: str) -> np.ndarray:
-    if mode == "clip":
-        return np.clip(raw, 0.0, 1.0)
-    if mode == "relu":
-        # Lower-capped only; can exceed 1 for large weight sums.  Keeps a raw
-        # -0.0 and a NaN, as ``max(raw, 0.0)`` does.
-        return np.where(0.0 > raw, 0.0, raw)
-    raise ValueError(f"lnn clamp mode must be 'clip' or 'relu', got {mode!r}")
+def _lnn_and_values(x: np.ndarray, w: np.ndarray, b: float = 1.0) -> np.ndarray:
+    return np.clip(b - _dot(w, 1.0 - x), 0.0, 1.0)
 
 
-def _lnn_and_values(x: np.ndarray, w: np.ndarray, b: float = 1.0, clamp: str = "clip") -> np.ndarray:
-    return _lnn_clamp(b - _dot(w, 1.0 - x), clamp)
-
-
-def _lnn_or_values(x: np.ndarray, w: np.ndarray, b: float = 1.0, clamp: str = "clip") -> np.ndarray:
-    return _lnn_clamp((1.0 - b) + _dot(w, x), clamp)
+def _lnn_or_values(x: np.ndarray, w: np.ndarray, b: float = 1.0) -> np.ndarray:
+    return np.clip((1.0 - b) + _dot(w, x), 0.0, 1.0)
 
 
 def nln_and(x, w) -> float:
@@ -417,11 +436,11 @@ def _lnn_check(x, w, bias_b: float, name: str) -> tuple[np.ndarray, np.ndarray, 
     return xv, wv, b
 
 
-def lnn_and(x, w, bias_b: float = 1.0, clamp: str = "clip") -> float:
-    """Sum form: f(b - sum_i w_i * (1 - x_i)) with f clamping to [0, 1]."""
-    return float(_lnn_and_values(*_lnn_check(x, w, bias_b, "lnn_and"), clamp))
+def lnn_and(x, w, bias_b: float = 1.0) -> float:
+    """Sum form: b - sum_i w_i * (1 - x_i), clipped to [0, 1]."""
+    return float(_lnn_and_values(*_lnn_check(x, w, bias_b, "lnn_and")))
 
 
-def lnn_or(x, w, bias_b: float = 1.0, clamp: str = "clip") -> float:
-    """Sum form: f(1 - b + sum_i w_i * x_i) with f clamping to [0, 1]."""
-    return float(_lnn_or_values(*_lnn_check(x, w, bias_b, "lnn_or"), clamp))
+def lnn_or(x, w, bias_b: float = 1.0) -> float:
+    """Sum form: 1 - b + sum_i w_i * x_i, clipped to [0, 1]."""
+    return float(_lnn_or_values(*_lnn_check(x, w, bias_b, "lnn_or")))

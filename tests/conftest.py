@@ -1,8 +1,13 @@
-"""Shared test oracles."""
+"""Shared test oracles and fixtures."""
 
+import importlib.util
 import math
+import pathlib
+import sys
 
 import pytest
+
+TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 def _gate_oracle(z, t):
@@ -21,3 +26,18 @@ def _gate_oracle(z, t):
 @pytest.fixture
 def gate_oracle():
     return _gate_oracle
+
+
+@pytest.fixture
+def load_tracer(monkeypatch):
+    """Loads the benchmark's ``perfbench/tracer.py`` from its file, as a new
+    module per call that only the caller holds."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ untouched
+
+    def load():
+        spec = importlib.util.spec_from_file_location("_perfbench_tracer", TRACER)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    return load

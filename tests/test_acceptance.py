@@ -126,7 +126,7 @@ def test_criterion_5_boundary_reproduction():
     for op in ("and", "or"):
         hard = decision_boundary_grid(GridSpec(f"hard_{op}", resolution=101))
         soft = decision_boundary_grid(GridSpec(f"lnu_{op}", resolution=101, sharpness=100.0))
-        agreements.append(grid_agreement(soft, hard, threshold=0.25, exclusion_band=0.02))
+        agreements.append(grid_agreement(soft, hard))
         devs = [
             grid_mean_abs_deviation(
                 decision_boundary_grid(GridSpec(f"lnu_{op}", resolution=101, sharpness=b)), hard

@@ -5,26 +5,12 @@
 rename or removal there breaks traced benchmark runs, so it fails here.
 """
 
-import importlib.util
-import pathlib
-import sys
-
 import logiclab
 from logiclab import checks, experiments, lnu, models, softlogic
 
-TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
-
-def _load_tracer(monkeypatch):
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ untouched
-    spec = importlib.util.spec_from_file_location("_perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_tracer_installs_and_uninstalls(monkeypatch):
-    tracer_module = _load_tracer(monkeypatch)
+def test_tracer_installs_and_uninstalls(load_tracer):
+    tracer_module = load_tracer()
     originals = {
         "gated_reduce": lnu.gated_reduce,
         "weighted_gate": softlogic.weighted_gate,
@@ -54,13 +40,13 @@ def _short_run(name):
                                      n_train=20, n_test=40)
     train_ds, test_ds = experiments.generate_toy_data(config.n_train, config.n_test, seed=0)
     model = models.build_model(dict(models.default_model_suite())[name], seed=0)
-    result = experiments.train(model, train_ds, test_ds, config, name, seed=0)
+    (result,) = experiments.train(model, train_ds, test_ds, config, name, (0,))
     curves = [result.train_acc, result.test_acc, result.train_loss, result.test_loss]
     return model, test_ds, repr(curves) + repr(result.diverged)
 
 
-def test_traced_training_and_evaluation_match_untraced(monkeypatch):
-    tracer_module = _load_tracer(monkeypatch)
+def test_traced_training_and_evaluation_match_untraced(load_tracer):
+    tracer_module = load_tracer()
     untraced_model, test_ds, untraced_curves = _short_run("Logicron+Neg")
     untraced_eval = experiments.evaluate(untraced_model, test_ds)
     tracer = tracer_module.Tracer("t")
@@ -81,8 +67,8 @@ def test_traced_training_and_evaluation_match_untraced(monkeypatch):
     assert len(tracer.durations["experiments.evaluate"]) == 2 * 2 + 1
 
 
-def test_traced_gradient_checks_match_untraced(monkeypatch):
-    tracer_module = _load_tracer(monkeypatch)
+def test_traced_gradient_checks_match_untraced(load_tracer):
+    tracer_module = load_tracer()
     untraced = checks.gradcheck_suite(points=1, seed=0)
     tracer = tracer_module.Tracer("t")
     try:

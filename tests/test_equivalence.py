@@ -82,7 +82,7 @@ class TestFlatAdam:
             if rng.uniform() < 0.2:
                 grads["b_head"][...] = 0.0  # exact zeros, as under the BCE clamp
             grads_per_step.append(grads)
-        optimizer = Adam(model.params, lr=0.2)
+        optimizer = Adam(model.params, TrainConfig())
         for grads in grads_per_step:
             optimizer.step(grads)
         _reference_adam(reference, grads_per_step, lr=0.2)
@@ -92,7 +92,7 @@ class TestFlatAdam:
     def test_updates_the_shared_arrays_in_place(self):
         model = build_model(ModelSpec("logicron_neg"), seed=0)
         ids = {name: id(arr) for name, arr in model.params.items()}
-        optimizer = Adam(model.params, lr=0.2)
+        optimizer = Adam(model.params, TrainConfig())
         optimizer.step({k: np.ones_like(a) for k, a in model.params.items()})
         assert {name: id(arr) for name, arr in model.params.items()} == ids
         assert model.lnu.w_and is model.params["w_and"]

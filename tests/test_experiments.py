@@ -112,7 +112,7 @@ class TestTrainLoop:
     def test_records_every_epoch(self):
         train_ds, test_ds = generate_toy_data(FAST.n_train, FAST.n_test, seed=0)
         model = build_model(ModelSpec("perceptron", hidden=4), seed=0)
-        result = train(model, train_ds, test_ds, FAST)
+        (result,) = train(model, train_ds, test_ds, FAST, "model", (0,))
         assert len(result.train_acc) == FAST.epochs
         assert len(result.test_loss) == FAST.epochs
         assert not result.diverged
@@ -122,7 +122,7 @@ class TestTrainLoop:
         train_ds, test_ds = generate_toy_data(FAST.n_train, FAST.n_test, seed=0)
         model = build_model(ModelSpec("perceptron", hidden=4), seed=0)
         model.params["w_head"][...] = np.nan
-        result = train(model, train_ds, test_ds, FAST)
+        (result,) = train(model, train_ds, test_ds, FAST, "model", (0,))
         assert result.diverged
         assert len(result.test_acc) == FAST.epochs
         assert all(np.isnan(a) for a in result.test_acc)
@@ -132,7 +132,7 @@ class TestTrainLoop:
         for kind in ("logicron", "logicron_neg"):
             model = build_model(ModelSpec(kind), seed=0)
             model.params["rho"][...] = np.nan
-            result = train(model, train_ds, test_ds, FAST)
+            (result,) = train(model, train_ds, test_ds, FAST, "model", (0,))
             assert result.diverged
             assert all(np.isnan(a) for a in result.test_acc)
 
@@ -140,7 +140,7 @@ class TestTrainLoop:
         cfg = TrainConfig(epochs=10, passes_per_epoch=5, seeds=(0, 1))
         train_ds, test_ds = generate_toy_data(20, 50, seed=1)
         model = build_model(ModelSpec("logicron"), seed=1)
-        result = train(model, train_ds, test_ds, cfg)
+        (result,) = train(model, train_ds, test_ds, cfg, "model", (0,))
         assert result.train_loss[-1] < result.train_loss[0]
 
     def test_config_validation(self):
@@ -155,7 +155,7 @@ class TestTrainLoop:
         train_ds, _ = generate_toy_data(20, 20, seed=0)
         model = build_model(ModelSpec("logicron", sharpness=800.0), seed=0)
         assert np.isfinite(model.params["rho"]).all()
-        optimizer = Adam(model.params, lr=0.2)
+        optimizer = Adam(model.params, TrainConfig())
         graph = Graph()
         out, leaves = model.forward(graph, train_ds.inputs)
         loss = ad.bce_loss(out, train_ds.labels)
@@ -283,7 +283,7 @@ class TestBoundaryGrids:
         for op in ("and", "or"):
             hard = decision_boundary_grid(GridSpec(f"hard_{op}", resolution=101))
             soft = decision_boundary_grid(GridSpec(f"lnu_{op}", resolution=101, sharpness=100.0))
-            assert grid_agreement(soft, hard, threshold=0.25, exclusion_band=0.02) >= 0.98
+            assert grid_agreement(soft, hard) >= 0.98
 
     def test_sharpness_monotone_in_beta(self):
         for op in ("and", "or"):
@@ -328,12 +328,6 @@ class TestTruthTableSweep:
     def test_arity_validation(self):
         with pytest.raises(ValueError):
             truth_table_sweep(arity=4)
-
-    def test_operator_selection(self):
-        table = truth_table_sweep(arity=2, operators=("godel_and",))
-        assert list(table) == ["godel_and"]
-        with pytest.raises(ValueError):
-            truth_table_sweep(arity=2, operators=("fuzzy_xor",))
 
 
 class TestEmission:

@@ -30,7 +30,7 @@ def _layer(in_width, units, **kw):
 
 def _forward_values(x, params):
     g = Graph()
-    return lnu_forward(g.leaf(x), params).value
+    return lnu_forward(g.leaf(x), lift_layer(g, params)).value
 
 
 class TestShapes:
@@ -292,7 +292,8 @@ class TestStacks:
         params = _layer(3, 2)
         x = np.random.default_rng(13).uniform(0, 1, (4, 3))
         g = Graph()
-        via_stack = lnu_stack_forward(g.leaf(x), LnuStack([params]))
+        stack = LnuStack([params])
+        via_stack = lnu_stack_forward(g.leaf(x), stack, lift_stack(g, stack))
         np.testing.assert_array_equal(via_stack.value, _forward_values(x, params))
 
     def test_width_chain_validated_at_build(self):

@@ -161,7 +161,7 @@ def test_batched_operators_match_public_scalar_operators():
 
 
 # The scalar weighted operators as they were written before they shared a
-# kernel with the batched checks, with their default bias and clamp.
+# kernel with the batched checks, with their default bias.
 _SCALAR_FORMULAS = {
     "nln_and": lambda z, w: float(np.prod(1.0 - w * (1.0 - z))),
     "nln_or": lambda z, w: float(1.0 - np.prod(1.0 - w * z)),
@@ -179,7 +179,9 @@ def test_weighted_operators_keep_their_scalar_formulas():
             assert getattr(sl, name)(z, w).hex() == formula(z, w).hex(), (name, z, w)
     for b in (0.0, 0.5, 2.0):
         z, w = rng.uniform(0.0, 1.0, 5), rng.uniform(0.0, 3.0, 5)
-        assert sl.lnn_and(z, w, b, "relu") == max(b - float(w @ (1.0 - z)), 0.0)
-        assert sl.lnn_or(z, w, b, "relu") == max(1.0 - b + float(w @ z), 0.0)
-    # max(raw, 0.0) keeps a raw -0.0 (bias -0.0, weight 0).
-    assert sl.lnn_and([0.5], [0.0], -0.0, "relu").hex() == "-0x0.0p+0"
+        want_and = float(np.clip(b - float(w @ (1.0 - z)), 0.0, 1.0))
+        want_or = float(np.clip(1.0 - b + float(w @ z), 0.0, 1.0))
+        assert sl.lnn_and(z, w, b).hex() == want_and.hex(), (b, z, w)
+        assert sl.lnn_or(z, w, b).hex() == want_or.hex(), (b, z, w)
+    # A raw -0.0 (bias -0.0, weight 0) is clipped as np.clip clips it.
+    assert sl.lnn_and([0.5], [0.0], -0.0).hex() == float(np.clip(-0.0 - 0.0, 0.0, 1.0)).hex()

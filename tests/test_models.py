@@ -49,10 +49,6 @@ class TestParamCounts:
             "b_head": 1,
         }
 
-    def test_logicron_fixed_sharpness_is_89(self):
-        spec = ModelSpec("logicron", hidden=11, trainable_sharpness=False)
-        assert count_params(build_model(spec, seed=0)).total == 89
-
     def test_logicron_neg_is_110(self):
         model = build_model(ModelSpec("logicron_neg", hidden=9), seed=0)
         counts = count_params(model)

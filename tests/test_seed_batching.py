@@ -19,7 +19,6 @@ from logiclab.models import build_model, count_params, default_model_suite, stac
 
 SPECS = dict(default_model_suite())
 SHORT = TrainConfig(epochs=3, passes_per_epoch=4, seeds=(0, 1, 2), n_train=20, n_test=40)
-TRAIN_BATCH = experiments._train_batch
 
 
 def _recording_run(monkeypatch, tmp_path, row_budget):
@@ -29,13 +28,13 @@ def _recording_run(monkeypatch, tmp_path, row_budget):
     batches, finals = [], {}
 
     def recording(model, train_data, test_data, config, model_name, seeds):
-        runs = TRAIN_BATCH(model, train_data, test_data, config, model_name, seeds)
+        runs = train(model, train_data, test_data, config, model_name, seeds)
         batches.append(tuple(seeds))
         for i, seed in enumerate(seeds):
             finals[model_name, seed] = {k: arr[i].tobytes() for k, arr in model.params.items()}
         return runs
 
-    monkeypatch.setattr(experiments, "_train_batch", recording)
+    monkeypatch.setattr(experiments, "train", recording)
     aggregate = run_multi_seed(default_model_suite(), SHORT)
     write_results_csv(tmp_path / "results.csv", aggregate.runs)
     write_summary_json(tmp_path / "summary.json", aggregate, SHORT, "f")
@@ -69,7 +68,7 @@ def test_chunks_follow_the_row_budget(monkeypatch, n_train, expected):
         batches.append(tuple(seeds))
         return _stub_batch(model, train_data, test_data, config, model_name, seeds)
 
-    monkeypatch.setattr(experiments, "_train_batch", stub)
+    monkeypatch.setattr(experiments, "train", stub)
     config = TrainConfig(epochs=1, seeds=tuple(range(20)), n_train=n_train, n_test=10)
     aggregate = run_multi_seed([("Logicron", SPECS["Logicron"])], config)
     assert batches == expected
@@ -77,7 +76,7 @@ def test_chunks_follow_the_row_budget(monkeypatch, n_train, expected):
 
 
 def test_runs_are_emitted_seed_major(monkeypatch):
-    monkeypatch.setattr(experiments, "_train_batch", _stub_batch)
+    monkeypatch.setattr(experiments, "train", _stub_batch)
     aggregate = run_multi_seed(default_model_suite(), SHORT)
     names = [name for name, _ in default_model_suite()]
     assert [(r.seed, r.model_name) for r in aggregate.runs] == [
@@ -97,7 +96,7 @@ def test_divergence_stays_in_its_seed(name, param):
     models = [build_model(SPECS[name], seed=seed) for seed in seeds]
     models[1].params[param][...] = np.nan
     batch = stack_models(models)
-    runs = TRAIN_BATCH(
+    runs = train(
         batch,
         experiments._stack_data([tr for tr, _ in splits]),
         experiments._stack_data([te for _, te in splits]),
@@ -108,7 +107,7 @@ def test_divergence_stays_in_its_seed(name, param):
         assert len(curve) == SHORT.epochs and all(np.isnan(v) for v in curve)
     for i in (0, 2):
         solo = build_model(SPECS[name], seed=seeds[i])
-        alone = train(solo, *splits[i], SHORT, name, seeds[i])
+        (alone,) = train(solo, *splits[i], SHORT, name, (seeds[i],))
         assert repr(runs[i]) == repr(alone)
         for key, arr in solo.params.items():
             assert batch.params[key][i].tobytes() == arr.tobytes(), key

@@ -221,10 +221,6 @@ class TestSoftNot:
     def test_affine_involution(self, x):
         assert sl.soft_not(sl.soft_not(x)) == pytest.approx(x, abs=1e-15)
 
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            sl.soft_not(0.5, mode="fuzzy")
-
 
 class TestSoftImply:
     def test_false_antecedent_is_near_one(self):
@@ -299,14 +295,6 @@ class TestLnn:
     def test_clip_bounds_output(self):
         # Large weight sum saturates the clipped form at 1.
         assert sl.lnn_or([1.0, 1.0], [2.0, 2.0], bias_b=1.0) == 1.0
-
-    def test_relu_mode_is_only_lower_capped(self):
-        assert sl.lnn_or([1.0, 1.0], [2.0, 2.0], bias_b=1.0, clamp="relu") == 4.0
-        assert sl.lnn_and([0.0, 0.0], [2.0, 2.0], bias_b=1.0, clamp="relu") == 0.0
-
-    def test_unknown_clamp_mode(self):
-        with pytest.raises(ValueError):
-            sl.lnn_and([0.5], [1.0], clamp="tanh")
 
 
 class TestBooleanCornerFidelity:

@@ -2,11 +2,13 @@
 gradient checks leave no reference cycles, so every tape is freed by reference counting; a consumed
 graph keeps its leaves' gradients and rejects a second sweep."""
 
+import contextlib
 import gc
 
 import numpy as np
 import pytest
 
+import logiclab
 from logiclab import autodiff as ad
 from logiclab.autodiff import Graph, GraphError
 from logiclab.checks import GRAD_TOLERANCE, gradcheck_suite
@@ -18,10 +20,17 @@ SHORT = TrainConfig(epochs=2, passes_per_epoch=2, seeds=(0, 1), n_train=20, n_te
 SPECS = dict(default_model_suite())
 
 
-@pytest.fixture
-def no_cyclic_gc():
-    """Only reference counting frees memory; the test reads what is left for
-    the collector with ``gc.collect()``."""
+@contextlib.contextmanager
+def _only_reference_counting():
+    """Only reference counting frees memory inside; the test reads what is
+    left for the collector with ``gc.collect()``.
+
+    The slate is cleaned first.  ``Graph._spent`` holds the tape of the last
+    sweep, whose rules may keep collector-only garbage alive (a traced rule
+    holds the tracer's module, a reference cycle); dropped inside, by the
+    next sweep, it would count against the test.
+    """
+    Graph._spent = None
     gc.collect()
     gc.disable()
     try:
@@ -30,12 +39,18 @@ def no_cyclic_gc():
         gc.enable()
 
 
+@pytest.fixture
+def no_cyclic_gc():
+    with _only_reference_counting():
+        yield
+
+
 @pytest.mark.parametrize("name", ["Logicron+Neg", "MLP-GeLU"])
 def test_training_path_leaves_no_cycles(name, no_cyclic_gc):
     train_ds, test_ds = generate_toy_data(SHORT.n_train, SHORT.n_test, seed=0)
     model = build_model(SPECS[name], seed=0)
     assert gc.collect() == 0
-    result = train(model, train_ds, test_ds, SHORT, name, seed=0)
+    (result,) = train(model, train_ds, test_ds, SHORT, name, (0,))
     assert len(result.test_acc) == SHORT.epochs and not result.diverged
     assert gc.collect() == 0
     evaluate(model, test_ds)
@@ -62,6 +77,28 @@ def test_gradient_checks_leave_no_cycles(no_cyclic_gc):
     result = gradcheck_suite(points=1, seed=0)
     assert max(result.values()) <= GRAD_TOLERANCE
     assert gc.collect() == 0
+
+
+def _square_sweep(value: float) -> None:
+    graph = Graph()
+    x = graph.leaf([[value]])
+    graph.backward(ad.mul(x, x))
+
+
+def test_clean_slate_after_a_traced_sweep(load_tracer):
+    # As after a test of the benchmark's hooks: the last sweep was traced, and
+    # only its tape in Graph._spent still holds the tracer's module.
+    tracer_module = load_tracer()
+    tracer = tracer_module.Tracer("t")
+    tracer.install(logiclab)
+    try:
+        _square_sweep(2.0)
+    finally:
+        tracer.uninstall()
+    del tracer, tracer_module
+    with _only_reference_counting():
+        _square_sweep(3.0)
+        assert gc.collect() == 0
 
 
 def test_consumed_graph_keeps_leaf_grads_and_rejects_second_backward():
