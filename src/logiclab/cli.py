@@ -94,10 +94,9 @@ def load_config(path: str | None) -> ExperimentConfig:
     if path is None:
         return cfg
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"config file not found: {path}")
     try:
+        # A file that is not INI, or not UTF-8, fails here.
+        found = parser.read(path)
         updates: dict = {}
         if parser.has_option("task", "formula"):
             updates["formula"] = parser.get("task", "formula")
@@ -119,9 +118,12 @@ def load_config(path: str | None) -> ExperimentConfig:
             updates["svg"] = parser.getboolean("boundary", "svg")
         if parser.has_option("output", "dir"):
             updates["out_dir"] = parser.get("output", "dir")
-        return replace(cfg, **updates)
     except (ValueError, configparser.Error) as exc:
-        raise ConfigError(f"bad config file {path}: {exc}") from exc
+        # configparser's messages span lines; the error is one.
+        raise ConfigError(f"bad config file {path}: {' '.join(str(exc).split())}") from exc
+    if not found:
+        raise ConfigError(f"config file not found: {path}")
+    return replace(cfg, **updates)
 
 
 def _apply_flags(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:

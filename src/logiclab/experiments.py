@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field, asdict
 from typing import Iterable, Sequence
 
@@ -155,10 +156,14 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.learning_rate <= 0.0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.passes_per_epoch < 1:
             raise ValueError(f"passes_per_epoch must be >= 1, got {self.passes_per_epoch}")
+        if self.n_train < 1:
+            raise ValueError(f"n_train must be >= 1, got {self.n_train}")
+        if self.n_test < 1:
+            raise ValueError(f"n_test must be >= 1, got {self.n_test}")
 
 
 class Adam:

@@ -2,10 +2,14 @@
 determinism, and exit codes (0 ok / 1 verification failure / 2 config error)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import logiclab
 from logiclab import autodiff as ad
 from logiclab import checks, cli
 
@@ -191,6 +195,16 @@ class TestTruthTable:
         assert run_cli("truth-table", "--arity", "3") == 0
         assert "(1, 1, 1)" in capsys.readouterr().out
 
+    def test_python_dash_m_matches_main(self, capsys):
+        assert run_cli("truth-table") == 0
+        expected = capsys.readouterr().out
+        src = os.path.dirname(os.path.dirname(logiclab.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-m", "logiclab", "truth-table"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == expected
+
 
 class TestGradcheck:
     def test_passes_and_lists_ops(self, capsys):
@@ -289,6 +303,29 @@ class TestExitCodeContract:
         assert run_cli("train", "--config", str(cfg), "--out", str(out)) == 2
         self._assert_one_error_line(capsys, out)
 
+    @pytest.mark.parametrize("content", [
+        b"epochs = 2\n",  # no section header
+        b"[train]\nepochs = 2\n# caf\xe9\n",  # Latin-1, not UTF-8
+    ], ids=["no-section-header", "not-utf8"])
+    def test_config_file_that_is_not_ini_rejected_with_one_line(self, content, tmp_path, capsys):
+        out = tmp_path / "o"
+        cfg = tmp_path / "config.ini"
+        cfg.write_bytes(content)
+        assert run_cli("train", "--config", str(cfg), "--out", str(out)) == 2
+        line = self._assert_one_error_line(capsys, out)
+        assert line.startswith(f"error: bad config file {cfg}: ")
+
+    @pytest.mark.parametrize("setting", [
+        "n_train = 0", "n_test = 0",
+        "learning_rate = nan", "learning_rate = inf", "learning_rate = 0", "learning_rate = -1",
+    ])
+    def test_untrainable_setting_rejected_with_one_line(self, setting, tmp_path, capsys):
+        out = tmp_path / "o"
+        cfg = tmp_path / "config.ini"
+        cfg.write_text(f"[train]\nseeds = 2\nepochs = 1\n{setting}\n")
+        assert run_cli("train", "--config", str(cfg), "--out", str(out)) == 2
+        self._assert_one_error_line(capsys, out)
+
     @staticmethod
     def _assert_one_error_line(capsys, out):
         captured = capsys.readouterr()
@@ -296,3 +333,4 @@ class TestExitCodeContract:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert not out.exists()
+        return lines[0]

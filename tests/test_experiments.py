@@ -150,6 +150,13 @@ class TestTrainLoop:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             TrainConfig(passes_per_epoch=0)
+        for bad in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(ValueError):
+                TrainConfig(learning_rate=bad)
+        with pytest.raises(ValueError):
+            TrainConfig(n_train=0)
+        with pytest.raises(ValueError):
+            TrainConfig(n_test=0)
 
     def test_sharpness_800_logicron_takes_a_finite_first_step(self):
         train_ds, _ = generate_toy_data(20, 20, seed=0)
