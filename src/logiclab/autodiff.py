@@ -336,7 +336,14 @@ def one_minus(x: Node) -> Node:
 
 
 def matmul(a: Node, b: Node) -> Node:
-    """Matrix product over the last two axes; the batch axes broadcast."""
+    """Matrix product over the last two axes; the batch axes broadcast.
+
+    When b has one column (a dense head), a's gradient contracts over a
+    length-1 axis: it is the outer product ``grad * b^T``, one rounded
+    product per entry as in ``grad @ b^T``, and a broadcast multiply forms
+    it faster than matmul does.  Only the sign of a zero can differ, and
+    accumulating into the zeroed gradient buffer gives +0.0 either way.
+    """
     g = a.graph
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
@@ -345,7 +352,9 @@ def matmul(a: Node, b: Node) -> Node:
 
     def backward(grad: np.ndarray) -> None:
         if a.needs_grad:
-            a.grad += _unbroadcast(grad @ b.value.swapaxes(-1, -2), a.shape)
+            bt = b.value.swapaxes(-1, -2)
+            da = grad * bt if bt.shape[-2] == 1 else grad @ bt
+            a.grad += _unbroadcast(da, a.shape)
         if b.needs_grad:
             b.grad += _unbroadcast(a.value.swapaxes(-1, -2) @ grad, b.shape)
 
@@ -376,11 +385,12 @@ def concat_cols(a: Node, b: Node) -> Node:
 def sigmoid_values(x: np.ndarray) -> np.ndarray:
     """Logistic function on an array, overflow-free: exp only sees -|x|.
 
-    For x >= 0 this is 1 / (1 + e^-x), otherwise e^x / (1 + e^x).
+    For x >= 0 this is 1 / (1 + e^-x), otherwise e^x / (1 + e^x).  The
+    numerator is picked before the division, so each element is divided
+    once, by the same divisor as in a sign-masked split.
     """
     e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid(x: Node) -> Node:

@@ -1,6 +1,6 @@
 """Bit-identity of the lean training step against straightforward references:
-the sigmoid kernel, the flat-buffer Adam, constant data leaves, and a golden
-hash of a small multi-seed run."""
+the sigmoid kernel, the rank-1 matmul gradient, the flat-buffer Adam,
+constant data leaves, and a golden hash of a small multi-seed run."""
 
 import copy
 import hashlib
@@ -54,6 +54,82 @@ class TestSigmoidKernel:
     def test_mixed_edge_row(self):
         x = np.array([_EDGE_VALUES])
         assert ad.sigmoid_values(x).tobytes() == _masked_sigmoid(x).tobytes()
+
+    # The hidden and head activations of the workloads: wide's (seeds, 1000,
+    # 24) and (seeds, 1000, 9) layers, toy's (3, 20, 1) and (3, 200, 1) heads.
+    @pytest.mark.parametrize("shape", [(1, 1000, 24), (1, 1000, 9), (3, 20, 1), (3, 200, 1)])
+    def test_workload_shapes_bytewise(self, shape):
+        rng = np.random.default_rng(8)
+        for scale in (1e-3, 1.0, 30.0, 1000.0):
+            x = rng.normal(0.0, scale, shape)
+            flat = x.reshape(-1)
+            flat[::7] = 0.0
+            flat[3::7] = -0.0
+            flat[5::11] = np.inf
+            flat[6::11] = -np.inf
+            assert ad.sigmoid_values(x).tobytes() == _masked_sigmoid(x).tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 1000, 24), (3, 20, 1)])
+    def test_nan_stays_nan(self, shape):
+        # Every form gives NaN at NaN; only its sign bit is the kernel's
+        # own (exp sees -|x|, so NaN comes out negative), so the NaN entries
+        # are compared with the two-division form it replaced, and the rest
+        # with the masked reference.
+        rng = np.random.default_rng(9)
+        x = rng.normal(0.0, 5.0, shape)
+        x.reshape(-1)[::5] = np.nan
+        x.reshape(-1)[2::5] = -np.nan
+        got = ad.sigmoid_values(x)
+        nan = np.isnan(x)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == _masked_sigmoid(x)[~nan].tobytes()
+        e = np.exp(-np.abs(x))
+        d = 1.0 + e
+        assert got.tobytes() == np.where(x >= 0, 1.0 / d, e / d).tobytes()
+
+
+class TestRankOneMatmulGradient:
+    """A dense head's input gradient contracts over its one output column:
+    the tape forms it as ``grad * b^T``, which must accumulate to the bytes
+    of ``grad @ b^T``, signed zeros and one-sided batch axes included."""
+
+    @pytest.mark.parametrize(
+        "a_shape, b_shape",
+        [
+            ((20, 9), (9, 1)),
+            ((3, 20, 22), (3, 22, 1)),
+            ((3, 200, 22), (22, 1)),  # batch axes on a only
+            ((20, 22), (3, 22, 1)),  # batch axes on b only: a's gradient sums them
+        ],
+    )
+    def test_input_gradient_bytes_equal_matmul(self, a_shape, b_shape):
+        rng = np.random.default_rng(12)
+        av = rng.normal(size=a_shape)
+        bv = rng.normal(size=b_shape)
+        bv.reshape(-1)[::4] = -0.0
+        out_shape = np.broadcast_shapes(a_shape[:-2], b_shape[:-2]) + (a_shape[-2], 1)
+        grad = rng.normal(size=out_shape)
+        grad.reshape(-1)[::3] = -0.0
+        grad.reshape(-1)[1::5] = 0.0
+
+        g = Graph()
+        a, b = g.leaf(av), g.leaf(bv)
+        out = ad.matmul(a, b)
+
+        def inject(dout):
+            out.grad += grad
+
+        g.backward(g.record(np.zeros(out.shape[:-2] + (1, 1)), (out,), inject, op="probe"))
+
+        batch = len(out_shape) - len(a_shape)
+        want_a = np.zeros(a_shape)
+        want_a += (grad @ bv.swapaxes(-1, -2)).sum(axis=tuple(range(batch)))
+        batch = len(out_shape) - len(b_shape)
+        want_b = np.zeros(b_shape)
+        want_b += (av.swapaxes(-1, -2) @ grad).sum(axis=tuple(range(batch)))
+        assert a.grad.shape == a_shape and b.grad.shape == b_shape
+        assert a.grad.tobytes() == want_a.tobytes()
+        assert b.grad.tobytes() == want_b.tobytes()
 
 
 def _reference_adam(params, grads_per_step, lr, b1=0.9, b2=0.999, eps=1e-8):

@@ -271,6 +271,61 @@ class TestSoftAndAsGraphFunction:
         assert ad.finite_difference_check(forward, [z0]) <= 1e-5
 
 
+class TestSharpRegimeGradients:
+    """x, w and sharpness gradients of ``gated_reduce`` at sharpness 1e2 and
+    1e3 against central differences.
+
+    The gates vary on a scale of 1/t in z = x w, so the third derivative in
+    x or w grows like t^2: central differences err by about h^2 t^2 / 6 from
+    truncation and eps |f| / h from rounding, balanced near
+    h = (eps / t^2)^(1/3), 2.8e-7 at t = 1e2 and 6.1e-8 at t = 1e3; the
+    suite's fixed 1e-5 is truncation-bound there (up to 2e-3 relative
+    error at t = 1e3).  In the sharpness the gates vary on the scale of t itself, so
+    its step is t eps^(1/3).  Inputs and weights lie within 2/t of 0.5 and
+    1, so every gate stays soft: with spread products the gates saturate,
+    the gradients fall to ~exp(-t) and the check would pass on its rounding
+    floor alone, which the last assertion rules out.
+    """
+
+    @pytest.mark.parametrize("mode", ["and", "or"])
+    @pytest.mark.parametrize("sharp", [1e2, 1e3])
+    def test_gradients_match_central_differences(self, mode, sharp):
+        rng = np.random.default_rng(21)
+        x0 = 0.5 + rng.uniform(-2.0, 2.0, (4, 5)) / sharp
+        w0 = 1.0 + rng.uniform(-2.0, 2.0, (5, 3)) / sharp
+        s0 = np.array([[sharp]])
+        probe = rng.uniform(0.5, 1.5, (4, 3))
+        eps = np.finfo(np.float64).eps
+        h_xw = (eps / sharp**2) ** (1.0 / 3.0)
+        h_s = sharp * eps ** (1.0 / 3.0)
+
+        def loss(g, x, w, s):
+            out = gated_reduce(x, w, mode, s)
+            return ad.reduce_sum(ad.reduce_sum(ad.mul(out, g.constant(probe)), "cols"), "rows")
+
+        def forward_xw(g, ps):
+            x, w = g.leaf(ps[0]), g.leaf(ps[1])
+            return loss(g, x, w, sharp), [x, w]
+
+        def forward_s(g, ps):
+            s = g.leaf(ps[0])
+            return loss(g, g.constant(x0), g.constant(w0), s), [s]
+
+        assert ad.finite_difference_check(forward_xw, [x0, w0], h=h_xw) <= 1e-5
+        assert ad.finite_difference_check(forward_s, [s0], h=h_s) <= 1e-5
+
+        # Every analytic coordinate lies far above the central difference's
+        # rounding floor 4 eps |f| / h, so none of them passed as noise.
+        g = Graph()
+        x, w, s = g.leaf(x0), g.leaf(w0), g.leaf(s0)
+        f = loss(g, x, w, s)
+        g.backward(f)
+        floor = 4.0 * eps * abs(f.value.item())
+        assert np.abs(x.grad).min() > 100.0 * floor / h_xw
+        assert np.abs(w.grad).min() > 100.0 * floor / h_xw
+        assert np.abs(s.grad).min() > 100.0 * floor / h_s
+
+
 class TestSoftImplyNodes:
     def test_matches_reference(self):
         rng = np.random.default_rng(11)
