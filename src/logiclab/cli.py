@@ -12,6 +12,7 @@ import configparser
 import json
 import os
 import sys
+import textwrap
 from dataclasses import dataclass, replace
 
 from .checks import GRAD_TOLERANCE, gradcheck_suite, logic_check_suite
@@ -43,13 +44,7 @@ output files:
   boundary_<unit>.svg   optional heatmap (3-stop colormap
                 #440154 -> #21918c -> #fde725, row 0 at the bottom)
 
-config file (INI, every key optional):
-  [task]     formula
-  [train]    epochs, learning_rate, passes_per_epoch, seeds, n_train, n_test
-  [models]   include, perceptron_hidden, logicron_units, logicron_neg_units,
-             sharpness
-  [boundary] resolution, betas, svg
-  [output]   dir
+config file (INI, every key optional; any other section or key is an error):
 """
 
 
@@ -89,6 +84,70 @@ def _parse_tuple(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
+def _parse_floats(text: str) -> tuple[float, ...]:
+    return tuple(float(part) for part in _parse_tuple(text))
+
+
+def _parse_bool(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"Not a boolean: {text}") from None
+
+
+# Every config-file section and key, with the ExperimentConfig field it sets
+# and the parser of its value.  The help lists exactly these, and any other
+# section or key is rejected, so a typo cannot silently keep a default.
+_CONFIG_KEYS = {
+    "task": {"formula": ("formula", str)},
+    "train": {
+        "epochs": ("epochs", int),
+        "learning_rate": ("learning_rate", float),
+        "passes_per_epoch": ("passes_per_epoch", int),
+        "seeds": ("seeds", int),
+        "n_train": ("n_train", int),
+        "n_test": ("n_test", int),
+    },
+    "models": {
+        "include": ("include", _parse_tuple),
+        "perceptron_hidden": ("perceptron_hidden", int),
+        "logicron_units": ("logicron_units", int),
+        "logicron_neg_units": ("logicron_neg_units", int),
+        "sharpness": ("sharpness", float),
+    },
+    "boundary": {
+        "resolution": ("resolution", int),
+        "betas": ("betas", _parse_floats),
+        "svg": ("svg", _parse_bool),
+    },
+    "output": {"dir": ("out_dir", str)},
+}
+_EPILOG += "".join(
+    textwrap.fill(", ".join(keys), width=78, initial_indent=f"  [{section}]".ljust(13),
+                  subsequent_indent=" " * 13) + "\n"
+    for section, keys in _CONFIG_KEYS.items()
+)
+
+
+def _config_updates(parser: configparser.ConfigParser) -> dict:
+    """The ExperimentConfig fields that the parsed file sets."""
+    if parser.defaults():
+        raise ConfigError(f"unknown section [{parser.default_section}]; "
+                          f"choose from {', '.join(_CONFIG_KEYS)}")
+    updates: dict = {}
+    for section in parser.sections():
+        keys = _CONFIG_KEYS.get(section)
+        if keys is None:
+            raise ConfigError(f"unknown section [{section}]; choose from {', '.join(_CONFIG_KEYS)}")
+        for key in parser.options(section):
+            if key not in keys:
+                raise ConfigError(f"unknown key {key!r} in [{section}]; "
+                                  f"choose from {', '.join(keys)}")
+            field, parse = keys[key]
+            updates[field] = parse(parser.get(section, key))
+    return updates
+
+
 def load_config(path: str | None) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if path is None:
@@ -97,27 +156,7 @@ def load_config(path: str | None) -> ExperimentConfig:
     try:
         # A file that is not INI, or not UTF-8, fails here.
         found = parser.read(path)
-        updates: dict = {}
-        if parser.has_option("task", "formula"):
-            updates["formula"] = parser.get("task", "formula")
-        for key, conv in (("epochs", int), ("learning_rate", float), ("passes_per_epoch", int),
-                          ("seeds", int), ("n_train", int), ("n_test", int)):
-            if parser.has_option("train", key):
-                updates[key] = conv(parser.get("train", key))
-        if parser.has_option("models", "include"):
-            updates["include"] = _parse_tuple(parser.get("models", "include"))
-        for key, conv in (("perceptron_hidden", int), ("logicron_units", int),
-                          ("logicron_neg_units", int), ("sharpness", float)):
-            if parser.has_option("models", key):
-                updates[key] = conv(parser.get("models", key))
-        if parser.has_option("boundary", "resolution"):
-            updates["resolution"] = parser.getint("boundary", "resolution")
-        if parser.has_option("boundary", "betas"):
-            updates["betas"] = tuple(float(b) for b in _parse_tuple(parser.get("boundary", "betas")))
-        if parser.has_option("boundary", "svg"):
-            updates["svg"] = parser.getboolean("boundary", "svg")
-        if parser.has_option("output", "dir"):
-            updates["out_dir"] = parser.get("output", "dir")
+        updates = _config_updates(parser)
     except (ValueError, configparser.Error) as exc:
         # configparser's messages span lines; the error is one.
         raise ConfigError(f"bad config file {path}: {' '.join(str(exc).split())}") from exc
@@ -201,6 +240,10 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     write_results_csv(os.path.join(cfg.out_dir, "results.csv"), aggregate.runs)
     write_summary_json(os.path.join(cfg.out_dir, "summary.json"), aggregate, train_cfg, cfg.formula)
 
+    for split, seeds in aggregate.single_class.items():
+        if seeds:
+            print(f"warning: the {split} labels of seeds {seeds} are all one class; "
+                  f"accuracy on that split shows nothing learned", file=sys.stderr)
     print(f"task: {cfg.formula}   seeds: {cfg.seeds}   epochs: {cfg.epochs}")
     print(f"{'model':<14} {'params':>6} {'train_acc':>16} {'test_acc':>16}")
     for name, _ in specs:

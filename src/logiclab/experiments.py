@@ -301,8 +301,12 @@ class ModelStats:
 
 @dataclass
 class AggregateResult:
+    """Runs and per-model stats; ``single_class`` maps "train" and "test" to
+    the seeds whose split holds labels of one class only."""
+
     runs: list[RunResult]
     stats: dict[str, ModelStats]
+    single_class: dict[str, list[int]] = field(default_factory=dict)
 
 
 def run_multi_seed(
@@ -321,11 +325,16 @@ def run_multi_seed(
         raise ValueError("need at least 2 seeds to report a standard deviation")
     chunk_size = max(1, _ROW_BUDGET // config.n_train)
     runs: list[RunResult] = []
+    single_class: dict[str, list[int]] = {"train": [], "test": []}
     for start in range(0, len(config.seeds), chunk_size):
         chunk = config.seeds[start:start + chunk_size]
         roots = [np.random.SeedSequence(seed).spawn(2) for seed in chunk]
         splits = [generate_toy_data(config.n_train, config.n_test, data_ss, formula)
                   for data_ss, _ in roots]
+        for seed, seed_splits in zip(chunk, splits):
+            for split, data in zip(("train", "test"), seed_splits):
+                if data.labels.min() == data.labels.max():
+                    single_class[split].append(seed)
         train_data = _stack_data([train_split for train_split, _ in splits])
         test_data = _stack_data([test_split for _, test_split in splits])
         inits = [init_root.spawn(len(specs)) for _, init_root in roots]
@@ -348,7 +357,7 @@ def run_multi_seed(
             test_acc_std=test_mat.std(axis=0, ddof=1),
             diverged_seeds=[r.seed for r in model_runs if r.diverged],
         )
-    return AggregateResult(runs=runs, stats=stats)
+    return AggregateResult(runs=runs, stats=stats, single_class=single_class)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
 """Gated logic layer: per-unit soft-AND / soft-OR over weighted input features.
 
 The core operation gates each input row against one weight column per output
-unit (a broadcast product, laid out feature-major as ``d x n x o``),
-aggregates along the feature axis with a softmin (AND branch) or softmax (OR
-branch) at a shared sharpness, and concatenates both branches.  With the
-features leading, each reduction over them adds whole contiguous ``n x o``
-slabs instead of striding through the middle axis of an ``n x d x o``
-tensor: at ``(1000, 3, 11)`` a softmax max or sum takes 12-18 us instead of
-120-210 us, and one forward plus backward with a trainable sharpness about
-1.0 ms instead of 1.5 ms (numpy 2.4, one core of a Xeon).
+unit (an outer product, laid out feature-major as ``d x n x 2o``), and
+aggregates along the feature axis with a softmin for the o AND units and a
+softmax for the o OR units, all in one tensor at a shared sharpness; its
+output is the ``[AND | OR]`` block, so no branch concatenation follows.
+With the features leading, each reduction over them adds whole contiguous
+``n x 2o`` slabs instead of striding through the middle axis of an
+``n x d x 2o`` tensor: at ``(1000, 3, 11)`` a softmax max or sum takes
+12-18 us instead of 120-210 us, and one forward plus backward with a
+trainable sharpness about 1.0 ms instead of 1.5 ms (numpy 2.4, one core of
+a Xeon).
 
 Inputs, weights and a trainable sharpness may carry the same leading batch
 axes (one layer per batch entry), as every autodiff value may.  An optional
@@ -58,88 +60,120 @@ def inverse_softplus(y: float) -> float:
     return float(y + np.log(-np.expm1(-y)))
 
 
-def gated_reduce(x: Node, w: Node, mode: str, sharpness: float | Node) -> Node:
-    """Fused gate: out[i,k] = sum_j gate_j(z[:,i,k]) * z[j,i,k], z[j,i,k] = x[i,j] w[j,k].
+def gated_reduce(x: Node, w_and: Node, w_or: Node, sharpness: float | Node) -> Node:
+    """One layer's soft-AND and soft-OR units as one node: the ``(..., n, 2o)`` block
+    ``[AND | OR]``, out[i,k] = sum_j gate_j(z[:,i,k]) * z[j,i,k], z[j,i,k] = x[i,j] w[j,k].
 
-    ``mode`` selects the gate: "or" uses softmax weights, "and" softmin.
-    ``sharpness`` may be a plain float or a ``(..., 1, 1)`` node (trainable).
-    ``x``, ``w`` and a sharpness node broadcast over their leading batch
-    axes: one layer, and one sharpness, per batch entry; an operand without
-    an axis gets its gradient summed over it.  Batch axes that do not
-    broadcast raise ``ShapeError``.  The forward is
-    ``softlogic.gate`` over axis -3 of the feature-major ``(..., d, n, o)``
-    tensor z; this op adds its backward rule, built in place in one buffer
-    of z's size.  For two or more units numpy sums in the same order as over
-    an ``(..., n, d, o)`` tensor, so every value and gradient equals that
-    layout's byte for byte; for one unit only within rounding.
+    ``w`` is ``[w_and | w_or]``, both ``(..., d, o)``, and unit k gates at the
+    signed sharpness ``t_k = s * ([-1]*o ++ [+1]*o)[k]``: softmin for the AND
+    units, softmax for the OR units.  ``sharpness`` may be a plain float or a
+    ``(..., 1, 1)`` node (trainable).  ``x``, the weights and a sharpness
+    node broadcast over their leading batch axes: one layer, and one
+    sharpness, per batch entry; an operand without an axis gets its gradient
+    summed over it.  Batch axes that do not broadcast, or branch weights of
+    different shapes, raise ``ShapeError``.  The forward is
+    ``softlogic.gate`` over axis -3 of the feature-major ``(..., d, n, 2o)``
+    tensor ``[-z_and | z_or]`` at the plain sharpness s (the AND units'
+    weights enter negated); this op adds its backward rule, built in place
+    in one buffer of z's size.  Numpy sums each unit in the same order as
+    over an ``(..., n, d, o)`` tensor of its own mode, so every value and
+    gradient equals that layout's byte for byte (a layer with o = 1 only
+    within rounding).
 
-    The w-gradient contracts that buffer with x^T in one ``einsum`` over n.
-    For o >= 2 its inner loop runs along the units with n outermost, so it
-    adds the same rounded products in the same order as a broadcast
-    multiply and middle-axis sum, in about a quarter of their time at
-    ``(2, 3, 1000, 11)``.  einsum starts each sum at +0.0, so at most the
-    sign of an all-zero sum can differ, and accumulating into the zeroed
-    gradient buffer gives +0.0 either way.  For o = 1 the n axis is
-    contiguous and einsum sums it in its own order.  z itself stays a
-    broadcast product: an einsum outer product writes +0.0 where a factor
-    is -0.0, and z feeds the value and every gradient, whose bytes would
-    then rest on each later reduction discarding zero signs (numpy's sums
-    start at +0.0, so today they do, and the tests cannot tell the two
-    apart).
+    The gradients reach the leaves as those of an AND node recorded before an
+    OR node would in a reverse sweep, so the bytes do not depend on the
+    fusion.  The order shows where a leaf already holds a gradient from
+    another node, as a stack's inputs and a shared sharpness do:
+
+    - w: one ``einsum`` contracts the buffer with x^T over n, split back
+      into its halves.  Its inner loop runs along the 2o units with n
+      outermost, so it adds the same rounded products in the same order as a
+      broadcast multiply and middle-axis sum, in about a quarter of their
+      time at ``(2, 3, 1000, 11)``.
+    - x: each half is summed over its own o units and added to ``x.grad``,
+      the OR half first.
+    - sharpness: each half is summed over its ``(n, o)`` block from a
+      contiguous copy (one flat sum, as over a single-mode output), and the
+      OR half is added first.  One sum over all 2o units rounds differently.
+
+    The gate tensor is an ``einsum`` outer product: 100-163 us against
+    216-220 us for the broadcast product at ``(2, 3, 1000)`` by ``(2, 3, 22)``
+    (numpy 2.4, a shared Xeon core).  It writes +0.0 where a factor is -0.0,
+    and the bytes still match the broadcast product because every later
+    reduction starts its sum at +0.0.
     """
-    if mode == "or":
-        sign = 1.0
-    elif mode == "and":
-        sign = -1.0
-    else:
-        raise ValueError(f"mode must be 'and' or 'or', got {mode!r}")
-    if x.shape[-1] != w.shape[-2]:
-        raise ShapeError(f"gated_reduce: input width {x.shape} does not match weights {w.shape}")
+    if w_and.shape != w_or.shape:
+        raise ShapeError(f"gated_reduce: w_and {w_and.shape} and w_or {w_or.shape} differ in shape")
+    if x.shape[-1] != w_and.shape[-2]:
+        raise ShapeError(
+            f"gated_reduce: input width {x.shape} does not match weights {w_and.shape}"
+        )
 
-    _check_broadcast(x.shape[:-2], w.shape[:-2], "gated_reduce")
+    _check_broadcast(x.shape[:-2], w_and.shape[:-2], "gated_reduce")
+    o = w_and.shape[-1]
+    sign = np.repeat((-1.0, 1.0), o)  # (2o,): AND units, then OR units
     sharp_node = sharpness if isinstance(sharpness, Node) else None
     if sharp_node is not None:
         if sharp_node.shape[-2:] != (1, 1):
             raise ShapeError(f"sharpness node must be (..., 1, 1), got {sharp_node.shape}")
         # Pairwise broadcasting batch axes broadcast all together.
         _check_broadcast(x.shape[:-2], sharp_node.shape[:-2], "gated_reduce")
-        _check_broadcast(w.shape[:-2], sharp_node.shape[:-2], "gated_reduce")
+        _check_broadcast(w_and.shape[:-2], sharp_node.shape[:-2], "gated_reduce")
         # Trained values are not checked: a NaN must reach the loss, where
         # training flags the run as diverged.  The node's (..., 1, 1) value
         # broadcasts as (..., 1, 1, 1) against z.
-        t = sign * sharp_node.value[..., None]
+        s = sharp_node.value[..., None]
     else:
-        t = sign * check_sharpness(sharpness)
+        s = check_sharpness(sharpness)
 
-    xv, wv = x.value, w.value
-    # The copy of x^T keeps z C-contiguous as (d, n, o): from a strided view
-    # numpy would lay z out as (n, d, o), and the feature sums would stride.
-    xt = np.ascontiguousarray(xv.swapaxes(-1, -2))  # (..., d, n)
-    z = xt[..., :, :, None] * wv[..., :, None, :]  # (..., d, n, o)
-    gates, out_val = gate(z, t, axis=-3)  # (..., d, n, o), (..., n, o)
+    wv = np.concatenate((w_and.value, w_or.value), axis=-1)  # (..., d, 2o)
+    # The copy of x^T keeps z C-contiguous as (d, n, 2o): from a strided view
+    # numpy would lay z out as (n, d, 2o), and the feature sums would stride.
+    xt = np.ascontiguousarray(x.value.swapaxes(-1, -2))  # (..., d, n)
+    # The AND units' weights enter negated: zs = sign * z = [-z_and | z_or],
+    # so that t * z = s * zs and every pass over the gate tensor scales it by
+    # the plain sharpness (a per-unit t broadcast along the 2o units
+    # multiplies in 118 us instead of 39 us at (2, 3, 1000, 22)).  Negation
+    # is exact, so the AND units' gates are unchanged and their gated sums
+    # come out negated.
+    zs = np.einsum("...jn,...jk->...jnk", xt, wv * sign)  # (..., d, n, 2o)
+    gates, out_s = gate(zs, s, axis=-3)  # (..., d, n, 2o), (..., n, 2o)
+    out_val = out_s * sign
+    out_val += 0.0  # a negated all-zero sum reads -0.0; the sum itself gave +0.0
 
-    inputs = (x, w) if sharp_node is None else (x, w, sharp_node)
+    inputs = (x, w_and, w_or) if sharp_node is None else (x, w_and, w_or, sharp_node)
+    halves = (slice(o, None), slice(None, o))  # OR, then AND: the reverse-sweep order
 
     def backward(grad: np.ndarray) -> None:
-        # d out[i,k] / d z[j,i,k] = gate * (1 + t * (z - out)), in one buffer
-        dz = z - out_val[..., None, :, :]
-        dz *= t
+        # d out[i,k] / d z[j,i,k] = gate * (1 + t * (z - out)), in one buffer;
+        # t * (z - out) = s * (zs - out_s)
+        dz = zs - out_s[..., None, :, :]
+        dz *= s
         dz += 1.0
         dz *= gates
         dz *= grad[..., None, :, :]
+        if w_and.needs_grad or w_or.needs_grad:
+            dw = np.einsum("...jnk,...jn->...jk", dz, xt)
+            for w, half in zip((w_or, w_and), halves):
+                if w.needs_grad:
+                    w.grad += _unbroadcast(dw[..., half], w.shape)
         if x.needs_grad:
-            x.grad += _unbroadcast((dz * wv[..., :, None, :]).sum(axis=-1).swapaxes(-1, -2), x.shape)
-        if w.needs_grad:
-            w.grad += _unbroadcast(np.einsum("...jnk,...jn->...jk", dz, xt), w.shape)
+            dz *= wv[..., :, None, :]
+            for half in halves:
+                x.grad += _unbroadcast(dz[..., half].sum(axis=-1).swapaxes(-1, -2), x.shape)
         if sharp_node is not None and sharp_node.needs_grad:
-            # d out[i,k] / d s = sign * (sum_j gate * z^2 - out^2)
-            gz2 = gates * z
-            gz2 *= z
-            d_sharp = sign * (gz2.sum(axis=-3) - out_val * out_val)
-            d_sharp = (grad * d_sharp).sum(axis=(-2, -1), keepdims=True)
-            sharp_node.grad += _unbroadcast(d_sharp, sharp_node.shape)
+            # d out[i,k] / d s = sign_k * (sum_j gate * z^2 - out^2)
+            gz2 = gates * zs
+            gz2 *= zs
+            d_sharp = gz2.sum(axis=-3)
+            d_sharp -= out_s * out_s
+            d_sharp *= sign
+            d_sharp *= grad
+            for half in halves:
+                part = np.ascontiguousarray(d_sharp[..., half]).sum(axis=(-2, -1), keepdims=True)
+                sharp_node.grad += _unbroadcast(part, sharp_node.shape)
 
-    return x.graph.record(out_val, inputs, backward, op=f"gated_reduce_{mode}")
+    return x.graph.record(out_val, inputs, backward, op="gated_reduce")
 
 
 def soft_imply_nodes(a: Node, b: Node, sharpness: float | Node) -> Node:
@@ -287,9 +321,7 @@ def lnu_forward(x: Node, gates: LnuGates) -> Node:
             RuntimeWarning,
             stacklevel=2,
         )
-    and_branch = gated_reduce(x, gates.w_and, "and", gates.sharp)
-    or_branch = gated_reduce(x, gates.w_or, "or", gates.sharp)
-    out = ad.concat_cols(and_branch, or_branch)
+    out = gated_reduce(x, gates.w_and, gates.w_or, gates.sharp)
     if cfg.normalize:
         out = ad.scale(out, 1.0 / math.sqrt(cfg.in_width))
     if gates.w_not is not None:

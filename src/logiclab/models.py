@@ -109,7 +109,7 @@ class Perceptron:
 
 
 class Logicron:
-    """Gated logic layer + dense sigmoid head over the concatenated branches."""
+    """Gated logic layer + dense sigmoid head over its [AND | OR] (+ negation) outputs."""
 
     def __init__(self, spec: ModelSpec, rng: np.random.Generator):
         units = spec.resolved_hidden

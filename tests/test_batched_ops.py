@@ -125,20 +125,20 @@ class TestActivationsAndLoss:
 
 class TestGatedReduce:
     @SETTINGS
-    @given(batch, rows, width, width, st.sampled_from(["and", "or"]),
-           st.sampled_from([0.0, 1.5, 10.0, 100.0]), seeds)
-    def test_fixed_sharpness(self, s, n, d, o, mode, sharpness, seed):
+    @given(batch, rows, width, width, st.sampled_from([0.0, 1.5, 10.0, 100.0]), seeds)
+    def test_fixed_sharpness(self, s, n, d, o, sharpness, seed):
         rng = np.random.default_rng(seed)
-        slices = [_draw(rng, [(n, d), (d, o)], 0.0, 1.0) for _ in range(s)]
-        assert_batch_equals_slices(lambda x, w: gated_reduce(x, w, mode, sharpness), slices, seed)
+        slices = [_draw(rng, [(n, d), (d, o), (d, o)], 0.0, 1.0) for _ in range(s)]
+        op = lambda x, wa, wo: gated_reduce(x, wa, wo, sharpness)  # noqa: E731
+        assert_batch_equals_slices(op, slices, seed)
 
     @SETTINGS
-    @given(batch, rows, width, width, st.sampled_from(["and", "or"]), seeds)
-    def test_sharpness_node_per_slice(self, s, n, d, o, mode, seed):
+    @given(batch, rows, width, width, seeds)
+    def test_sharpness_node_per_slice(self, s, n, d, o, seed):
         rng = np.random.default_rng(seed)
-        slices = [_draw(rng, [(n, d), (d, o)], 0.0, 1.0) + [rng.uniform(0.0, 20.0, (1, 1))]
+        slices = [_draw(rng, [(n, d), (d, o), (d, o)], 0.0, 1.0) + [rng.uniform(0.0, 20.0, (1, 1))]
                   for _ in range(s)]
-        assert_batch_equals_slices(lambda x, w, t: gated_reduce(x, w, mode, t), slices, seed)
+        assert_batch_equals_slices(gated_reduce, slices, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -185,15 +185,17 @@ full_batch = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple)
 
 
 def _broadcast_ops(n, k, m):
-    """(op, matrix shapes of its operands) for every op with batch broadcasting."""
-    sharp = lambda x, w, t: gated_reduce(x, w, "and", t)  # noqa: E731
+    """(op, matrix shapes of its operands) for every op with batch broadcasting.
+
+    ``gated_reduce`` takes the AND weights w and the OR weights 1 - w, which
+    share w's batch axes as the op requires."""
     return [
         (ad.add, [(n, k), (n, k)]),
         (ad.sub, [(n, k), (n, k)]),
         (ad.mul, [(n, k), (n, k)]),
         (ad.matmul, [(n, k), (k, m)]),
-        (lambda x, w: gated_reduce(x, w, "or", 10.0), [(n, k), (k, m)]),
-        (sharp, [(n, k), (k, m), (1, 1)]),
+        (lambda x, w: gated_reduce(x, w, ad.one_minus(w), 10.0), [(n, k), (k, m)]),
+        (lambda x, w, t: gated_reduce(x, w, ad.one_minus(w), t), [(n, k), (k, m), (1, 1)]),
     ]
 
 
@@ -232,5 +234,6 @@ class TestUnequalBatchAxes:
 
     def test_gated_reduce_rejects_batch_axes_that_do_not_broadcast(self):
         g = Graph()
+        x, w = g.leaf(np.full((3, 4, 2), 0.5)), g.leaf(np.full((2, 2, 5), 0.5))
         with pytest.raises(ad.ShapeError):
-            gated_reduce(g.leaf(np.full((3, 4, 2), 0.5)), g.leaf(np.full((2, 2, 5), 0.5)), "or", 1.0)
+            gated_reduce(x, w, w, 1.0)

@@ -1,6 +1,7 @@
 """Command-line tests: subcommand behavior, config handling, output files,
 determinism, and exit codes (0 ok / 1 verification failure / 2 config error)."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -117,6 +118,62 @@ class TestTrain:
         # w_hidden is width x 24, so the models were sized to the formula.
         breakdown = dict(payload["models"]["MLP-ReLU"]["parameter_breakdown"])
         assert breakdown["w_hidden"] == width * 24
+
+
+class TestSingleClassWarning:
+    def test_tautology_warns_on_stderr_and_exits_0(self, tmp_path, capsys):
+        # x1 -> x1 labels every point 1, so every model reports 1.000 ± 0.000.
+        out = tmp_path / "o"
+        cfg = tmp_path / "config.ini"
+        cfg.write_text("[task]\nformula = x1 -> x1\n[train]\nepochs = 1\nseeds = 2\n"
+                       "passes_per_epoch = 1\n")
+        assert run_cli("train", "--config", str(cfg), "--out", str(out)) == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"warning: the {split} labels of seeds [0, 1] are all one class; "
+            "accuracy on that split shows nothing learned"
+            for split in ("train", "test")
+        ]
+        assert "1.000 ± 0.000    1.000 ± 0.000" in captured.out
+        assert "warning" not in captured.out
+        assert (out / "results.csv").exists() and (out / "summary.json").exists()
+
+    def test_only_the_single_class_split_is_named(self, tmp_path, capsys):
+        # The 20 training labels of this conjunction are all 0 at data seed 0
+        # and hold 3 positives at seed 1; both seeds' 200 test labels hold
+        # positives.
+        cfg = tmp_path / "config.ini"
+        cfg.write_text("[task]\nformula = x1 & x2 & x3 & x4\n[train]\nepochs = 1\n"
+                       "seeds = 2\npasses_per_epoch = 1\n[models]\ninclude = logicron\n")
+        assert run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "o")) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: the train labels of seeds [0] are all one class; "
+            "accuracy on that split shows nothing learned"
+        ]
+
+    def test_default_run_is_byte_equal_to_before(self, tmp_path, capsys):
+        # Recorded before the warning existed: stdout and the written files
+        # of a two-seed, two-epoch default run, with no stderr.
+        out = tmp_path / "o"
+        assert run_cli("train", "--out", str(out), *FAST_TRAIN) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == (
+            "task: (x1 | x2) & ~x3   seeds: 2   epochs: 2\n"
+            "model          params        train_acc         test_acc\n"
+            "MLP-Sigmoid        97    0.850 ± 0.071    0.865 ± 0.014\n"
+            "MLP-ReLU           97    0.900 ± 0.000    0.885 ± 0.007\n"
+            "MLP-GeLU           97    0.925 ± 0.035    0.883 ± 0.018\n"
+            "Logicron           90    0.900 ± 0.000    0.883 ± 0.025\n"
+            "Logicron+Neg      110    0.900 ± 0.000    0.865 ± 0.014\n"
+            f"wrote {out / 'results.csv'} and summary.json\n"
+        )
+        got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("results.csv", "summary.json")}
+        assert got == {
+            "results.csv": "894b4e5f6a74139bd2c77116397a0f79a197c117ca853e95412391f288b03d80",
+            "summary.json": "cca1f2f8d330d9bc36da87cb9ed61501587f6a44f96c496016774339d86294ed",
+        }
 
 
 class TestBoundary:
@@ -314,6 +371,48 @@ class TestExitCodeContract:
         assert run_cli("train", "--config", str(cfg), "--out", str(out)) == 2
         line = self._assert_one_error_line(capsys, out)
         assert line.startswith(f"error: bad config file {cfg}: ")
+
+    @pytest.mark.parametrize("content, message", [
+        ("[train]\nepoch = 2\n", "unknown key 'epoch' in [train]"),
+        ("[train]\nformula = x1 -> x1\n", "unknown key 'formula' in [train]"),
+        ("[trian]\nepochs = 2\n", "unknown section [trian]"),
+        ("[Train]\nepochs = 2\n", "unknown section [Train]"),
+        ("[DEFAULT]\nepochs = 2\n", "unknown section [DEFAULT]"),
+        ("[DEFAULT]\nepochs = 2\n[train]\nseeds = 2\n", "unknown section [DEFAULT]"),
+    ], ids=["misspelt-key", "key-of-another-section", "misspelt-section", "section-case",
+            "default-section", "default-section-beside-a-known-one"])
+    def test_unknown_section_or_key_rejected_with_one_line(self, content, message, tmp_path, capsys):
+        # Each of these used to run a default setup and exit 0.
+        out = tmp_path / "o"
+        cfg = tmp_path / "config.ini"
+        cfg.write_text(content)
+        assert run_cli("train", "--config", str(cfg), "--out", str(out)) == 2
+        line = self._assert_one_error_line(capsys, out)
+        assert message in line
+        assert run_cli("boundary", "--config", str(cfg), "--out", str(out)) == 2
+        assert message in self._assert_one_error_line(capsys, out)
+
+    def test_every_key_the_help_lists_is_accepted(self, tmp_path):
+        cfg = tmp_path / "config.ini"
+        cfg.write_text(
+            "[task]\nformula = x1 & x2\n"
+            "[train]\nepochs = 3\nlearning_rate = 0.1\npasses_per_epoch = 4\nseeds = 5\n"
+            "n_train = 6\nn_test = 7\n"
+            "[models]\ninclude = logicron\nperceptron_hidden = 8\nlogicron_units = 9\n"
+            "logicron_neg_units = 10\nsharpness = 11\n"
+            "[boundary]\nresolution = 12\nbetas = 13, 14\nsvg = yes\n"
+            "[output]\ndir = elsewhere\n"
+        )
+        loaded = cli.load_config(str(cfg))
+        assert loaded == cli.ExperimentConfig(
+            formula="x1 & x2", epochs=3, learning_rate=0.1, passes_per_epoch=4, seeds=5,
+            n_train=6, n_test=7, include=("logicron",), perceptron_hidden=8, logicron_units=9,
+            logicron_neg_units=10, sharpness=11.0, resolution=12, betas=(13.0, 14.0), svg=True,
+            out_dir="elsewhere",
+        )
+        help_text = cli.build_parser().format_help()
+        for section in ("task", "train", "models", "boundary", "output"):
+            assert f"[{section}]" in help_text
 
     @pytest.mark.parametrize("setting", [
         "n_train = 0", "n_test = 0",

@@ -220,7 +220,7 @@ class TestConstantLeaves:
             terms = [
                 ad.add(a, b), ad.sub(a, b), ad.mul(a, b), ad.concat_cols(a, b),
                 ad.matmul(a, w), ad.matmul(b, w),
-                gated_reduce(a, w, "and", s), gated_reduce(b, w, "or", s),
+                gated_reduce(a, w, w, s), gated_reduce(b, w, w, s),
             ]
             loss = None
             for term in terms:

@@ -149,19 +149,25 @@ class TestLayerProperties:
 
 
 class TestGatedReduce:
-    def test_mode_validation(self):
+    def test_sharpness_validation(self):
         g = Graph()
         x, w = g.leaf(np.ones((1, 2))), g.leaf(np.ones((2, 1)))
-        with pytest.raises(ValueError):
-            gated_reduce(x, w, "xor", 1.0)
         for bad in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
-                gated_reduce(x, w, "and", bad)
+                gated_reduce(x, w, w, bad)
 
     def test_shape_validation(self):
         g = Graph()
+        w = g.leaf(np.ones((2, 1)))
         with pytest.raises(ShapeError):
-            gated_reduce(g.leaf(np.ones((1, 3))), g.leaf(np.ones((2, 1))), "and", 1.0)
+            gated_reduce(g.leaf(np.ones((1, 3))), w, w, 1.0)
+
+    @pytest.mark.parametrize("w_or_shape", [(3, 1), (3, 3), (2, 3, 2)])
+    def test_rejects_branch_weights_of_different_shapes(self, w_or_shape):
+        g = Graph()
+        x = g.leaf(np.full((4, 3), 0.5))
+        with pytest.raises(ShapeError):
+            gated_reduce(x, g.leaf(np.full((3, 2), 0.5)), g.leaf(np.full(w_or_shape, 0.5)), 1.0)
 
     def test_trainable_sharpness_gradient(self):
         rng = np.random.default_rng(10)
@@ -196,22 +202,27 @@ class TestGatedReduce:
         # Operands broadcast over the batch axes; the gradient of one that
         # lacks an axis (or has it at size 1) is the sum over that axis of
         # the per-entry gradients, computed here one batch entry at a time.
+        # The loss reads only the ``mode`` half of the output, so the other
+        # half's weights must get an exactly zero gradient.
         rng = np.random.default_rng(4)
         x0 = rng.uniform(0.0, 1.0, x_shape)
-        w0 = rng.uniform(0.0, 1.0, w_shape)
+        w0 = rng.uniform(0.0, 1.0, (2,) + w_shape)
         s0 = None if sharp_shape is None else rng.uniform(1.0, 20.0, sharp_shape)
         batch = np.broadcast_shapes(x_shape[:-2], w_shape[:-2], () if s0 is None else sharp_shape[:-2])
-        probe = rng.normal(0.0, 1.0, batch + (x_shape[-2], w_shape[-1]))
+        o = w_shape[-1]
+        probe = np.zeros(batch + (x_shape[-2], 2 * o))
+        read = slice(None, o) if mode == "and" else slice(o, None)
+        probe[..., read] = rng.normal(0.0, 1.0, batch + (x_shape[-2], o))
 
-        def sweep(x, w, s, probe):
+        def sweep(x, w_and, w_or, s, probe):
             g = Graph()
-            leaves = [g.leaf(x), g.leaf(w)] + ([] if s is None else [g.leaf(s)])
-            out = gated_reduce(leaves[0], leaves[1], mode, 7.0 if s is None else leaves[2])
+            leaves = [g.leaf(x), g.leaf(w_and), g.leaf(w_or)] + ([] if s is None else [g.leaf(s)])
+            out = gated_reduce(*leaves[:3], 7.0 if s is None else leaves[3])
             g.backward(ad.reduce_sum(ad.reduce_sum(ad.mul(out, g.constant(probe)), "cols"), "rows"))
             return [leaf.grad for leaf in leaves]
 
-        operands = [x0, w0] + ([] if s0 is None else [s0])
-        grads = sweep(x0, w0, s0, probe)
+        operands = [x0, w0[0], w0[1]] + ([] if s0 is None else [s0])
+        grads = sweep(*operands[:3], s0, probe)
         want = [np.zeros(a.shape) for a in operands]
         for b in np.ndindex(*batch):
             entry = [np.broadcast_to(a, batch + a.shape[-2:])[b] for a in operands]
@@ -224,6 +235,8 @@ class TestGatedReduce:
         for grad, ref in zip(grads, want):
             assert grad.shape == ref.shape
             np.testing.assert_allclose(grad, ref, rtol=1e-13, atol=1e-15)
+        unread = grads[2] if mode == "and" else grads[1]
+        assert not unread.any()
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -236,44 +249,49 @@ class TestGatedReduce:
         st.integers(0, 2**32 - 1),
     )
     def test_matches_soft_operators_per_unit(self, batch, n, d, o, sharp, per_entry, seed):
-        # Each output is soft_and / soft_or of its unit's weighted row, at
-        # the layer's (or the batch entry's) sharpness; inputs hold exact 0
-        # and 1.
+        # Each output is soft_and (first o columns) or soft_or (last o) of
+        # its unit's weighted row, at the layer's (or the batch entry's)
+        # sharpness; inputs hold exact 0 and 1.
         rng = np.random.default_rng(seed)
         x = rng.uniform(0.0, 1.0, batch + (n, d))
         corner = rng.uniform(size=x.shape)
         x[corner < 0.1] = 0.0
         x[corner > 0.9] = 1.0
-        w = rng.uniform(0.0, 1.0, batch + (d, o))
+        w = rng.uniform(0.0, 1.0, (2,) + batch + (d, o))
         sharps = rng.uniform(0.0, sharp, batch + (1, 1)) if per_entry else np.full(batch + (1, 1), sharp)
-        for mode, op in (("and", sl.soft_and), ("or", sl.soft_or)):
-            g = Graph()
-            s = g.leaf(sharps) if per_entry else sharp
-            out = gated_reduce(g.leaf(x), g.leaf(w), mode, s).value
-            assert out.shape == batch + (n, o)
+        g = Graph()
+        s = g.leaf(sharps) if per_entry else sharp
+        out = gated_reduce(g.leaf(x), g.leaf(w[0]), g.leaf(w[1]), s).value
+        assert out.shape == batch + (n, 2 * o)
+        for half, op in enumerate((sl.soft_and, sl.soft_or)):
             for b in np.ndindex(*batch):
                 for i in range(n):
                     for k in range(o):
-                        want = op(x[b][i] * w[b][:, k], float(sharps[b][0, 0]))
-                        assert out[b][i, k] == pytest.approx(want, abs=1e-14)
+                        want = op(x[b][i] * w[half][b][:, k], float(sharps[b][0, 0]))
+                        assert out[b][i, half * o + k] == pytest.approx(want, abs=1e-14)
 
 
 class TestSoftAndAsGraphFunction:
     def test_finite_differences_at_moderate_sharpness(self):
-        # soft_and of a weighted vector, expressed through the fused gate.
+        # soft_and of a weighted vector, expressed through the fused gate:
+        # the loss reads its AND column.
         rng = np.random.default_rng(16)
         z0 = rng.uniform(0.1, 0.9, (1, 5))
 
         def forward(g, ps):
             z = g.leaf(ps[0])
-            return gated_reduce(z, g.leaf(np.ones((5, 1))), "and", 10.0), [z]
+            ones = g.constant(np.ones((5, 1)))
+            out = gated_reduce(z, ones, ones, 10.0)
+            return ad.matmul(out, g.constant([[1.0], [0.0]])), [z]
 
         assert ad.finite_difference_check(forward, [z0]) <= 1e-5
 
 
 class TestSharpRegimeGradients:
     """x, w and sharpness gradients of ``gated_reduce`` at sharpness 1e2 and
-    1e3 against central differences.
+    1e3 against central differences.  The loss reads both halves; ``mode``
+    names the half whose weights are checked, the other half's are held
+    constant.
 
     The gates vary on a scale of 1/t in z = x w, so the third derivative in
     x or w grows like t^2: central differences err by about h^2 t^2 / 6 from
@@ -294,13 +312,14 @@ class TestSharpRegimeGradients:
         x0 = 0.5 + rng.uniform(-2.0, 2.0, (4, 5)) / sharp
         w0 = 1.0 + rng.uniform(-2.0, 2.0, (5, 3)) / sharp
         s0 = np.array([[sharp]])
-        probe = rng.uniform(0.5, 1.5, (4, 3))
+        probe = np.tile(rng.uniform(0.5, 1.5, (4, 3)), 2)
         eps = np.finfo(np.float64).eps
         h_xw = (eps / sharp**2) ** (1.0 / 3.0)
         h_s = sharp * eps ** (1.0 / 3.0)
 
         def loss(g, x, w, s):
-            out = gated_reduce(x, w, mode, s)
+            other = g.constant(np.broadcast_to(w0, w.shape))  # stacked as w is
+            out = gated_reduce(x, w, other, s) if mode == "and" else gated_reduce(x, other, w, s)
             return ad.reduce_sum(ad.reduce_sum(ad.mul(out, g.constant(probe)), "cols"), "rows")
 
         def forward_xw(g, ps):

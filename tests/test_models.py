@@ -1,5 +1,7 @@
 """Model assembly tests: parameter counts, init determinism, output range,
-prediction thresholding, end-to-end gradients."""
+prediction thresholding, end-to-end gradients, the ops on a training tape."""
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from logiclab import autodiff as ad
 from logiclab.autodiff import Graph
 from logiclab.checks import GRAD_TOLERANCE, GRADCHECKS, run_gradcheck
-from logiclab.experiments import ToyDataset, evaluate
+from logiclab.experiments import ToyDataset, TrainConfig, evaluate, generate_toy_data, train
 from logiclab.models import (
     ModelSpec,
     build_model,
@@ -184,3 +186,29 @@ class TestGradients:
         assert zero_b_head >= 1
         rng.bit_generator.state = CLAMPED_RELU_STATE
         assert run_gradcheck(check, 20, rng) <= GRAD_TOLERANCE
+
+
+class TestLayerTape:
+    """The ops on a training tape, counted exactly: a Logicron's layer is one
+    ``gated_reduce`` node with no ``concat_cols``; the negation branch adds
+    one ``concat_cols``."""
+
+    @pytest.mark.parametrize("name, concats", [("Logicron", 0), ("Logicron+Neg", 1)])
+    def test_training_tape_holds_one_gate_node(self, name, concats, monkeypatch):
+        tapes = []
+        sweep = Graph.backward
+
+        def counted(graph, loss):
+            tapes.append(Counter(node.op for node in graph._nodes))
+            sweep(graph, loss)
+
+        monkeypatch.setattr(Graph, "backward", counted)
+        config = TrainConfig(epochs=1, passes_per_epoch=2, seeds=(0, 1), n_train=20, n_test=20)
+        train_ds, test_ds = generate_toy_data(config.n_train, config.n_test, seed=0)
+        model = build_model(dict(default_model_suite())[name], seed=0)
+        train(model, train_ds, test_ds, config, name, (0,))
+        assert len(tapes) == 2
+        for ops in tapes:
+            assert ops["gated_reduce"] == 1
+            assert ops["concat_cols"] == concats
+            assert not any(op.startswith("gated_reduce_") for op in ops)
