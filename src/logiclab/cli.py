@@ -382,6 +382,10 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: {args.command} ran out of memory; use a smaller configuration "
+              f"({' '.join(str(exc).split()) or 'MemoryError'})", file=sys.stderr)
+        return 2
     raise AssertionError("unreachable")
 
 

@@ -544,15 +544,30 @@ def write_summary_json(path, aggregate: AggregateResult, config: TrainConfig, fo
         fh.write("\n")
 
 
+def _format_rows(values: np.ndarray, fmt) -> Iterable[list[str]]:
+    """Yield each row of a 2-D float64 array as a list of ``fmt(value)``.
+
+    ``fmt`` runs once per distinct value, not once per cell: a boundary grid
+    repeats most of its values (every default grid is symmetric in x1 and
+    x2). Values are told apart by their bit pattern, so -0.0 and +0.0, whose
+    reprs differ, stay apart; keying on float equality would merge them.
+    """
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    table = np.array([fmt(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+    for row in inverse.reshape(values.shape):
+        yield table[row].tolist()
+
+
 def write_grid_csv(path, grid: BoundaryGrid) -> None:
     """One line per grid row: the repr of each value, comma-separated.
 
-    A float repr never needs CSV quoting, so the rows are written directly,
-    each ended by CRLF as ``csv.writer`` ends it, in one write.
+    Each distinct value is formatted once (see ``_format_rows``), keyed on its
+    bits so that -0.0 keeps its sign. A float repr never needs CSV quoting, so
+    the rows are written directly, each ended by CRLF as ``csv.writer`` ends it.
     """
-    rows = grid.values.tolist()
     with open(path, "w", newline="") as fh:
-        fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in rows))
+        fh.writelines(",".join(row) + "\r\n" for row in _format_rows(grid.values, repr))
 
 
 # 3-stop colormap (low, mid, high), linearly interpolated; each grid cell
@@ -572,17 +587,20 @@ def _color_for(v: float) -> str:
 
 
 def write_grid_svg(path, grid: BoundaryGrid) -> None:
-    """Heatmap rendering; row 0 (x2 = 0) is drawn at the bottom."""
+    """Heatmap rendering; row 0 (x2 = 0) is drawn at the bottom.
+
+    Each distinct value is coloured once, keyed on its bits like
+    ``write_grid_csv``.
+    """
     r = grid.values.shape[0]
     size = r * _CELL_PX
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">'
     ]
-    for i in range(r):
+    for i, colors in enumerate(_format_rows(grid.values, _color_for)):
         y = (r - 1 - i) * _CELL_PX
-        for j in range(r):
-            color = _color_for(float(grid.values[i, j]))
+        for j, color in enumerate(colors):
             parts.append(
                 f'<rect x="{j * _CELL_PX}" y="{y}" width="{_CELL_PX}" height="{_CELL_PX}" '
                 f'fill="{color}"/>'

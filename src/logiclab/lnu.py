@@ -314,7 +314,7 @@ def lnu_forward(x: Node, gates: LnuGates) -> Node:
     cfg = gates.config
     if x.shape[-1] != cfg.in_width:
         raise ShapeError(f"layer expects width {cfg.in_width}, input has {x.shape}")
-    if np.any(x.value < -1e-9) or np.any(x.value > 1.0 + 1e-9):
+    if x.value.min(initial=0.0) < -1e-9 or x.value.max(initial=1.0) > 1.0 + 1e-9:
         warnings.warn(
             "layer input has entries outside [0, 1]; gated outputs are no longer "
             "bounded truth degrees",

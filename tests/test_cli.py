@@ -425,6 +425,24 @@ class TestExitCodeContract:
         assert run_cli("train", "--config", str(cfg), "--out", str(out)) == 2
         self._assert_one_error_line(capsys, out)
 
+    @pytest.mark.parametrize("command, target", [
+        ("boundary", "logiclab.cli.decision_boundary_grid"),
+        ("train", "logiclab.experiments.generate_toy_data"),
+    ])
+    def test_allocation_failure_exits_2_with_one_line(self, command, target, tmp_path,
+                                                      capsys, monkeypatch):
+        # Stands in for `boundary --resolution 1000000` or a huge n_train,
+        # without making the allocation.
+        def fail(*args, **kwargs):
+            raise MemoryError("Unable to allocate 931. GiB for an array")
+
+        monkeypatch.setattr(target, fail)
+        assert run_cli(command, "--out", str(tmp_path / "o")) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {command} ran out of memory; use a smaller configuration "
+                                "(Unable to allocate 931. GiB for an array)\n")
+
     @staticmethod
     def _assert_one_error_line(capsys, out):
         captured = capsys.readouterr()

@@ -32,6 +32,7 @@ from logiclab.experiments import (
     write_results_csv,
     write_summary_json,
 )
+from logiclab.experiments import _CELL_PX, _color_for
 from logiclab.models import ModelSpec, build_model
 
 
@@ -393,6 +394,69 @@ class TestEmission:
         text = (tmp_path / "fast.csv").read_bytes()
         assert text == (tmp_path / "oracle.csv").read_bytes()
         assert text == b"-0.0,inf,-inf\r\nnan,5e-324,1e+308\r\n"
+
+    def test_grid_csv_dedup_keeps_values_apart_by_bits(self, tmp_path):
+        # Equal-comparing values with different reprs (+0.0 and -0.0) share a
+        # row, so a writer that deduplicates on float equality fails here.
+        nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                         0xFFF00000DEADBEEF], dtype=np.uint64).view(np.float64)
+        sub = 5e-324
+        values = np.array([
+            [0.0, -0.0, 0.0, -0.0, sub, sub],
+            [-0.0, 0.0, np.inf, -np.inf, -sub, sub],
+            [nans[0], nans[1], nans[2], nans[3], -0.0, 2.2250738585072e-308],
+            [np.inf, -np.inf, 2.2250738585072e-308, sub, 0.0, -0.0],
+        ])
+        grid = BoundaryGrid(GridSpec("hard_and", 2), np.linspace(0.0, 1.0, 6), values)
+        write_grid_csv(tmp_path / "fast.csv", grid)
+        self._csv_writer_grid(tmp_path / "oracle.csv", grid)
+        text = (tmp_path / "fast.csv").read_bytes()
+        assert text == (tmp_path / "oracle.csv").read_bytes()
+        assert text.splitlines()[0] == b"0.0,-0.0,0.0,-0.0,5e-324,5e-324"
+
+    @staticmethod
+    def _per_cell_svg(path, grid):
+        """The per-cell writer ``write_grid_svg`` replaced, kept as its oracle."""
+        r = grid.values.shape[0]
+        size = r * _CELL_PX
+        parts = [
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+            f'viewBox="0 0 {size} {size}">'
+        ]
+        for i in range(r):
+            y = (r - 1 - i) * _CELL_PX
+            for j in range(r):
+                color = _color_for(float(grid.values[i, j]))
+                parts.append(
+                    f'<rect x="{j * _CELL_PX}" y="{y}" width="{_CELL_PX}" height="{_CELL_PX}" '
+                    f'fill="{color}"/>'
+                )
+        parts.append("</svg>")
+        with open(path, "w") as fh:
+            fh.write("\n".join(parts))
+            fh.write("\n")
+
+    @pytest.mark.parametrize("name, spec", default_grid_specs(resolution=11))
+    def test_grid_svg_bytes_equal_per_cell_writer(self, tmp_path, name, spec):
+        grid = decision_boundary_grid(spec)
+        write_grid_svg(tmp_path / "fast.svg", grid)
+        self._per_cell_svg(tmp_path / "oracle.svg", grid)
+        assert (tmp_path / "fast.svg").read_bytes() == (tmp_path / "oracle.svg").read_bytes()
+
+    def test_grid_svg_special_values_bytes_equal_per_cell_writer(self, tmp_path):
+        below_half = np.nextafter(0.5, 0.0)
+        values = np.array([
+            [-0.0, 0.0, 5e-324, -5e-324],
+            [0.25, below_half, 0.5, 1.0],
+            [np.inf, -np.inf, 1.5, -1.0],
+            [0.0, -0.0, below_half, 0.5],
+        ])
+        grid = BoundaryGrid(GridSpec("hard_and", 2), np.linspace(0.0, 1.0, 4), values)
+        write_grid_svg(tmp_path / "fast.svg", grid)
+        self._per_cell_svg(tmp_path / "oracle.svg", grid)
+        text = (tmp_path / "fast.svg").read_bytes()
+        assert text == (tmp_path / "oracle.svg").read_bytes()
+        assert text.count(b"<rect") == 16
 
     def test_svg_emission(self, tmp_path):
         grid = decision_boundary_grid(GridSpec("hard_or", resolution=5))

@@ -2,6 +2,7 @@
 gating locality, symmetry, normalization, residual stacking, gradients."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,21 @@ class TestShapes:
     def test_out_of_range_input_warns(self):
         with pytest.warns(RuntimeWarning):
             _forward_values(np.array([[1.5, 0.2]]), _layer(2, 1))
+
+    def test_just_below_zero_warns(self):
+        with pytest.warns(RuntimeWarning):
+            _forward_values(np.array([[-2e-9, 0.2]]), _layer(2, 1))
+
+    @pytest.mark.parametrize("x", [
+        np.array([[0.0, 1.0], [1.0, 0.0]]),
+        np.array([[np.nan, 0.5], [0.2, np.nan]]),
+        np.zeros((0, 2)),
+    ], ids=["exact-bounds", "nan", "zero-rows"])
+    def test_in_range_nan_and_empty_inputs_do_not_warn(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = _forward_values(x, _layer(2, 1))
+        assert out.shape == (x.shape[0], 2)
 
 
 class TestFixedWeightCorners:

@@ -1,0 +1,66 @@
+"""Compare the CLI's outputs in this checkout with those of another checkout.
+
+    python tools/compare_outputs.py OTHER_CHECKOUT
+
+Runs each command below with ``python -m logiclab`` from each tree's
+``src/``, every run in a fresh temporary directory that is also its output
+directory. It compares the exit codes, stdout, stderr and the sha256 of every
+written file, prints one summary line, and exits 1 on any difference.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+
+COMMANDS = (
+    ("train", "--out", "out"),
+    ("gradcheck", "--points", "100"),
+    ("boundary", "--out", "out"),
+    ("boundary", "--svg", "--out", "out"),
+    ("logic-checks",),
+    ("truth-table",),
+)
+STREAMS = ("exit code", "stdout", "stderr")
+
+
+def run(tree: str, argv: tuple[str, ...]) -> dict[str, object]:
+    """One command in a fresh directory: exit code, streams and file digests."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(tree, "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    with tempfile.TemporaryDirectory() as cwd:
+        proc = subprocess.run([sys.executable, "-m", "logiclab", *argv], cwd=cwd, env=env,
+                              capture_output=True)
+        outcome: dict[str, object] = dict(zip(STREAMS, (proc.returncode, proc.stdout, proc.stderr)))
+        for root, _, files in os.walk(cwd):
+            for name in files:
+                path = os.path.join(root, name)
+                with open(path, "rb") as fh:
+                    outcome[os.path.relpath(path, cwd)] = hashlib.sha256(fh.read()).hexdigest()
+    return outcome
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("other", metavar="OTHER_CHECKOUT", help="root of the checkout to compare with")
+    args = parser.parse_args()
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    differences, files = [], 0
+    for argv in COMMANDS:
+        mine, theirs = run(here, argv), run(os.path.abspath(args.other), argv)
+        files += len(mine) - len(STREAMS)
+        for key in sorted(mine.keys() | theirs.keys()):
+            if mine.get(key) != theirs.get(key):
+                differences.append(f"{' '.join(argv)}: {key}")
+    if differences:
+        print(f"DIFFERENT in {len(differences)} place(s): {'; '.join(differences)}")
+        return 1
+    print(f"identical: {len(COMMANDS)} commands, exit codes, stdout, stderr and {files} files")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
