@@ -134,7 +134,9 @@ class Graph:
 
     A graph is single-threaded and must not be shared; node values are never
     mutated after creation, so arrays read out of one graph may safely feed
-    another (parallelism belongs at the whole-run level, one graph each).
+    another.  Parallelism is at the whole-run level: ``run_multi_seed``
+    trains its (chunk, model) batches in forked worker processes, each
+    building its own graphs.
     """
 
     # The tape the last ``backward`` consumed.  The next ``backward`` frees
@@ -387,10 +389,12 @@ def sigmoid_values(x: np.ndarray) -> np.ndarray:
 
     For x >= 0 this is 1 / (1 + e^-x), otherwise e^x / (1 + e^x).  The
     numerator is picked before the division, so each element is divided
-    once, by the same divisor as in a sign-masked split.
+    once, by the same divisor as in a sign-masked split.  As e lies in
+    [0, 1], ``maximum(e, x >= 0)`` picks it without a masked select, and
+    passes on the NaN of a NaN x.
     """
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def sigmoid(x: Node) -> Node:

@@ -6,7 +6,8 @@ runs are independent (fresh data, fresh init, fresh optimizer state).
 ``train`` is the one trainer: it trains the seeds of one model together, as
 one batch whose params, data and Adam moments carry a leading seed axis; no
 operation mixes seeds, so each seed's run is byte for byte what it would be
-alone.  ``run_multi_seed`` draws the data and models and calls it per batch.
+alone.  ``run_multi_seed`` draws the data and models and calls it per batch,
+in forked worker processes when more than one CPU is usable.
 Adam reads its learning rate, betas and eps from ``TrainConfig``, the one
 set of training defaults.
 """
@@ -16,8 +17,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass, field, asdict
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -309,6 +312,29 @@ class AggregateResult:
     single_class: dict[str, list[int]] = field(default_factory=dict)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS keeps
+    one (``taskset -c 0`` makes it 1), else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_tasks(fn: Callable, tasks: list[tuple]) -> list:
+    """``[fn(*task) for task in tasks]``, in forked workers if it can be.
+
+    One worker per usable CPU and never more than tasks.  With one of
+    either, without ``os.fork`` or with other threads running (forking them
+    is unsafe), the tasks run here one after another.
+    """
+    workers = min(_usable_cpus(), len(tasks))
+    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [fn(*task) for task in tasks]
+    from .workers import forked_map  # only a run that forks loads it
+
+    return forked_map(fn, tasks, workers)
+
+
 def run_multi_seed(
     specs: Sequence[tuple[str, ModelSpec]],
     config: TrainConfig,
@@ -320,11 +346,17 @@ def run_multi_seed(
     The seeds are trained in chunks of ``max(1, _ROW_BUDGET // n_train)``,
     each chunk of one model as one batch; runs are returned seed-major, in
     the order of ``config.seeds`` and then of ``specs``.
+
+    Every (chunk, model) batch is built here first.  The batches are
+    independent tasks; with more than one usable CPU they are trained in
+    forked worker processes, one per CPU (see ``_map_tasks``), so the
+    models built here keep their initial parameters.  The runs, and every
+    byte written from them, are the same either way.
     """
     if len(config.seeds) < 2:
         raise ValueError("need at least 2 seeds to report a standard deviation")
     chunk_size = max(1, _ROW_BUDGET // config.n_train)
-    runs: list[RunResult] = []
+    tasks = []
     single_class: dict[str, list[int]] = {"train": [], "test": []}
     for start in range(0, len(config.seeds), chunk_size):
         chunk = config.seeds[start:start + chunk_size]
@@ -338,11 +370,14 @@ def run_multi_seed(
         train_data = _stack_data([train_split for train_split, _ in splits])
         test_data = _stack_data([test_split for _, test_split in splits])
         inits = [init_root.spawn(len(specs)) for _, init_root in roots]
-        batches = []
         for k, (name, spec) in enumerate(specs):
             model = stack_models([build_model(spec, init[k]) for init in inits])
-            batches.append(train(model, train_data, test_data, config, name, chunk))
-        runs.extend(run for seed_runs in zip(*batches) for run in seed_runs)
+            tasks.append((model, train_data, test_data, config, name, chunk))
+    batches = _map_tasks(train, tasks)
+    runs: list[RunResult] = []
+    for start in range(0, len(batches), len(specs)):
+        chunk_batches = batches[start:start + len(specs)]
+        runs.extend(run for seed_runs in zip(*chunk_batches) for run in seed_runs)
 
     stats: dict[str, ModelStats] = {}
     for name, _ in specs:
@@ -571,12 +606,16 @@ def write_grid_csv(path, grid: BoundaryGrid) -> None:
 
 
 # 3-stop colormap (low, mid, high), linearly interpolated; each grid cell
-# is drawn as a square of _CELL_PX pixels.
+# is drawn as a square of _CELL_PX pixels.  A NaN cell, which has no place
+# on the map, is grey.
 _CELL_PX = 4
 _COLOR_STOPS = ((0x44, 0x01, 0x54), (0x21, 0x91, 0x8C), (0xFD, 0xE7, 0x25))
+_NAN_FILL = "#808080"
 
 
 def _color_for(v: float) -> str:
+    if math.isnan(v):
+        return _NAN_FILL
     v = min(max(v, 0.0), 1.0)
     if v < 0.5:
         lo, hi, t = _COLOR_STOPS[0], _COLOR_STOPS[1], v * 2.0

@@ -1,0 +1,111 @@
+"""Independent tasks in forked worker processes.
+
+``forked_map`` runs each task in a child forked for it, a few at a time,
+and returns the results in task order.  A child inherits its task with the
+parent's memory, so nothing is pickled on the way out, and it sends back
+only what the task returned or raised and the warnings it issued.
+``experiments.run_multi_seed`` trains its batches through it and loads this
+module only when it forks.
+"""
+
+from __future__ import annotations
+
+import os
+import pickle
+import select
+import signal
+import sys
+import warnings
+from typing import Callable, NoReturn
+
+__all__ = ["forked_map"]
+
+
+def forked_map(fn: Callable, tasks: list[tuple], workers: int) -> list:
+    """``[fn(*task) for task in tasks]``, each task in a child forked for it
+    and at most ``workers`` children at a time.
+
+    A task that raises makes this raise the same exception, chained to the
+    child's traceback, after the children still running are killed.  The
+    warnings the children recorded are issued again here, task by task,
+    through this process's filters and registries, so a warning that several
+    tasks hit prints once, as in one process.  Every child is reaped before
+    this returns or raises.
+    """
+    results: list = [None] * len(tasks)
+    caught: dict[int, list] = {}
+    todo = list(enumerate(tasks))[::-1]
+    running: dict[int, tuple[int, int, list[bytes]]] = {}  # read fd -> (index, pid, data)
+    try:
+        while todo or running:
+            while todo and len(running) < workers:
+                index, task = todo.pop()
+                read_fd, write_fd = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    os.close(read_fd)
+                    _work(fn, task, write_fd)
+                os.close(write_fd)
+                running[read_fd] = (index, pid, [])
+            ready, _, _ = select.select(list(running), [], [])
+            for fd in ready:
+                index, pid, data = running[fd]
+                chunk = os.read(fd, 1 << 16)
+                if chunk:
+                    data.append(chunk)
+                    continue
+                del running[fd]
+                os.close(fd)
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                if code != 0:
+                    raise RuntimeError(f"a worker exited with code {code} "
+                                       "before returning its result")
+                ok, value, trace, caught[index] = pickle.loads(b"".join(data))
+                if not ok:
+                    raise value from RuntimeError("in a worker process:\n" + trace)
+                results[index] = value
+    finally:
+        for fd, (_, pid, _) in running.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(fd)
+        for index in sorted(caught):
+            _reissue(caught[index])
+    return results
+
+
+def _work(fn: Callable, task: tuple, write_fd: int) -> NoReturn:
+    """A forked child's whole life: run ``fn(*task)`` and write the pickled
+    ``(ok, result or exception, traceback text, warnings)`` to ``write_fd``.
+    It never returns into the parent's stack; the exit code is 0 only after
+    a complete write."""
+    code = 1
+    try:
+        with warnings.catch_warnings(record=True) as issued:
+            try:
+                outcome = (True, fn(*task), None)
+            except BaseException as exc:
+                import traceback
+
+                outcome = (False, exc, "".join(traceback.format_exception(exc)))
+        sent = [(w.message, w.filename, w.lineno) for w in issued]
+        with open(write_fd, "wb") as fh:
+            fh.write(pickle.dumps(outcome + (sent,)))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _reissue(caught: list[tuple[Warning, str, int]]) -> None:
+    """Issue warnings a child recorded as if they were raised here: the
+    module whose file issued one supplies its name and ``__warningregistry__``."""
+    if not caught:
+        return
+    modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
+    for message, filename, lineno in caught:
+        module = modules.get(filename)
+        warnings.warn_explicit(
+            message, type(message), filename, lineno,
+            module=None if module is None else module.__name__,
+            registry=None if module is None else vars(module).setdefault("__warningregistry__", {}),
+        )

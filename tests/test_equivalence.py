@@ -88,6 +88,40 @@ class TestSigmoidKernel:
         assert got.tobytes() == np.where(x >= 0, 1.0 / d, e / d).tobytes()
 
 
+def _where_sigmoid(x):
+    """The kernel's previous form, verbatim: the numerator picked by a
+    masked select."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def _nan(sign, payload):
+    return np.array([np.uint64((sign << 63) | (0x7FF << 52) | payload)]).view(np.float64)[0]
+
+
+class TestSigmoidWithoutMaskedSelect:
+    """``maximum(e, x >= 0)`` picks the numerator with the bytes of the
+    masked select, NaN entries (both signs, several payloads) included."""
+
+    SPECIAL = [0.0, -0.0, np.inf, -np.inf, 1e-320, -1e-320, 745.2, -745.2, 800.0, -800.0,
+               1e308, -1e308, _nan(0, 1 << 51), _nan(1, 1 << 51), _nan(0, 1), _nan(1, 12345)]
+
+    def test_special_values_bytewise(self):
+        x = np.array(self.SPECIAL)
+        assert ad.sigmoid_values(x).tobytes() == _where_sigmoid(x).tobytes()
+        for value in self.SPECIAL:
+            x = np.full((3, 20, 24), value)
+            assert ad.sigmoid_values(x).tobytes() == _where_sigmoid(x).tobytes(), value
+
+    @pytest.mark.parametrize("size", [1, 1000, 24_000, 1_000_000])
+    def test_random_arrays_bytewise(self, size):
+        rng = np.random.default_rng(size)
+        for scale in (1e-3, 1.0, 30.0, 1000.0):
+            x = rng.normal(0.0, scale, size)
+            x[::13] = rng.choice(self.SPECIAL, x[::13].shape)
+            assert ad.sigmoid_values(x).tobytes() == _where_sigmoid(x).tobytes()
+
+
 class TestRankOneMatmulGradient:
     """A dense head's input gradient contracts over its one output column:
     the tape forms it as ``grad * b^T``, which must accumulate to the bytes

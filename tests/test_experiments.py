@@ -3,6 +3,7 @@ aggregation, boundary grids, truth-table sweeps, and file emission."""
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -426,7 +427,8 @@ class TestEmission:
         for i in range(r):
             y = (r - 1 - i) * _CELL_PX
             for j in range(r):
-                color = _color_for(float(grid.values[i, j]))
+                value = float(grid.values[i, j])
+                color = "#808080" if math.isnan(value) else _color_for(value)
                 parts.append(
                     f'<rect x="{j * _CELL_PX}" y="{y}" width="{_CELL_PX}" height="{_CELL_PX}" '
                     f'fill="{color}"/>'
@@ -445,18 +447,24 @@ class TestEmission:
 
     def test_grid_svg_special_values_bytes_equal_per_cell_writer(self, tmp_path):
         below_half = np.nextafter(0.5, 0.0)
+        # NaN of both signs and two payloads; the oracle fills them grey.
+        nan, neg_nan, nan_a, neg_nan_b = np.array(
+            [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFF00000DEADBEEF],
+            dtype=np.uint64).view(np.float64)
         values = np.array([
-            [-0.0, 0.0, 5e-324, -5e-324],
-            [0.25, below_half, 0.5, 1.0],
-            [np.inf, -np.inf, 1.5, -1.0],
-            [0.0, -0.0, below_half, 0.5],
+            [-0.0, 0.0, 5e-324, -5e-324, nan],
+            [0.25, below_half, 0.5, 1.0, neg_nan],
+            [np.inf, -np.inf, 1.5, -1.0, nan_a],
+            [0.0, -0.0, below_half, 0.5, neg_nan_b],
+            [nan, neg_nan, nan_a, neg_nan_b, 0.25],
         ])
-        grid = BoundaryGrid(GridSpec("hard_and", 2), np.linspace(0.0, 1.0, 4), values)
+        grid = BoundaryGrid(GridSpec("hard_and", 2), np.linspace(0.0, 1.0, 5), values)
         write_grid_svg(tmp_path / "fast.svg", grid)
         self._per_cell_svg(tmp_path / "oracle.svg", grid)
         text = (tmp_path / "fast.svg").read_bytes()
         assert text == (tmp_path / "oracle.svg").read_bytes()
-        assert text.count(b"<rect") == 16
+        assert text.count(b"<rect") == 25
+        assert text.count(b'fill="#808080"') == 8
 
     def test_svg_emission(self, tmp_path):
         grid = decision_boundary_grid(GridSpec("hard_or", resolution=5))

@@ -1,12 +1,18 @@
 """Seed batching: ``run_multi_seed`` trains the seeds of a model in chunks,
-each chunk as one batch.  How the seeds are chunked must not change a
-written byte or a trained parameter, and a seed that diverges must not
-reach its batch-mates."""
+each chunk as one batch.  How the seeds are chunked, and whether the
+batches train here or in forked workers, must not change a written byte,
+a trained parameter or a warning, and a seed that diverges must not reach
+its batch-mates."""
+
+import os
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
 
-from logiclab import experiments
+from logiclab import cli, experiments
 from logiclab.experiments import (
     TrainConfig,
     generate_toy_data,
@@ -23,8 +29,10 @@ SHORT = TrainConfig(epochs=3, passes_per_epoch=4, seeds=(0, 1, 2), n_train=20, n
 
 def _recording_run(monkeypatch, tmp_path, row_budget):
     """Run ``run_multi_seed`` under ``row_budget``; return the written files,
-    the seeds of each trained batch and every final (model, seed) param."""
+    the seeds of each trained batch and every final (model, seed) param.
+    It records in this process, so the batches train here."""
     monkeypatch.setattr(experiments, "_ROW_BUDGET", row_budget)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
     batches, finals = [], {}
 
     def recording(model, train_data, test_data, config, model_name, seeds):
@@ -62,6 +70,7 @@ def _stub_batch(model, train_data, test_data, config, model_name, seeds):
     (1000, [(seed,) for seed in range(20)]),
 ])
 def test_chunks_follow_the_row_budget(monkeypatch, n_train, expected):
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)  # record here
     batches = []
 
     def stub(model, train_data, test_data, config, model_name, seeds):
@@ -111,3 +120,118 @@ def test_divergence_stays_in_its_seed(name, param):
         assert repr(runs[i]) == repr(alone)
         for key, arr in solo.params.items():
             assert batch.params[key][i].tobytes() == arr.tobytes(), key
+
+
+# --- training in forked workers ------------------------------------------------
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _train_keeping_params(model, train_data, test_data, config, model_name, seeds):
+    """``train``, with each run carrying its seed's final params and the pid
+    of the process that trained it back to the caller."""
+    runs = train(model, train_data, test_data, config, model_name, seeds)
+    for i, run in enumerate(runs):
+        run.final = {k: arr[i].tobytes() for k, arr in model.params.items()}
+        run.pid = os.getpid()
+    return runs
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_workers_and_serial_loop_are_byte_equal(monkeypatch, tmp_path, cpus):
+    # Two seeds per chunk: 2 chunks x 5 models = 10 tasks, on any host.
+    monkeypatch.setattr(experiments, "_ROW_BUDGET", 2 * SHORT.n_train)
+    monkeypatch.setattr(experiments, "train", _train_keeping_params)
+    outcomes = {}
+    for path, count in (("serial", 1), ("forked", cpus)):
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: count)
+        aggregate = run_multi_seed(default_model_suite(), SHORT)
+        out = tmp_path / path
+        out.mkdir()
+        write_results_csv(out / "results.csv", aggregate.runs)
+        write_summary_json(out / "summary.json", aggregate, SHORT, "f")
+        files = [(out / name).read_bytes() for name in ("results.csv", "summary.json")]
+        finals = [(run.model_name, run.seed, run.final) for run in aggregate.runs]
+        outcomes[path] = files, finals, {run.pid for run in aggregate.runs}
+    assert outcomes["serial"][2] == {os.getpid()}
+    assert os.getpid() not in outcomes["forked"][2] and len(outcomes["forked"][2]) == 10
+    assert outcomes["forked"][:2] == outcomes["serial"][:2]
+    assert len(outcomes["serial"][1]) == 5 * len(SHORT.seeds)
+    _no_child_left()
+
+
+@pytest.mark.parametrize("condition", ["no fork", "another thread"])
+def test_serial_loop_without_fork_or_with_threads(monkeypatch, condition):
+    monkeypatch.setattr(experiments, "train", _train_keeping_params)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    release = threading.Event()
+    helper = threading.Thread(target=release.wait, args=(30.0,))
+    if condition == "no fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+        helper.start()
+    try:
+        aggregate = run_multi_seed(default_model_suite(), SHORT)
+    finally:
+        release.set()
+        if helper.is_alive():
+            helper.join(timeout=30.0)
+    assert not helper.is_alive()
+    assert {run.pid for run in aggregate.runs} == {os.getpid()}
+
+
+def test_workers_issue_warnings_as_one_process_would(monkeypatch):
+    # Learning rate 1e300 overflows every model in every task; each distinct
+    # warning prints once per location either way, in the same order.
+    config = TrainConfig(epochs=2, learning_rate=1e300, passes_per_epoch=2, seeds=(0, 1, 2),
+                         n_train=20, n_test=40)
+    monkeypatch.setattr(experiments, "_ROW_BUDGET", 2 * config.n_train)
+    seen = {}
+    for path, count in (("serial", 1), ("forked", 2)):
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: count)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            run_multi_seed(default_model_suite(), config)
+        seen[path] = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+    assert seen["serial"] and seen["forked"] == seen["serial"]
+    assert len(set(seen["serial"])) == len(seen["serial"])
+    _no_child_left()
+
+
+def _fail_one_task(model, train_data, test_data, config, model_name, seeds):
+    if model_name == "MLP-ReLU":
+        raise MemoryError("Unable to allocate 931. GiB for an array")
+    time.sleep(60.0)  # the other tasks would outlast the test
+
+
+def test_a_failing_task_stops_the_workers(monkeypatch):
+    monkeypatch.setattr(experiments, "train", _fail_one_task)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    start = time.perf_counter()
+    with pytest.raises(MemoryError, match="931. GiB") as raised:
+        run_multi_seed(default_model_suite(), SHORT)
+    assert time.perf_counter() - start < 30.0
+    assert "in a worker process" in str(raised.value.__cause__)
+    assert "_fail_one_task" in str(raised.value.__cause__)
+    _no_child_left()
+
+
+def test_memory_error_in_a_worker_exits_2_with_one_line(monkeypatch, tmp_path, capfd):
+    monkeypatch.setattr(experiments, "train", _fail_one_task)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    assert cli.main(["train", "--out", str(tmp_path / "o")]) == 2
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: train ran out of memory; use a smaller configuration "
+                            "(Unable to allocate 931. GiB for an array)\n")
+    _no_child_left()
+
+
+def test_usable_cpus_follows_the_affinity_mask():
+    if hasattr(os, "sched_getaffinity"):
+        assert experiments._usable_cpus() == len(os.sched_getaffinity(0))
+    else:
+        assert experiments._usable_cpus() == (os.cpu_count() or 1)

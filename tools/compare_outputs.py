@@ -1,11 +1,15 @@
 """Compare the CLI's outputs in this checkout with those of another checkout.
 
-    python tools/compare_outputs.py OTHER_CHECKOUT
+    python tools/compare_outputs.py OTHER_CHECKOUT [--one-cpu]
 
 Runs each command below with ``python -m logiclab`` from each tree's
 ``src/``, every run in a fresh temporary directory that is also its output
 directory. It compares the exit codes, stdout, stderr and the sha256 of every
 written file, prints one summary line, and exits 1 on any difference.
+
+``--one-cpu`` pins the other tree's runs to one CPU, so ``train`` runs its
+serial loop there; ``python tools/compare_outputs.py . --one-cpu`` checks the
+forked training workers against it.
 """
 
 from __future__ import annotations
@@ -28,12 +32,14 @@ COMMANDS = (
 STREAMS = ("exit code", "stdout", "stderr")
 
 
-def run(tree: str, argv: tuple[str, ...]) -> dict[str, object]:
-    """One command in a fresh directory: exit code, streams and file digests."""
+def run(tree: str, argv: tuple[str, ...], cpus: set[int] | None = None) -> dict[str, object]:
+    """One command in a fresh directory, on ``cpus`` if given: exit code,
+    streams and file digests."""
     env = {**os.environ, "PYTHONPATH": os.path.join(tree, "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    pin = None if cpus is None else (lambda: os.sched_setaffinity(0, cpus))
     with tempfile.TemporaryDirectory() as cwd:
         proc = subprocess.run([sys.executable, "-m", "logiclab", *argv], cwd=cwd, env=env,
-                              capture_output=True)
+                              capture_output=True, preexec_fn=pin)
         outcome: dict[str, object] = dict(zip(STREAMS, (proc.returncode, proc.stdout, proc.stderr)))
         for root, _, files in os.walk(cwd):
             for name in files:
@@ -46,11 +52,18 @@ def run(tree: str, argv: tuple[str, ...]) -> dict[str, object]:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("other", metavar="OTHER_CHECKOUT", help="root of the checkout to compare with")
+    parser.add_argument("--one-cpu", action="store_true",
+                        help="run the other checkout's commands on one CPU")
     args = parser.parse_args()
+    cpus = None
+    if args.one_cpu:
+        if not hasattr(os, "sched_setaffinity"):
+            parser.error("--one-cpu needs os.sched_setaffinity")
+        cpus = {min(os.sched_getaffinity(0))}
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     differences, files = [], 0
     for argv in COMMANDS:
-        mine, theirs = run(here, argv), run(os.path.abspath(args.other), argv)
+        mine, theirs = run(here, argv), run(os.path.abspath(args.other), argv, cpus)
         files += len(mine) - len(STREAMS)
         for key in sorted(mine.keys() | theirs.keys()):
             if mine.get(key) != theirs.get(key):
