@@ -149,6 +149,12 @@ class Graph:
     # to the cyclic collector, 852 k with each tape freed at the end of its
     # own sweep (``run_rel`` +20 %), 258 k with it freed at the end of the
     # next sweep (+7 %) and 24 k as here (-8 %).  Nothing reads the slot.
+    # Those counts were taken under glibc's adaptive heap thresholds, which
+    # still hold wherever logiclab runs in a process it does not own: the
+    # serial training loop and the checks called as a library.  A forked
+    # training worker and the ``logiclab`` program pin the thresholds
+    # (``workers.pin_heap_thresholds``); there malloc keeps its freed heap
+    # with or without the slot.
     _spent: tuple[list[Node], list] | None = None
 
     def __init__(self) -> None:

@@ -390,6 +390,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
+    """The ``logiclab`` program: ``main`` in a process of its own, whose heap
+    thresholds are pinned first (``workers.pin_heap_thresholds``); workers
+    forked from it inherit them.  ``main`` leaves a caller's allocator alone."""
+    from .workers import pin_heap_thresholds
+
+    pin_heap_thresholds()
     sys.exit(main())
 
 

@@ -70,7 +70,9 @@ class ModelSpec:
             raise ValueError(f"input_dim must be >= 1, got {self.input_dim}")
         if self.hidden is not None and self.hidden < 1:
             raise ValueError(f"hidden must be >= 1, got {self.hidden}")
-        check_sharpness(self.sharpness)
+        # A Logicron trains its sharpness as softplus(rho) > 0, so it cannot start at 0.
+        if check_sharpness(self.sharpness) == 0.0 and self.kind != "perceptron":
+            raise ValueError(f"a {self.kind} needs an initial sharpness > 0, got {self.sharpness}")
 
     @property
     def resolved_hidden(self) -> int:

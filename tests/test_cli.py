@@ -346,11 +346,21 @@ class TestExitCodeContract:
         assert run_cli(*argv, *extra) == 2
         self._assert_one_error_line(capsys, out)
 
+    @pytest.mark.parametrize("argv", [
+        ("truth-table", "--sharpness", "0"),
+        ("boundary", "--beta", "0", "--resolution", "3"),
+    ])
+    def test_a_fixed_sharpness_of_zero_is_accepted(self, argv, tmp_path):
+        # Only a trained sharpness, softplus(rho), must start above 0.
+        extra = ("--out", str(tmp_path)) if argv[0] == "boundary" else ()
+        assert run_cli(*argv, *extra) == 0
+
     @pytest.mark.parametrize("section", [
         "[task]\nformula = " + "~" * 5000 + "x1\n",
         "[task]\nformula = " + " & ".join(["x1"] * 1200) + "\n",
         "[models]\nsharpness = nan\n",
         "[models]\nsharpness = inf\n",
+        "[models]\nsharpness = 0\n",
         "[models]\nperceptron_hidden = 0\n",
     ])
     def test_bad_train_config_rejected_with_one_line(self, section, tmp_path, capsys):

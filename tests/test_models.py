@@ -100,6 +100,16 @@ class TestBuild:
             with pytest.raises(ValueError, match="sharpness"):
                 default_model_suite(sharpness=bad)
 
+    def test_a_trained_sharpness_cannot_start_at_zero(self):
+        # A Logicron trains softplus(rho) > 0; a perceptron has no sharpness.
+        for kind in ("logicron", "logicron_neg"):
+            for zero in (0.0, -0.0):
+                with pytest.raises(ValueError, match="sharpness > 0"):
+                    ModelSpec(kind, sharpness=zero)
+        with pytest.raises(ValueError, match="sharpness > 0"):
+            default_model_suite(sharpness=0.0)
+        assert ModelSpec("perceptron", sharpness=0.0).sharpness == 0.0
+
     @pytest.mark.parametrize("name", ["MLP-GeLU", "Logicron+Neg"])
     def test_with_params_leaves_the_model_as_it_is(self, name):
         model = build_model(dict(default_model_suite())[name], seed=7)
