@@ -53,7 +53,6 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "scale",
     "one_minus",
     "matmul",
     "activation",
@@ -320,15 +319,6 @@ def mul(a: Node, b: Node) -> Node:
             b.grad += _unbroadcast(grad * a.value, b.shape)
 
     return g.record(out_val, (a, b), backward, op="mul")
-
-
-def scale(x: Node, constant: float) -> Node:
-    c = float(constant)
-
-    def backward(grad: np.ndarray) -> None:
-        x.grad += c * grad
-
-    return x.graph.record(c * x.value, (x,), backward, op="scale")
 
 
 def one_minus(x: Node) -> Node:

@@ -199,6 +199,8 @@ def _model_specs(cfg: ExperimentConfig, input_dim: int) -> list[tuple[str, Model
     for key in cfg.include:
         if key not in by_key:
             raise ConfigError(f"unknown model {key!r}; choose from {sorted(by_key)}")
+        if cfg.include.count(key) > 1:
+            raise ConfigError(f"model {key!r} is included more than once")
         specs.append(by_key[key])
     if not specs:
         raise ConfigError("no models selected")

@@ -60,11 +60,15 @@ DEFAULT_FORMULA_TEXT = "(x1 | x2) & ~x3"
 # Training rows per batch: ``run_multi_seed`` trains up to
 # ``max(1, _ROW_BUDGET // n_train)`` seeds of a model as one batch.  Batching
 # removes per-op overhead, which dominates small tapes; by about 1,000 rows
-# a step's cost is mostly the arithmetic.  Two seeds of 1,000 rows batched
-# (a budget of 2,000) train about 8 % faster than one at a time, but peak RSS
-# rises by 11 %: 41.7 -> 46.3 MB on perfbench's wide workload (4 pairs,
-# python 3.11, numpy 2.4, one BLAS thread on a 2-CPU Xeon).  perfbench bounds
-# peak RSS at +10 %, so the budget stays below 1,000.
+# a step's cost is mostly the arithmetic.  The batches train in forked
+# workers, whose peak RSS grows with the budget.  At perfbench's wide
+# configuration (five models, two seeds of 1,000 rows) the workers peak at
+# 29.9-30.0 MB with 512, one seed per batch, and at 34.4-34.8 MB with 2,000,
+# two seeds per batch: +15 %.  The calling process peaks at 35.8 MB either
+# way (7 runs each, RUSAGE_CHILDREN and RUSAGE_SELF; python 3.11, numpy 2.4,
+# one BLAS thread, 2 CPUs of a Xeon).  Those runs took 0.81-0.97 s at 2,000
+# and 0.88-1.76 s at 512.  The budget stays below 1,000 rows, so a worker
+# holds one wide seed at a time.
 _ROW_BUDGET = 512
 
 
@@ -351,10 +355,15 @@ def run_multi_seed(
     independent tasks; with more than one usable CPU they are trained in
     forked worker processes, one per CPU (see ``_map_tasks``), so the
     models built here keep their initial parameters.  The runs, and every
-    byte written from them, are the same either way.
+    byte written from them, are the same either way.  The stats are keyed
+    by spec name, so the names must be distinct.
     """
     if len(config.seeds) < 2:
         raise ValueError("need at least 2 seeds to report a standard deviation")
+    names = [name for name, _ in specs]
+    for name in names:
+        if names.count(name) > 1:
+            raise ValueError(f"model {name!r} is given more than once")
     chunk_size = max(1, _ROW_BUDGET // config.n_train)
     tasks = []
     single_class: dict[str, list[int]] = {"train": [], "test": []}

@@ -14,33 +14,25 @@ a Xeon).
 
 Inputs, weights and a trainable sharpness may carry the same leading batch
 axes (one layer per batch entry), as every autodiff value may.  An optional
-negation branch ``1 - sigmoid(x W)`` and an optional ``1/sqrt(d)`` output
-scaling can be attached.  Layers stack, optionally through implication
-residuals ``soft_imply(x, layer(x))``.
+negation branch ``1 - sigmoid(x W)`` can be attached.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Graph, Node, ShapeError, _check_broadcast, _unbroadcast
+from .autodiff import Node, ShapeError, _check_broadcast, _unbroadcast
 from .softlogic import check_sharpness, gate
 
 __all__ = [
     "LnuParams",
     "LnuGates",
-    "LnuStack",
     "gated_reduce",
-    "soft_imply_nodes",
-    "lift_layer",
-    "lift_stack",
     "lnu_forward",
-    "lnu_stack_forward",
     "inverse_softplus",
 ]
 
@@ -83,7 +75,7 @@ def gated_reduce(x: Node, w_and: Node, w_or: Node, sharpness: float | Node) -> N
     The gradients reach the leaves as those of an AND node recorded before an
     OR node would in a reverse sweep, so the bytes do not depend on the
     fusion.  The order shows where a leaf already holds a gradient from
-    another node, as a stack's inputs and a shared sharpness do:
+    another node, as the input of a layer with a negation branch does:
 
     - w: one ``einsum`` contracts the buffer with x^T over n, split back
       into its halves.  Its inner loop runs along the 2o units with n
@@ -176,14 +168,6 @@ def gated_reduce(x: Node, w_and: Node, w_or: Node, sharpness: float | Node) -> N
     return x.graph.record(out_val, inputs, backward, op="gated_reduce")
 
 
-def soft_imply_nodes(a: Node, b: Node, sharpness: float | Node) -> Node:
-    """Elementwise soft-OR of (1 - a, b): u + (v - u) * sigmoid(s * (v - u))."""
-    u = ad.one_minus(a)
-    d = ad.sub(b, u)
-    scaled = ad.mul(d, sharpness) if isinstance(sharpness, Node) else ad.scale(d, sharpness)
-    return ad.add(u, ad.mul(d, ad.sigmoid(scaled)))
-
-
 @dataclass
 class LnuParams:
     """One layer's trainables and configuration.
@@ -200,7 +184,6 @@ class LnuParams:
     sharpness: float = 10.0
     rho: np.ndarray | None = None
     w_not: np.ndarray | None = None
-    normalize: bool = False
 
     def __post_init__(self) -> None:
         self.w_and = ad.as_array(self.w_and)
@@ -232,7 +215,6 @@ class LnuParams:
         sharpness: float = 10.0,
         trainable_sharpness: bool = False,
         negation_units: int = 0,
-        normalize: bool = False,
         rng: np.random.Generator | None = None,
     ) -> "LnuParams":
         """Initialize gating weights uniform in [0.25, 0.75]; negation weights zero."""
@@ -245,19 +227,11 @@ class LnuParams:
         sharpness = check_sharpness(sharpness)
         rho = np.array([[inverse_softplus(sharpness)]]) if trainable_sharpness else None
         w_not = np.zeros((in_width, negation_units)) if negation_units > 0 else None
-        return cls(w_and, w_or, sharpness=sharpness, rho=rho, w_not=w_not, normalize=normalize)
-
-    @property
-    def in_width(self) -> int:
-        return self.w_and.shape[-2]
-
-    @property
-    def units(self) -> int:
-        return self.w_and.shape[-1]
+        return cls(w_and, w_or, sharpness=sharpness, rho=rho, w_not=w_not)
 
     @property
     def out_width(self) -> int:
-        width = 2 * self.units
+        width = 2 * self.w_and.shape[-1]
         if self.w_not is not None:
             width += self.w_not.shape[-1]
         return width
@@ -273,47 +247,20 @@ class LnuParams:
 
 @dataclass
 class LnuGates:
-    """A layer lifted onto one graph: leaf nodes plus the resolved sharpness."""
+    """A layer's leaf nodes on one graph and its resolved sharpness: a float,
+    or a ``(..., 1, 1)`` node such as ``softplus(rho)``."""
 
-    config: LnuParams
     w_and: Node
     w_or: Node
-    rho: Node | None = None
+    sharp: Node | float
     w_not: Node | None = None
-    sharp: Node | float = field(default=0.0)
-
-    def leaves(self) -> dict[str, Node]:
-        out = {"w_and": self.w_and, "w_or": self.w_or}
-        if self.rho is not None:
-            out["rho"] = self.rho
-        if self.w_not is not None:
-            out["w_not"] = self.w_not
-        return out
-
-
-def lift_layer(graph: Graph, params: LnuParams) -> LnuGates:
-    """Create leaf nodes for one layer's trainables on ``graph``."""
-    gates = LnuGates(
-        config=params,
-        w_and=graph.leaf(params.w_and),
-        w_or=graph.leaf(params.w_or),
-    )
-    if params.rho is not None:
-        gates.rho = graph.leaf(params.rho)
-        gates.sharp = ad.softplus(gates.rho)
-    else:
-        gates.sharp = params.sharpness
-    if params.w_not is not None:
-        gates.w_not = graph.leaf(params.w_not)
-    return gates
 
 
 def lnu_forward(x: Node, gates: LnuGates) -> Node:
-    """Apply one gated logic layer, lifted onto ``x``'s graph by ``lift_layer``;
-    output width 2*units (+negation units)."""
-    cfg = gates.config
-    if x.shape[-1] != cfg.in_width:
-        raise ShapeError(f"layer expects width {cfg.in_width}, input has {x.shape}")
+    """Apply one gated logic layer; output width 2*units (+negation units)."""
+    width = gates.w_and.shape[-2]
+    if x.shape[-1] != width:
+        raise ShapeError(f"layer expects width {width}, input has {x.shape}")
     if x.value.min(initial=0.0) < -1e-9 or x.value.max(initial=1.0) > 1.0 + 1e-9:
         warnings.warn(
             "layer input has entries outside [0, 1]; gated outputs are no longer "
@@ -322,59 +269,6 @@ def lnu_forward(x: Node, gates: LnuGates) -> Node:
             stacklevel=2,
         )
     out = gated_reduce(x, gates.w_and, gates.w_or, gates.sharp)
-    if cfg.normalize:
-        out = ad.scale(out, 1.0 / math.sqrt(cfg.in_width))
     if gates.w_not is not None:
         out = ad.concat_cols(out, ad.one_minus(ad.sigmoid(ad.matmul(x, gates.w_not))))
-    return out
-
-
-@dataclass
-class LnuStack:
-    """Ordered layers; widths must chain, residuals additionally need in == out."""
-
-    layers: list[LnuParams]
-    residual_mode: str = "none"
-
-    def __post_init__(self) -> None:
-        if not self.layers:
-            raise ValueError("a stack needs at least one layer")
-        if self.residual_mode not in ("none", "soft-imply"):
-            raise ValueError(f"residual_mode must be 'none' or 'soft-imply', got {self.residual_mode!r}")
-        for i in range(1, len(self.layers)):
-            prev, cur = self.layers[i - 1], self.layers[i]
-            if prev.out_width != cur.in_width:
-                raise ShapeError(
-                    f"layer {i} expects width {cur.in_width} but layer {i - 1} "
-                    f"produces {prev.out_width}"
-                )
-        if self.residual_mode == "soft-imply":
-            for i, layer in enumerate(self.layers):
-                if layer.in_width != layer.out_width:
-                    raise ShapeError(
-                        f"soft-imply residuals need matching widths; layer {i} maps "
-                        f"{layer.in_width} -> {layer.out_width}"
-                    )
-
-    def trainables(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for i, layer in enumerate(self.layers):
-            for name, arr in layer.trainables().items():
-                out[f"layer{i}.{name}"] = arr
-        return out
-
-
-def lift_stack(graph: Graph, stack: LnuStack) -> list[LnuGates]:
-    return [lift_layer(graph, layer) for layer in stack.layers]
-
-
-def lnu_stack_forward(x: Node, stack: LnuStack, gates: list[LnuGates]) -> Node:
-    """Run the stack, lifted onto ``x``'s graph by ``lift_stack``; with
-    soft-imply residuals each layer yields imply(x, layer(x))."""
-    out = x
-    for layer_gates in gates:
-        produced = lnu_forward(out, layer_gates)
-        if stack.residual_mode == "soft-imply":
-            produced = soft_imply_nodes(out, produced, layer_gates.sharp)
-        out = produced
     return out

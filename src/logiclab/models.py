@@ -8,13 +8,14 @@ sharpness) and 110 (logicron with a 9-unit negation branch).
 
 A batch of models is one model whose params carry a leading seed axis
 (``stack_models``); its ``forward`` is the same code on stacked inputs.
-``with_params`` gives a model any other params of the same names.
+Every trainable array lives in the model's ``params`` and nowhere else, and
+``forward`` lifts each onto the graph from there, so ``with_params`` gives
+a model any other params of the same names by swapping that one dict.
 """
 
 from __future__ import annotations
 
 import copy
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Graph, Node
-from .lnu import LnuParams, lift_layer, lnu_forward
+from .lnu import LnuGates, LnuParams, lnu_forward
 from .softlogic import check_sharpness
 
 __all__ = [
@@ -116,7 +117,7 @@ class Logicron:
     def __init__(self, spec: ModelSpec, rng: np.random.Generator):
         units = spec.resolved_hidden
         self.spec = spec
-        self.lnu = LnuParams.create(
+        layer = LnuParams.create(
             spec.input_dim,
             units,
             sharpness=spec.sharpness,
@@ -124,17 +125,16 @@ class Logicron:
             negation_units=units if spec.kind == "logicron_neg" else 0,
             rng=rng,
         )
-        self.params: dict[str, np.ndarray] = dict(self.lnu.trainables())
-        self.params["w_head"] = _glorot(rng, self.lnu.out_width, 1)
+        self.params: dict[str, np.ndarray] = layer.trainables()
+        self.params["w_head"] = _glorot(rng, layer.out_width, 1)
         self.params["b_head"] = np.zeros((1, 1))
 
     def forward(self, graph: Graph, inputs: np.ndarray) -> tuple[Node, dict[str, Node]]:
-        gates = lift_layer(graph, self.lnu)
-        leaves: dict[str, Node] = dict(gates.leaves())
-        leaves["w_head"] = graph.leaf(self.params["w_head"])
-        leaves["b_head"] = graph.leaf(self.params["b_head"])
-        x = graph.constant(inputs)
-        hidden = lnu_forward(x, gates)
+        leaves = {name: graph.leaf(arr) for name, arr in self.params.items()}
+        gates = LnuGates(
+            leaves["w_and"], leaves["w_or"], ad.softplus(leaves["rho"]), leaves.get("w_not")
+        )
+        hidden = lnu_forward(graph.constant(inputs), gates)
         logits = ad.add(ad.matmul(hidden, leaves["w_head"]), leaves["b_head"])
         return ad.sigmoid(logits), leaves
 
@@ -163,15 +163,9 @@ def stack_models(models: Sequence[Model]) -> Model:
 
 def with_params(model: Model, params: dict[str, np.ndarray]) -> Model:
     """A copy of ``model`` that holds ``params`` (same names, any leading
-    batch axes); ``model`` itself is left as it is."""
+    batch axes), the very arrays given; ``model`` itself is left as it is."""
     out = copy.copy(model)
-    params = dict(params)
-    if isinstance(out, Logicron):
-        out.lnu = dataclasses.replace(
-            out.lnu, **{name: params[name] for name in out.lnu.trainables()}
-        )
-        params.update(out.lnu.trainables())  # one array per param, shared with lnu
-    out.params = params
+    out.params = dict(params)
     return out
 
 

@@ -99,7 +99,7 @@ def test_criterion_3_truth_table_fidelity():
 def test_criterion_4_gradient_correctness():
     required = {
         "lnu_layer",
-        "lnu_stack_depth3_residual",
+        "lnu_layer_trainable_full",
         "logicron",
         "logicron_neg",
         "perceptron_sigmoid",

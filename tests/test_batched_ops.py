@@ -77,7 +77,8 @@ class TestElementwise:
     def test_scale_and_one_minus(self, s, n, c, seed):
         rng = np.random.default_rng(seed)
         slices = [_draw(rng, [(n, c)]) for _ in range(s)]
-        assert_batch_equals_slices(lambda x: ad.scale(x, 1.7), slices, seed)
+        # Scaling by a constant without batch axes.
+        assert_batch_equals_slices(lambda x: ad.mul(x, x.graph.constant([[1.7]])), slices, seed)
         assert_batch_equals_slices(ad.one_minus, slices, seed)
 
 

@@ -370,6 +370,17 @@ class TestExitCodeContract:
         assert run_cli("train", "--config", str(cfg), "--out", str(out)) == 2
         self._assert_one_error_line(capsys, out)
 
+    @pytest.mark.parametrize("include", ["logicron, logicron", "mlp-relu, logicron, mlp-relu"])
+    def test_a_model_included_twice_is_rejected_with_one_line(self, include, tmp_path, capsys):
+        # It used to train the model twice, write every results.csv row twice
+        # and take the summary's std over the seeds counted twice.
+        out = tmp_path / "o"
+        cfg = tmp_path / "config.ini"
+        cfg.write_text(f"[models]\ninclude = {include}\n[train]\nseeds = 2\nepochs = 1\n")
+        assert run_cli("train", "--config", str(cfg), "--out", str(out)) == 2
+        line = self._assert_one_error_line(capsys, out)
+        assert f"model {include.split(',')[0]!r} is included more than once" in line
+
     @pytest.mark.parametrize("content", [
         b"epochs = 2\n",  # no section header
         b"[train]\nepochs = 2\n# caf\xe9\n",  # Latin-1, not UTF-8

@@ -19,7 +19,7 @@ from logiclab.experiments import (
     write_summary_json,
 )
 from logiclab.lnu import gated_reduce
-from logiclab.models import ModelSpec, build_model, default_model_suite
+from logiclab.models import ModelSpec, build_model, default_model_suite, with_params
 from logiclab.softlogic import parse_formula
 
 
@@ -205,8 +205,13 @@ class TestFlatAdam:
         optimizer = Adam(model.params, TrainConfig())
         optimizer.step({k: np.ones_like(a) for k, a in model.params.items()})
         assert {name: id(arr) for name, arr in model.params.items()} == ids
-        assert model.lnu.w_and is model.params["w_and"]
-        assert model.lnu.rho is model.params["rho"]
+        # The forward reads the arrays Adam updated: it equals a fresh model given copies of them.
+        x = np.random.default_rng(0).uniform(0.0, 1.0, (4, 3))
+        fresh = build_model(ModelSpec("logicron_neg"), seed=0)
+        updated = with_params(fresh, {k: a.copy() for k, a in model.params.items()})
+        out = model.forward(Graph(), x)[0].value
+        assert out.tobytes() == updated.forward(Graph(), x)[0].value.tobytes()
+        assert out.tobytes() != fresh.forward(Graph(), x)[0].value.tobytes()
 
 
 def _param_grads(model, inputs, labels):

@@ -204,6 +204,12 @@ class TestMultiSeed:
         with pytest.raises(ValueError):
             run_multi_seed(self._specs(), TrainConfig(seeds=(0,)))
 
+    def test_rejects_a_name_given_twice(self):
+        # The stats are keyed by name, so a repeated name would pool two models' runs.
+        specs = self._specs() + [("tiny-mlp", ModelSpec("perceptron", hidden=5))]
+        with pytest.raises(ValueError, match="'tiny-mlp' is given more than once"):
+            run_multi_seed(specs, FAST)
+
     def test_constant_prediction_model_has_zero_std(self):
         stats = AggregateResult(
             runs=[],

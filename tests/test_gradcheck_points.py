@@ -132,3 +132,14 @@ def test_wrong_rule_fails_as_per_point_loop(check, bound):
     batched = run_gradcheck(check, 7, np.random.default_rng(1))
     assert batched.hex() == _per_point_run_gradcheck(check, 7, np.random.default_rng(1)).hex()
     assert batched >= bound
+
+
+def test_a_model_check_builds_its_structure_once(monkeypatch):
+    # One model per drawn point, plus at most one that carries the structure
+    # for every forward of the check, built through the module's build_model.
+    built = []
+    build = checks.build_model
+    monkeypatch.setattr(checks, "build_model", lambda *args: built.append(args) or build(*args))
+    run_gradcheck(GRADCHECKS["logicron_neg"], 5, np.random.default_rng(0))
+    assert 5 <= len(built) <= 6
+    assert all(len(args) == 2 for args in built[:5])  # the draws pass a seed

@@ -1,5 +1,5 @@
 """Gated logic layer tests: branch shapes, the fixed-weight corner values,
-gating locality, symmetry, normalization, residual stacking, gradients."""
+gating locality, symmetry, gradients."""
 
 import dataclasses
 import warnings
@@ -12,26 +12,23 @@ from hypothesis import strategies as st
 from logiclab import autodiff as ad
 from logiclab import softlogic as sl
 from logiclab.autodiff import Graph, ShapeError
-from logiclab.lnu import (
-    LnuParams,
-    LnuStack,
-    gated_reduce,
-    inverse_softplus,
-    lift_layer,
-    lift_stack,
-    lnu_forward,
-    lnu_stack_forward,
-    soft_imply_nodes,
-)
+from logiclab.lnu import LnuGates, LnuParams, gated_reduce, inverse_softplus, lnu_forward
 
 
 def _layer(in_width, units, **kw):
     return LnuParams.create(in_width, units, rng=np.random.default_rng(0), **kw)
 
 
+def _lift(g, params):
+    """``params`` on graph ``g``: its leaves by trainable name, and its gates."""
+    leaves = {name: g.leaf(arr) for name, arr in params.trainables().items()}
+    sharp = ad.softplus(leaves["rho"]) if "rho" in leaves else params.sharpness
+    return leaves, LnuGates(leaves["w_and"], leaves["w_or"], sharp, leaves.get("w_not"))
+
+
 def _forward_values(x, params):
     g = Graph()
-    return lnu_forward(g.leaf(x), lift_layer(g, params)).value
+    return lnu_forward(g.leaf(x), _lift(g, params)[1]).value
 
 
 class TestShapes:
@@ -50,6 +47,13 @@ class TestShapes:
     def test_width_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             _forward_values(np.zeros((2, 3)), _layer(4, 2))
+
+    def test_width_is_checked_before_the_range_scan(self):
+        # An input of the wrong width is a shape error, whatever its values.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ShapeError, match="layer expects width 4"):
+                _forward_values(np.full((2, 3), 2.0), _layer(4, 2, negation_units=1))
 
     def test_out_of_range_input_warns(self):
         with pytest.warns(RuntimeWarning):
@@ -73,7 +77,7 @@ class TestShapes:
 
 class TestFixedWeightCorners:
     """The half-weight unit at high sharpness, matching the reference
-    boundary setup (weights 0.5, sharpness 100, no normalization)."""
+    boundary setup (weights 0.5, sharpness 100)."""
 
     def _unit(self, x_row):
         params = LnuParams(
@@ -142,22 +146,6 @@ class TestLayerProperties:
         out = _forward_values(x, params)
         assert np.all(out >= 0.0) and np.all(out <= 1.0)
 
-    def test_normalization_scales_gated_branches_only(self):
-        rng = np.random.default_rng(8)
-        x = rng.uniform(0, 1, (4, 4))
-        plain = _layer(4, 2, negation_units=2)
-        scaled = LnuParams(
-            w_and=plain.w_and.copy(),
-            w_or=plain.w_or.copy(),
-            sharpness=plain.sharpness,
-            w_not=plain.w_not.copy(),
-            normalize=True,
-        )
-        out_plain = _forward_values(x, plain)
-        out_scaled = _forward_values(x, scaled)
-        np.testing.assert_allclose(out_scaled[:, :4], out_plain[:, :4] / 2.0, atol=1e-12)
-        np.testing.assert_allclose(out_scaled[:, 4:], out_plain[:, 4:], atol=1e-12)
-
     def test_zero_negation_weights_give_half(self):
         params = _layer(3, 2, negation_units=2)
         out = _forward_values(np.random.default_rng(9).uniform(0, 1, (3, 3)), params)
@@ -193,10 +181,9 @@ class TestGatedReduce:
         names = list(params.trainables())
 
         def forward(g, ps):
-            gates = lift_layer(g, dataclasses.replace(params, **dict(zip(names, ps))))
+            leaves, gates = _lift(g, dataclasses.replace(params, **dict(zip(names, ps))))
             out = lnu_forward(g.leaf(x0), gates)
             loss = ad.reduce_sum(ad.reduce_sum(ad.mul(out, g.leaf(probe)), "cols"), "rows")
-            leaves = gates.leaves()
             return loss, [leaves[n] for n in names]
 
         err = ad.finite_difference_check(forward, list(params.trainables().values()))
@@ -359,82 +346,6 @@ class TestSharpRegimeGradients:
         assert np.abs(x.grad).min() > 100.0 * floor / h_xw
         assert np.abs(w.grad).min() > 100.0 * floor / h_xw
         assert np.abs(s.grad).min() > 100.0 * floor / h_s
-
-
-class TestSoftImplyNodes:
-    def test_matches_reference(self):
-        rng = np.random.default_rng(11)
-        a, b = rng.uniform(0, 1, (3, 2)), rng.uniform(0, 1, (3, 2))
-        g = Graph()
-        out = soft_imply_nodes(g.leaf(a), g.leaf(b), 17.0)
-        np.testing.assert_allclose(out.value, sl.soft_imply(a, b, 17.0), atol=1e-12)
-
-    def test_self_implication_lower_bound(self):
-        rng = np.random.default_rng(12)
-        x = rng.uniform(0, 1, (20, 5))
-        g = Graph()
-        out = soft_imply_nodes(g.leaf(x), g.leaf(x), 200.0)
-        assert np.all(out.value >= 0.5 - 1e-6)
-
-
-class TestStacks:
-    def test_single_layer_stack_equals_layer(self):
-        params = _layer(3, 2)
-        x = np.random.default_rng(13).uniform(0, 1, (4, 3))
-        g = Graph()
-        stack = LnuStack([params])
-        via_stack = lnu_stack_forward(g.leaf(x), stack, lift_stack(g, stack))
-        np.testing.assert_array_equal(via_stack.value, _forward_values(x, params))
-
-    def test_width_chain_validated_at_build(self):
-        with pytest.raises(ShapeError):
-            LnuStack([_layer(3, 2), _layer(3, 2)])  # 3 -> 4 then expects 3
-
-    def test_residual_requires_matching_widths(self):
-        with pytest.raises(ShapeError):
-            LnuStack([_layer(3, 2)], residual_mode="soft-imply")  # 3 -> 4
-
-    def test_residual_mode_validated(self):
-        with pytest.raises(ValueError):
-            LnuStack([_layer(4, 2)], residual_mode="highway")
-
-    def test_empty_stack_rejected(self):
-        with pytest.raises(ValueError):
-            LnuStack([])
-
-    def test_depth3_residual_gradients(self):
-        rng = np.random.default_rng(14)
-        layers = [
-            LnuParams.create(4, 2, sharpness=3.0, trainable_sharpness=True, rng=rng)
-            for _ in range(3)
-        ]
-        stack = LnuStack(layers, residual_mode="soft-imply")
-        x0 = rng.uniform(0.1, 0.9, (3, 4))
-        probe = rng.uniform(0.5, 1.5, (3, 4))
-        names = list(stack.trainables())
-
-        def forward(g, ps):
-            arrays = dict(zip(names, ps[:-1]))
-            batch = LnuStack(
-                [
-                    dataclasses.replace(layer, **{n: arrays[f"layer{i}.{n}"] for n in layer.trainables()})
-                    for i, layer in enumerate(stack.layers)
-                ],
-                residual_mode=stack.residual_mode,
-            )
-            x = g.leaf(ps[-1])
-            gates = lift_stack(g, batch)
-            out = lnu_stack_forward(x, batch, gates)
-            loss = ad.reduce_sum(ad.reduce_sum(ad.mul(out, g.leaf(probe)), "cols"), "rows")
-            leaves = {
-                f"layer{i}.{n}": node
-                for i, lg in enumerate(gates)
-                for n, node in lg.leaves().items()
-            }
-            return loss, [leaves[n] for n in names] + [x]
-
-        params = list(stack.trainables().values()) + [x0]
-        assert ad.finite_difference_check(forward, params) <= 1e-4
 
 
 class TestParamValidation:

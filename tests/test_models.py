@@ -9,12 +9,21 @@ import pytest
 from logiclab import autodiff as ad
 from logiclab.autodiff import Graph
 from logiclab.checks import GRAD_TOLERANCE, GRADCHECKS, run_gradcheck
-from logiclab.experiments import ToyDataset, TrainConfig, evaluate, generate_toy_data, train
+from logiclab.experiments import (
+    ToyDataset,
+    TrainConfig,
+    _stack_data,
+    evaluate,
+    generate_toy_data,
+    train,
+)
+from logiclab.lnu import LnuParams
 from logiclab.models import (
     ModelSpec,
     build_model,
     count_params,
     default_model_suite,
+    stack_models,
     with_params,
 )
 
@@ -114,19 +123,43 @@ class TestBuild:
     def test_with_params_leaves_the_model_as_it_is(self, name):
         model = build_model(dict(default_model_suite())[name], seed=7)
         before = {k: arr.tobytes() for k, arr in model.params.items()}
-        lnu_before = getattr(model, "lnu", None)
         params = {k: arr + 1.0 for k, arr in model.params.items()}
         other = with_params(model, params)
         assert {k: arr.tobytes() for k, arr in model.params.items()} == before
-        assert getattr(model, "lnu", None) is lnu_before
         for k, arr in params.items():
-            assert other.params[k].tobytes() == arr.tobytes(), k
-        if lnu_before is not None:  # the layer reads the new arrays, one per param
-            for k, arr in other.lnu.trainables().items():
-                assert other.params[k] is arr, k
+            assert other.params[k] is arr, k  # no copy: Adam updates what forward reads
         x = np.random.default_rng(7).uniform(0, 1, (5, 3))
         moved, _ = other.forward(Graph(), x)
         assert not np.array_equal(moved.value, model.forward(Graph(), x)[0].value)
+
+    @pytest.mark.parametrize("name", ["MLP-GeLU", "Logicron", "Logicron+Neg"])
+    def test_forward_reads_every_array_given_to_with_params(self, name):
+        # Changing one given array in place, and only it, moves the output.
+        model = build_model(dict(default_model_suite())[name], seed=7)
+        params = {k: arr.copy() for k, arr in model.params.items()}
+        other = with_params(model, params)
+        x = np.random.default_rng(8).uniform(0, 1, (5, 3))
+        base = other.forward(Graph(), x)[0].value
+        for k, arr in params.items():
+            saved = arr.copy()
+            arr += 0.5
+            assert not np.array_equal(other.forward(Graph(), x)[0].value, base), k
+            arr[...] = saved
+        assert np.array_equal(other.forward(Graph(), x)[0].value, base)
+
+    def test_training_builds_no_layer_params(self, monkeypatch):
+        # LnuParams copies the arrays it is given; batching and training use the model's own.
+        model = build_model(ModelSpec("logicron_neg"), seed=0)
+
+        def refuse(params):
+            raise AssertionError("an LnuParams was built after the model")
+
+        monkeypatch.setattr(LnuParams, "__post_init__", refuse)
+        config = TrainConfig(epochs=1, passes_per_epoch=2, seeds=(0, 1), n_train=20, n_test=20)
+        train_ds, test_ds = generate_toy_data(config.n_train, config.n_test, seed=0)
+        batch = stack_models([model, model])  # through with_params, as run_multi_seed batches
+        train(batch, _stack_data([train_ds] * 2), _stack_data([test_ds] * 2), config,
+              "Logicron+Neg", (0, 1))
 
     def test_suite_has_five_contenders(self):
         names = [name for name, _ in default_model_suite()]
@@ -222,3 +255,35 @@ class TestLayerTape:
             assert ops["gated_reduce"] == 1
             assert ops["concat_cols"] == concats
             assert not any(op.startswith("gated_reduce_") for op in ops)
+
+
+class TestGradcheckCoverage:
+    """Every op on a training tape of the five default models is also on the
+    tape of some gradient check, so deleting a check, or giving a model a new
+    op, cannot leave an op that training runs without a check."""
+
+    def test_every_training_op_is_recorded_by_a_gradient_check(self, monkeypatch):
+        tapes = []
+        sweep = Graph.backward
+
+        def recorded(graph, loss):
+            tapes.append({node.op for node in graph._nodes})
+            sweep(graph, loss)
+
+        monkeypatch.setattr(Graph, "backward", recorded)
+        config = TrainConfig(epochs=1, passes_per_epoch=1, seeds=(0, 1), n_train=20, n_test=20)
+        train_ds, test_ds = generate_toy_data(config.n_train, config.n_test, seed=0)
+        for name, spec in default_model_suite():
+            train(build_model(spec, seed=0), train_ds, test_ds, config, name, (0,))
+        assert len(tapes) == 5
+        trained = set().union(*tapes)
+        assert {"gated_reduce", "concat_cols", "one_minus", "softplus", "gelu"} <= trained
+
+        checked = set()
+        rng = np.random.default_rng(0)
+        for draw, forward in GRADCHECKS.values():
+            params, consts = draw(rng)
+            graph = Graph()
+            forward(graph, params, consts)
+            checked |= {node.op for node in graph._nodes}
+        assert trained <= checked, sorted(trained - checked)

@@ -126,6 +126,25 @@ MUTANTS = (
     Mutant("zero-fixed-sharpness-rejected", "src/logiclab/softlogic.py",
            "if not 0.0 <= s < np.inf:", "if not 0.0 < s < np.inf:",
            ("tests/test_cli.py::TestExitCodeContract::test_a_fixed_sharpness_of_zero_is_accepted",)),
+    # a model is named once; stats are keyed by name
+    Mutant("include-twice-accepted", "src/logiclab/cli.py",
+           "        if cfg.include.count(key) > 1:", "        if False:",
+           ("tests/test_cli.py::TestExitCodeContract::test_a_model_included_twice_is_rejected_with_one_line",)),
+    Mutant("spec-name-twice-accepted", "src/logiclab/experiments.py",
+           "        if names.count(name) > 1:", "        if False:",
+           ("tests/test_experiments.py::TestMultiSeed::test_rejects_a_name_given_twice",)),
+    # the layer and a Logicron's one param store
+    Mutant("layer-width-unchecked", "src/logiclab/lnu.py",
+           "    if x.shape[-1] != width:", "    if False:",
+           ("tests/test_lnu.py::TestShapes::test_width_is_checked_before_the_range_scan",)),
+    Mutant("with-params-leaves-rho-stale", "src/logiclab/models.py",
+           "    out.params = dict(params)\n",
+           "    out.params = dict(params)\n"
+           "    if isinstance(out, Logicron):\n"
+           "        out.params[\"rho\"] = model.params[\"rho\"]\n",
+           ("tests/test_models.py::TestBuild::test_with_params_leaves_the_model_as_it_is",
+            "tests/test_models.py::TestBuild::test_forward_reads_every_array_given_to_with_params",
+            "tests/test_equivalence.py::TestFlatAdam::test_updates_the_shared_arrays_in_place")),
 )
 
 
