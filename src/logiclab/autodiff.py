@@ -114,11 +114,6 @@ class Node:
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
 
-    def item(self) -> float:
-        if self.value.shape != (1, 1):
-            raise ShapeError(f"item() needs a 1x1 value, got {self.value.shape}")
-        return float(self.value[0, 0])
-
     def __repr__(self) -> str:
         return f"Node(op={self.op!r}, shape={self.value.shape})"
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import softlogic as sl
-from .lnu import LnuGates, LnuParams, lnu_forward
+from .lnu import inverse_softplus, lnu_forward
 from .models import ModelSpec, build_model, with_params
 
 __all__ = [
@@ -109,30 +109,26 @@ def _lnu_layer_check(trainable: bool, negation: bool) -> GradCheck:
     names = ["w_and", "w_or"] + ["rho"] * trainable + ["w_not"] * negation
 
     def draw(rng):
+        # A layer of 3 units (and 2 negation units) over 4 inputs.
         sharpness = float(rng.uniform(2.0, 12.0))
-        layer = LnuParams.create(
-            4,
-            3,
-            sharpness=sharpness,
-            trainable_sharpness=trainable,
-            negation_units=2 if negation else 0,
-            rng=rng,
-        )
+        params = [rng.uniform(0.25, 0.75, (4, 3)), rng.uniform(0.25, 0.75, (4, 3))]
+        if trainable:
+            params.append(np.array([[inverse_softplus(sharpness)]]))
         if negation:
-            layer.w_not[...] = rng.uniform(-0.5, 0.5, layer.w_not.shape)
+            params.append(rng.uniform(-0.5, 0.5, (4, 2)))
         x0 = rng.uniform(0.05, 0.95, (3, 4))
-        consts = [_probe_weights(rng, (3, layer.out_width))]
+        consts = [_probe_weights(rng, (3, 6 + 2 * negation))]
         if not trainable:
             consts.append(np.array([[sharpness]]))
-        return list(layer.trainables().values()) + [x0], consts
+        return params + [x0], consts
 
     def forward(g, params, consts):
         x = g.leaf(params[-1])
         leaves = {name: g.leaf(p) for name, p in zip(names, params[:-1])}
         # A trained sharpness is softplus(rho); a fixed one is one constant per point.
         sharp = ad.softplus(leaves["rho"]) if trainable else g.constant(consts[1])
-        gates = LnuGates(leaves["w_and"], leaves["w_or"], sharp, leaves.get("w_not"))
-        return _weighted_loss(lnu_forward(x, gates), consts[0]), list(leaves.values()) + [x]
+        out = lnu_forward(x, leaves["w_and"], leaves["w_or"], sharp, leaves.get("w_not"))
+        return _weighted_loss(out, consts[0]), list(leaves.values()) + [x]
 
     return draw, forward
 

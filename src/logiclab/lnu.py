@@ -12,25 +12,22 @@ With the features leading, each reduction over them adds whole contiguous
 trainable sharpness about 1.0 ms instead of 1.5 ms (numpy 2.4, one core of
 a Xeon).
 
-Inputs, weights and a trainable sharpness may carry the same leading batch
-axes (one layer per batch entry), as every autodiff value may.  An optional
-negation branch ``1 - sigmoid(x W)`` can be attached.
+Inputs, weights and the sharpness, all nodes, may carry the same leading
+batch axes (one layer per batch entry), as every autodiff value may.  An
+optional negation branch ``1 - sigmoid(x W)`` can be attached.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node, ShapeError, _check_broadcast, _unbroadcast
-from .softlogic import check_sharpness, gate
+from .softlogic import gate
 
 __all__ = [
-    "LnuParams",
-    "LnuGates",
     "gated_reduce",
     "lnu_forward",
     "inverse_softplus",
@@ -52,18 +49,20 @@ def inverse_softplus(y: float) -> float:
     return float(y + np.log(-np.expm1(-y)))
 
 
-def gated_reduce(x: Node, w_and: Node, w_or: Node, sharpness: float | Node) -> Node:
+def gated_reduce(x: Node, w_and: Node, w_or: Node, sharpness: Node) -> Node:
     """One layer's soft-AND and soft-OR units as one node: the ``(..., n, 2o)`` block
     ``[AND | OR]``, out[i,k] = sum_j gate_j(z[:,i,k]) * z[j,i,k], z[j,i,k] = x[i,j] w[j,k].
 
     ``w`` is ``[w_and | w_or]``, both ``(..., d, o)``, and unit k gates at the
     signed sharpness ``t_k = s * ([-1]*o ++ [+1]*o)[k]``: softmin for the AND
-    units, softmax for the OR units.  ``sharpness`` may be a plain float or a
-    ``(..., 1, 1)`` node (trainable).  ``x``, the weights and a sharpness
-    node broadcast over their leading batch axes: one layer, and one
-    sharpness, per batch entry; an operand without an axis gets its gradient
-    summed over it.  Batch axes that do not broadcast, or branch weights of
-    different shapes, raise ``ShapeError``.  The forward is
+    units, softmax for the OR units.  ``sharpness`` is a ``(..., 1, 1)``
+    node, constant or trainable (a configured value is checked where it
+    enters, by ``ModelSpec``).  ``x``, the weights and the sharpness
+    broadcast over their leading batch axes: one layer, and one sharpness,
+    per batch entry; an operand without an axis gets its gradient summed
+    over it.  Batch axes that do not broadcast, a sharpness not ending in
+    ``(1, 1)``, or branch weights of different shapes raise
+    ``ShapeError``.  The forward is
     ``softlogic.gate`` over axis -3 of the feature-major ``(..., d, n, 2o)``
     tensor ``[-z_and | z_or]`` at the plain sharpness s (the AND units'
     weights enter negated); this op adds its backward rule, built in place
@@ -104,19 +103,15 @@ def gated_reduce(x: Node, w_and: Node, w_or: Node, sharpness: float | Node) -> N
     _check_broadcast(x.shape[:-2], w_and.shape[:-2], "gated_reduce")
     o = w_and.shape[-1]
     sign = np.repeat((-1.0, 1.0), o)  # (2o,): AND units, then OR units
-    sharp_node = sharpness if isinstance(sharpness, Node) else None
-    if sharp_node is not None:
-        if sharp_node.shape[-2:] != (1, 1):
-            raise ShapeError(f"sharpness node must be (..., 1, 1), got {sharp_node.shape}")
-        # Pairwise broadcasting batch axes broadcast all together.
-        _check_broadcast(x.shape[:-2], sharp_node.shape[:-2], "gated_reduce")
-        _check_broadcast(w_and.shape[:-2], sharp_node.shape[:-2], "gated_reduce")
-        # Trained values are not checked: a NaN must reach the loss, where
-        # training flags the run as diverged.  The node's (..., 1, 1) value
-        # broadcasts as (..., 1, 1, 1) against z.
-        s = sharp_node.value[..., None]
-    else:
-        s = check_sharpness(sharpness)
+    if sharpness.shape[-2:] != (1, 1):
+        raise ShapeError(f"sharpness node must be (..., 1, 1), got {sharpness.shape}")
+    # Pairwise broadcasting batch axes broadcast all together.
+    _check_broadcast(x.shape[:-2], sharpness.shape[:-2], "gated_reduce")
+    _check_broadcast(w_and.shape[:-2], sharpness.shape[:-2], "gated_reduce")
+    # Trained values are not checked: a NaN must reach the loss, where
+    # training flags the run as diverged.  The node's (..., 1, 1) value
+    # broadcasts as (..., 1, 1, 1) against z.
+    s = sharpness.value[..., None]
 
     wv = np.concatenate((w_and.value, w_or.value), axis=-1)  # (..., d, 2o)
     # The copy of x^T keeps z C-contiguous as (d, n, 2o): from a strided view
@@ -133,7 +128,6 @@ def gated_reduce(x: Node, w_and: Node, w_or: Node, sharpness: float | Node) -> N
     out_val = out_s * sign
     out_val += 0.0  # a negated all-zero sum reads -0.0; the sum itself gave +0.0
 
-    inputs = (x, w_and, w_or) if sharp_node is None else (x, w_and, w_or, sharp_node)
     halves = (slice(o, None), slice(None, o))  # OR, then AND: the reverse-sweep order
 
     def backward(grad: np.ndarray) -> None:
@@ -153,7 +147,7 @@ def gated_reduce(x: Node, w_and: Node, w_or: Node, sharpness: float | Node) -> N
             dz *= wv[..., :, None, :]
             for half in halves:
                 x.grad += _unbroadcast(dz[..., half].sum(axis=-1).swapaxes(-1, -2), x.shape)
-        if sharp_node is not None and sharp_node.needs_grad:
+        if sharpness.needs_grad:
             # d out[i,k] / d s = sign_k * (sum_j gate * z^2 - out^2)
             gz2 = gates * zs
             gz2 *= zs
@@ -163,102 +157,20 @@ def gated_reduce(x: Node, w_and: Node, w_or: Node, sharpness: float | Node) -> N
             d_sharp *= grad
             for half in halves:
                 part = np.ascontiguousarray(d_sharp[..., half]).sum(axis=(-2, -1), keepdims=True)
-                sharp_node.grad += _unbroadcast(part, sharp_node.shape)
+                sharpness.grad += _unbroadcast(part, sharpness.shape)
 
-    return x.graph.record(out_val, inputs, backward, op="gated_reduce")
+    return x.graph.record(out_val, (x, w_and, w_or, sharpness), backward, op="gated_reduce")
 
 
-@dataclass
-class LnuParams:
-    """One layer's trainables and configuration.
+def lnu_forward(x: Node, w_and: Node, w_or: Node, sharpness: Node,
+                w_not: Node | None = None) -> Node:
+    """Apply one gated logic layer; output width 2*units (+negation units).
 
-    ``w_and`` / ``w_or`` are (in_width, units).  ``rho`` (1x1), when present,
-    makes the sharpness trainable as softplus(rho); otherwise ``sharpness`` is
-    a fixed constant.  ``w_not`` (in_width, negation units) adds a third
-    branch ``1 - sigmoid(x @ w_not)``.  The trainables may carry the same
-    leading batch axes, one layer per batch entry.
+    ``w_and`` / ``w_or`` are (in_width, units) and ``sharpness`` is a
+    ``(..., 1, 1)`` node; ``w_not`` (in_width, negation units) adds a third
+    branch ``1 - sigmoid(x @ w_not)``.
     """
-
-    w_and: np.ndarray
-    w_or: np.ndarray
-    sharpness: float = 10.0
-    rho: np.ndarray | None = None
-    w_not: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        self.w_and = ad.as_array(self.w_and)
-        self.w_or = ad.as_array(self.w_or)
-        if self.w_and.shape != self.w_or.shape:
-            raise ShapeError(
-                f"w_and and w_or must share a shape, got {self.w_and.shape} vs {self.w_or.shape}"
-            )
-        self.sharpness = check_sharpness(self.sharpness)
-        if self.rho is not None:
-            self.rho = ad.as_array(self.rho)
-            expected = self.w_and.shape[:-2] + (1, 1)
-            if self.rho.shape != expected:
-                raise ShapeError(f"rho must be {expected}, got {self.rho.shape}")
-        if self.w_not is not None:
-            self.w_not = ad.as_array(self.w_not)
-            if self.w_not.shape[:-1] != self.w_and.shape[:-1]:
-                raise ShapeError(
-                    f"w_not rows ({self.w_not.shape[-2]}) must match the input width "
-                    f"({self.w_and.shape[-2]})"
-                )
-
-    @classmethod
-    def create(
-        cls,
-        in_width: int,
-        units: int,
-        *,
-        sharpness: float = 10.0,
-        trainable_sharpness: bool = False,
-        negation_units: int = 0,
-        rng: np.random.Generator | None = None,
-    ) -> "LnuParams":
-        """Initialize gating weights uniform in [0.25, 0.75]; negation weights zero."""
-        if in_width < 1 or units < 1:
-            raise ValueError(f"in_width and units must be >= 1, got {in_width}, {units}")
-        if rng is None:
-            rng = np.random.default_rng()
-        w_and = rng.uniform(0.25, 0.75, size=(in_width, units))
-        w_or = rng.uniform(0.25, 0.75, size=(in_width, units))
-        sharpness = check_sharpness(sharpness)
-        rho = np.array([[inverse_softplus(sharpness)]]) if trainable_sharpness else None
-        w_not = np.zeros((in_width, negation_units)) if negation_units > 0 else None
-        return cls(w_and, w_or, sharpness=sharpness, rho=rho, w_not=w_not)
-
-    @property
-    def out_width(self) -> int:
-        width = 2 * self.w_and.shape[-1]
-        if self.w_not is not None:
-            width += self.w_not.shape[-1]
-        return width
-
-    def trainables(self) -> dict[str, np.ndarray]:
-        out = {"w_and": self.w_and, "w_or": self.w_or}
-        if self.rho is not None:
-            out["rho"] = self.rho
-        if self.w_not is not None:
-            out["w_not"] = self.w_not
-        return out
-
-
-@dataclass
-class LnuGates:
-    """A layer's leaf nodes on one graph and its resolved sharpness: a float,
-    or a ``(..., 1, 1)`` node such as ``softplus(rho)``."""
-
-    w_and: Node
-    w_or: Node
-    sharp: Node | float
-    w_not: Node | None = None
-
-
-def lnu_forward(x: Node, gates: LnuGates) -> Node:
-    """Apply one gated logic layer; output width 2*units (+negation units)."""
-    width = gates.w_and.shape[-2]
+    width = w_and.shape[-2]
     if x.shape[-1] != width:
         raise ShapeError(f"layer expects width {width}, input has {x.shape}")
     if x.value.min(initial=0.0) < -1e-9 or x.value.max(initial=1.0) > 1.0 + 1e-9:
@@ -268,7 +180,7 @@ def lnu_forward(x: Node, gates: LnuGates) -> Node:
             RuntimeWarning,
             stacklevel=2,
         )
-    out = gated_reduce(x, gates.w_and, gates.w_or, gates.sharp)
-    if gates.w_not is not None:
-        out = ad.concat_cols(out, ad.one_minus(ad.sigmoid(ad.matmul(x, gates.w_not))))
+    out = gated_reduce(x, w_and, w_or, sharpness)
+    if w_not is not None:
+        out = ad.concat_cols(out, ad.one_minus(ad.sigmoid(ad.matmul(x, w_not))))
     return out

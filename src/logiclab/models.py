@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Graph, Node
-from .lnu import LnuGates, LnuParams, lnu_forward
+from .lnu import inverse_softplus, lnu_forward
 from .softlogic import check_sharpness
 
 __all__ = [
@@ -115,26 +115,26 @@ class Logicron:
     """Gated logic layer + dense sigmoid head over its [AND | OR] (+ negation) outputs."""
 
     def __init__(self, spec: ModelSpec, rng: np.random.Generator):
-        units = spec.resolved_hidden
+        d, units = spec.input_dim, spec.resolved_hidden
+        negation = spec.kind == "logicron_neg"
         self.spec = spec
-        layer = LnuParams.create(
-            spec.input_dim,
-            units,
-            sharpness=spec.sharpness,
-            trainable_sharpness=True,
-            negation_units=units if spec.kind == "logicron_neg" else 0,
-            rng=rng,
-        )
-        self.params: dict[str, np.ndarray] = layer.trainables()
-        self.params["w_head"] = _glorot(rng, layer.out_width, 1)
+        # Gate weights uniform in [0.25, 0.75]; the sharpness trains as softplus(rho).
+        self.params: dict[str, np.ndarray] = {
+            "w_and": rng.uniform(0.25, 0.75, size=(d, units)),
+            "w_or": rng.uniform(0.25, 0.75, size=(d, units)),
+            "rho": np.array([[inverse_softplus(spec.sharpness)]]),
+        }
+        if negation:
+            self.params["w_not"] = np.zeros((d, units))
+        self.params["w_head"] = _glorot(rng, (3 if negation else 2) * units, 1)
         self.params["b_head"] = np.zeros((1, 1))
 
     def forward(self, graph: Graph, inputs: np.ndarray) -> tuple[Node, dict[str, Node]]:
         leaves = {name: graph.leaf(arr) for name, arr in self.params.items()}
-        gates = LnuGates(
-            leaves["w_and"], leaves["w_or"], ad.softplus(leaves["rho"]), leaves.get("w_not")
+        hidden = lnu_forward(
+            graph.constant(inputs), leaves["w_and"], leaves["w_or"],
+            ad.softplus(leaves["rho"]), leaves.get("w_not"),
         )
-        hidden = lnu_forward(graph.constant(inputs), gates)
         logits = ad.add(ad.matmul(hidden, leaves["w_head"]), leaves["b_head"])
         return ad.sigmoid(logits), leaves
 

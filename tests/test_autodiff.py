@@ -87,18 +87,18 @@ class TestMatmul:
 class TestActivations:
     def test_sigmoid_at_zero(self):
         g = Graph()
-        assert ad.sigmoid(g.leaf([[0.0]])).item() == 0.5
+        assert ad.sigmoid(g.leaf([[0.0]])).value.item() == 0.5
 
     def test_relu_negative(self):
         g = Graph()
-        assert ad.relu(g.leaf([[-3.0]])).item() == 0.0
+        assert ad.relu(g.leaf([[-3.0]])).value.item() == 0.0
 
     def test_gelu_frozen_value_and_derivative(self):
         # Oracle: symbolic differentiation of the tanh form at x = 0.7.
         g = Graph()
         x = g.leaf([[0.7]])
         y = ad.gelu(x)
-        np.testing.assert_allclose(y.item(), 0.5305701347051167, rtol=1e-12)
+        np.testing.assert_allclose(y.value.item(), 0.5305701347051167, rtol=1e-12)
         g.backward(y)
         np.testing.assert_allclose(x.grad[0, 0], 0.9763572186561039, rtol=1e-12)
 
@@ -116,7 +116,7 @@ class TestActivations:
 
     def test_dispatcher(self):
         g = Graph()
-        assert ad.activation("relu", g.leaf([[2.0]])).item() == 2.0
+        assert ad.activation("relu", g.leaf([[2.0]])).value.item() == 2.0
         # softplus is the sharpness map of a gate, not a hidden activation.
         for kind in ("tanh", "softplus"):
             with pytest.raises(ValueError):
@@ -187,12 +187,12 @@ class TestBceLoss:
     def test_perfect_prediction_is_near_zero(self):
         g = Graph()
         loss = ad.bce_loss(g.leaf([[1.0 - 1e-7]]), [[1.0]])
-        assert loss.item() == pytest.approx(0.0, abs=1e-6)
+        assert loss.value.item() == pytest.approx(0.0, abs=1e-6)
 
     def test_half_prediction_is_ln2(self):
         g = Graph()
         loss = ad.bce_loss(g.leaf([[0.5]]), [[1.0]])
-        assert loss.item() == pytest.approx(0.6931471805599453, rel=1e-12)
+        assert loss.value.item() == pytest.approx(0.6931471805599453, rel=1e-12)
 
     def test_target_validation(self):
         g = Graph()
@@ -360,7 +360,7 @@ class TestFiniteDifferenceOracle:
         h = 1e-5
 
         def value(p):
-            return forward(ad.ConstantGraph(), [p])[0].item()
+            return forward(ad.ConstantGraph(), [p])[0].value.item()
 
         assert value(x0 + h) - value(x0 - h) != 0.0  # the noise is there
         assert ad.finite_difference_check(forward, [x0], h=h) == 0.0

@@ -130,7 +130,10 @@ class TestGatedReduce:
     def test_fixed_sharpness(self, s, n, d, o, sharpness, seed):
         rng = np.random.default_rng(seed)
         slices = [_draw(rng, [(n, d), (d, o), (d, o)], 0.0, 1.0) for _ in range(s)]
-        op = lambda x, wa, wo: gated_reduce(x, wa, wo, sharpness)  # noqa: E731
+
+        def op(x, wa, wo):
+            return gated_reduce(x, wa, wo, x.graph.constant([[sharpness]]))
+
         assert_batch_equals_slices(op, slices, seed)
 
     @SETTINGS
@@ -195,7 +198,8 @@ def _broadcast_ops(n, k, m):
         (ad.sub, [(n, k), (n, k)]),
         (ad.mul, [(n, k), (n, k)]),
         (ad.matmul, [(n, k), (k, m)]),
-        (lambda x, w: gated_reduce(x, w, ad.one_minus(w), 10.0), [(n, k), (k, m)]),
+        (lambda x, w: gated_reduce(x, w, ad.one_minus(w), x.graph.constant([[10.0]])),
+         [(n, k), (k, m)]),
         (lambda x, w, t: gated_reduce(x, w, ad.one_minus(w), t), [(n, k), (k, m), (1, 1)]),
     ]
 
@@ -237,4 +241,4 @@ class TestUnequalBatchAxes:
         g = Graph()
         x, w = g.leaf(np.full((3, 4, 2), 0.5)), g.leaf(np.full((2, 2, 5), 0.5))
         with pytest.raises(ad.ShapeError):
-            gated_reduce(x, w, w, 1.0)
+            gated_reduce(x, w, w, g.constant([[1.0]]))

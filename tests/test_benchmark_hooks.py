@@ -67,7 +67,13 @@ def test_traced_training_and_evaluation_match_untraced(load_tracer):
     for op in ("bce_loss", gate_label):
         assert tracer.nodes[op] > trained_nodes[op] > 0, op
     assert trained_nodes[gate_label] == trained_nodes["bce_loss"]  # one layer per tape
-    assert len(tracer.durations["experiments.evaluate"]) == 2 * 2 + 1
+    evaluations = len(tracer.durations["experiments.evaluate"])
+    assert evaluations == 2 * 2 + 1
+    # lnu_forward resolves gated_reduce as a global of its own module, so the
+    # tracer's patch sees one call per Logicron forward: 2 epochs x 2 steps,
+    # then each evaluation.
+    forwards = len(tracer.durations["models.Logicron.forward"])
+    assert len(tracer.durations["lnu.gated_reduce"]) == forwards == 2 * 2 + evaluations
 
 
 def test_traced_gradient_checks_match_untraced(load_tracer):

@@ -170,7 +170,7 @@ class TestTrainLoop:
         loss = ad.bce_loss(out, train_ds.labels)
         graph.backward(loss)
         optimizer.step({name: node.grad for name, node in leaves.items()})
-        assert np.isfinite(loss.item())
+        assert np.isfinite(loss.value.item())
         assert all(np.isfinite(arr).all() for arr in model.params.values())
 
 

@@ -23,11 +23,11 @@ def _serial_function(forward):
 
     def f(params, value_only=False):
         if value_only:
-            return forward(ad.ConstantGraph(), params)[0].item(), None
+            return forward(ad.ConstantGraph(), params)[0].value.item(), None
         graph = ad.Graph()
         loss, nodes = forward(graph, params)
         graph.backward(loss)
-        return loss.item(), [node.grad for node in nodes]
+        return loss.value.item(), [node.grad for node in nodes]
 
     return f
 

@@ -36,9 +36,9 @@ def _reference_gate(z, t, axis=-1):
 
 def _reference_gated_reduce(xv, wv, mode, sharp, grad, x_grad=True):
     """The row-major kernel: value, x, w and sharpness gradients (the last
-    None for a float sharpness), each accumulated into zeros as a sweep
-    does.  ``x_grad=False`` skips x, whose gradient the stacked
-    finite-difference shape never takes."""
+    None for a float sharpness, which ``_run`` passes as a constant node),
+    each accumulated into zeros as a sweep does.  ``x_grad=False`` skips x,
+    whose gradient the stacked finite-difference shape never takes."""
     sign = 1.0 if mode == "or" else -1.0
     t = sign * sharp[..., None] if isinstance(sharp, np.ndarray) else sign * sharp
 
@@ -93,25 +93,18 @@ def _run(xv, w_and, w_or, sharp, grad, x_grad=True, held=(0.0, 0.0)):
     g = Graph()
     x = g.leaf(xv) if x_grad else g.constant(xv)
     wa, wo = g.leaf(w_and), g.leaf(w_or)
-    s = g.leaf(sharp) if isinstance(sharp, np.ndarray) else sharp
+    s = g.leaf(sharp) if isinstance(sharp, np.ndarray) else g.constant([[sharp]])
     out = lnu.gated_reduce(x, wa, wo, s)
-    inputs = (out, x) if s is sharp else (out, x, s)
 
     def inject(dout):
         out.grad += grad
         if x_grad:
             x.grad += held[0]
-        if s is not sharp:
+        if s.needs_grad:
             s.grad += held[1]
 
-    g.backward(g.record(np.zeros(out.shape[:-2] + (1, 1)), inputs, inject, op="probe"))
-    return (
-        out.value,
-        x.grad if x_grad else None,
-        wa.grad,
-        wo.grad,
-        s.grad if isinstance(sharp, np.ndarray) else None,
-    )
+    g.backward(g.record(np.zeros(out.shape[:-2] + (1, 1)), (out, x, s), inject, op="probe"))
+    return out.value, x.grad if x_grad else None, wa.grad, wo.grad, s.grad
 
 
 @st.composite

@@ -1,7 +1,6 @@
 """Gated logic layer tests: branch shapes, the fixed-weight corner values,
 gating locality, symmetry, gradients."""
 
-import dataclasses
 import warnings
 
 import numpy as np
@@ -12,23 +11,38 @@ from hypothesis import strategies as st
 from logiclab import autodiff as ad
 from logiclab import softlogic as sl
 from logiclab.autodiff import Graph, ShapeError
-from logiclab.lnu import LnuGates, LnuParams, gated_reduce, inverse_softplus, lnu_forward
+from logiclab.lnu import gated_reduce, inverse_softplus, lnu_forward
+from logiclab.models import ModelSpec, build_model
 
 
-def _layer(in_width, units, **kw):
-    return LnuParams.create(in_width, units, rng=np.random.default_rng(0), **kw)
+def _layer(in_width, units, sharpness=10.0, trainable=False, negation_units=0):
+    """A layer's arrays by name: gate weights uniform in [0.25, 0.75], then a
+    fixed ``sharpness`` or its trainable ``rho``, then zero negation weights."""
+    rng = np.random.default_rng(0)
+    params = {name: rng.uniform(0.25, 0.75, (in_width, units)) for name in ("w_and", "w_or")}
+    if trainable:
+        params["rho"] = np.array([[inverse_softplus(sharpness)]])
+    else:
+        params["sharpness"] = sharpness
+    if negation_units:
+        params["w_not"] = np.zeros((in_width, negation_units))
+    return params
 
 
 def _lift(g, params):
-    """``params`` on graph ``g``: its leaves by trainable name, and its gates."""
-    leaves = {name: g.leaf(arr) for name, arr in params.trainables().items()}
-    sharp = ad.softplus(leaves["rho"]) if "rho" in leaves else params.sharpness
-    return leaves, LnuGates(leaves["w_and"], leaves["w_or"], sharp, leaves.get("w_not"))
+    """``params`` on graph ``g``: leaves of its arrays by name, and the layer's
+    arguments after the input.  A fixed sharpness is a constant node."""
+    leaves = {name: g.leaf(arr) for name, arr in params.items() if name != "sharpness"}
+    if "rho" in leaves:
+        sharp = ad.softplus(leaves["rho"])
+    else:
+        sharp = g.constant([[params["sharpness"]]])
+    return leaves, (leaves["w_and"], leaves["w_or"], sharp, leaves.get("w_not"))
 
 
 def _forward_values(x, params):
     g = Graph()
-    return lnu_forward(g.leaf(x), _lift(g, params)[1]).value
+    return lnu_forward(g.leaf(x), *_lift(g, params)[1]).value
 
 
 class TestShapes:
@@ -42,7 +56,6 @@ class TestShapes:
         params = _layer(d, o, negation_units=q)
         out = _forward_values(np.random.default_rng(2).uniform(0, 1, (n, d)), params)
         assert out.shape == (n, 2 * o + q)
-        assert params.out_width == 2 * o + q
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ShapeError):
@@ -80,9 +93,7 @@ class TestFixedWeightCorners:
     boundary setup (weights 0.5, sharpness 100)."""
 
     def _unit(self, x_row):
-        params = LnuParams(
-            w_and=np.full((2, 1), 0.5), w_or=np.full((2, 1), 0.5), sharpness=100.0
-        )
+        params = {"w_and": np.full((2, 1), 0.5), "w_or": np.full((2, 1), 0.5), "sharpness": 100.0}
         return _forward_values(np.array([x_row]), params)[0]
 
     def test_all_ones_corner(self):
@@ -97,7 +108,7 @@ class TestFixedWeightCorners:
         assert or_val == pytest.approx(0.5, abs=1e-9)
 
     def test_zero_sharpness_is_row_mean(self):
-        params = LnuParams(w_and=np.ones((3, 1)), w_or=np.ones((3, 1)), sharpness=0.0)
+        params = {"w_and": np.ones((3, 1)), "w_or": np.ones((3, 1)), "sharpness": 0.0}
         x = np.random.default_rng(3).uniform(0, 1, (4, 3))
         out = _forward_values(x, params)
         np.testing.assert_allclose(out[:, 0], x.mean(axis=1), atol=1e-12)
@@ -116,14 +127,14 @@ class TestLayerProperties:
             out = _forward_values(x, params)
             for i in range(len(x)):
                 for k in range(2):
-                    z_and = x[i] * params.w_and[:, k]
-                    z_or = x[i] * params.w_or[:, k]
+                    z_and = x[i] * params["w_and"][:, k]
+                    z_or = x[i] * params["w_or"][:, k]
                     assert out[i, k] == pytest.approx(gate_oracle(z_and, -sharp), abs=1e-12)
                     assert out[i, 2 + k] == pytest.approx(gate_oracle(z_or, sharp), abs=1e-12)
 
     def test_gating_locality_zero_column(self):
         params = _layer(3, 3, sharpness=5.0)
-        params.w_and[:, 1] = 0.0
+        params["w_and"][:, 1] = 0.0
         x = np.random.default_rng(5).uniform(0, 1, (6, 3))
         out = _forward_values(x, params)
         np.testing.assert_array_equal(out[:, 1], np.zeros(6))
@@ -134,9 +145,7 @@ class TestLayerProperties:
         x = rng.uniform(0, 1, (3, 4))
         base = _forward_values(x, params)
         perm = rng.permutation(4)
-        permuted = LnuParams(
-            w_and=params.w_and[perm], w_or=params.w_or[perm], sharpness=params.sharpness
-        )
+        permuted = {**params, "w_and": params["w_and"][perm], "w_or": params["w_or"][perm]}
         np.testing.assert_allclose(_forward_values(x[:, perm], permuted), base, atol=1e-12)
 
     def test_outputs_bounded_for_in_range_weights(self):
@@ -153,40 +162,44 @@ class TestLayerProperties:
 
 
 class TestGatedReduce:
-    def test_sharpness_validation(self):
-        g = Graph()
-        x, w = g.leaf(np.ones((1, 2))), g.leaf(np.ones((2, 1)))
-        for bad in (-1.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError):
-                gated_reduce(x, w, w, bad)
-
     def test_shape_validation(self):
         g = Graph()
         w = g.leaf(np.ones((2, 1)))
         with pytest.raises(ShapeError):
-            gated_reduce(g.leaf(np.ones((1, 3))), w, w, 1.0)
+            gated_reduce(g.leaf(np.ones((1, 3))), w, w, g.constant([[1.0]]))
+
+    @pytest.mark.parametrize("sharp_shape", [(3, 1), (1, 4)], ids=["per-feature", "per-unit"])
+    def test_sharpness_node_must_end_in_one_by_one(self, sharp_shape):
+        # Without the check both shapes would broadcast against the (d, n, 2o)
+        # gate tensor, here (3, 4, 4), and gate at a sharpness per feature or
+        # per unit.
+        g = Graph()
+        x, w = g.leaf(np.full((4, 3), 0.5)), g.leaf(np.full((3, 2), 0.5))
+        with pytest.raises(ShapeError, match=r"sharpness node must be \(\.\.\., 1, 1\)"):
+            gated_reduce(x, w, w, g.leaf(np.full(sharp_shape, 2.0)))
 
     @pytest.mark.parametrize("w_or_shape", [(3, 1), (3, 3), (2, 3, 2)])
     def test_rejects_branch_weights_of_different_shapes(self, w_or_shape):
         g = Graph()
         x = g.leaf(np.full((4, 3), 0.5))
         with pytest.raises(ShapeError):
-            gated_reduce(x, g.leaf(np.full((3, 2), 0.5)), g.leaf(np.full(w_or_shape, 0.5)), 1.0)
+            gated_reduce(x, g.leaf(np.full((3, 2), 0.5)), g.leaf(np.full(w_or_shape, 0.5)),
+                         g.constant([[1.0]]))
 
     def test_trainable_sharpness_gradient(self):
         rng = np.random.default_rng(10)
-        params = _layer(3, 2, sharpness=4.0, trainable_sharpness=True)
+        params = _layer(3, 2, sharpness=4.0, trainable=True)
         x0 = rng.uniform(0.1, 0.9, (3, 3))
         probe = rng.uniform(0.5, 1.5, (3, 4))
-        names = list(params.trainables())
+        names = list(params)
 
         def forward(g, ps):
-            leaves, gates = _lift(g, dataclasses.replace(params, **dict(zip(names, ps))))
-            out = lnu_forward(g.leaf(x0), gates)
+            leaves, layer = _lift(g, dict(zip(names, ps)))
+            out = lnu_forward(g.leaf(x0), *layer)
             loss = ad.reduce_sum(ad.reduce_sum(ad.mul(out, g.leaf(probe)), "cols"), "rows")
             return loss, [leaves[n] for n in names]
 
-        err = ad.finite_difference_check(forward, list(params.trainables().values()))
+        err = ad.finite_difference_check(forward, list(params.values()))
         assert err <= 1e-4
         assert "rho" in names  # the sharpness parameter is being checked
 
@@ -220,7 +233,7 @@ class TestGatedReduce:
         def sweep(x, w_and, w_or, s, probe):
             g = Graph()
             leaves = [g.leaf(x), g.leaf(w_and), g.leaf(w_or)] + ([] if s is None else [g.leaf(s)])
-            out = gated_reduce(*leaves[:3], 7.0 if s is None else leaves[3])
+            out = gated_reduce(*leaves[:3], g.constant([[7.0]]) if s is None else leaves[3])
             g.backward(ad.reduce_sum(ad.reduce_sum(ad.mul(out, g.constant(probe)), "cols"), "rows"))
             return [leaf.grad for leaf in leaves]
 
@@ -263,7 +276,7 @@ class TestGatedReduce:
         w = rng.uniform(0.0, 1.0, (2,) + batch + (d, o))
         sharps = rng.uniform(0.0, sharp, batch + (1, 1)) if per_entry else np.full(batch + (1, 1), sharp)
         g = Graph()
-        s = g.leaf(sharps) if per_entry else sharp
+        s = g.leaf(sharps) if per_entry else g.constant([[sharp]])
         out = gated_reduce(g.leaf(x), g.leaf(w[0]), g.leaf(w[1]), s).value
         assert out.shape == batch + (n, 2 * o)
         for half, op in enumerate((sl.soft_and, sl.soft_or)):
@@ -284,7 +297,7 @@ class TestSoftAndAsGraphFunction:
         def forward(g, ps):
             z = g.leaf(ps[0])
             ones = g.constant(np.ones((5, 1)))
-            out = gated_reduce(z, ones, ones, 10.0)
+            out = gated_reduce(z, ones, ones, g.constant([[10.0]]))
             return ad.matmul(out, g.constant([[1.0], [0.0]])), [z]
 
         assert ad.finite_difference_check(forward, [z0]) <= 1e-5
@@ -327,7 +340,7 @@ class TestSharpRegimeGradients:
 
         def forward_xw(g, ps):
             x, w = g.leaf(ps[0]), g.leaf(ps[1])
-            return loss(g, x, w, sharp), [x, w]
+            return loss(g, x, w, g.constant(s0)), [x, w]
 
         def forward_s(g, ps):
             s = g.leaf(ps[0])
@@ -349,33 +362,11 @@ class TestSharpRegimeGradients:
 
 
 class TestParamValidation:
-    def test_mismatched_gate_shapes(self):
-        with pytest.raises(ShapeError):
-            LnuParams(w_and=np.ones((2, 3)), w_or=np.ones((2, 2)))
-
-    def test_bad_negation_rows(self):
-        with pytest.raises(ShapeError):
-            LnuParams(w_and=np.ones((2, 1)), w_or=np.ones((2, 1)), w_not=np.ones((3, 1)))
-
-    def test_negative_fixed_sharpness(self):
-        with pytest.raises(ValueError):
-            LnuParams(w_and=np.ones((2, 1)), w_or=np.ones((2, 1)), sharpness=-1.0)
-
-    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
-    def test_create_rejects_bad_sharpness(self, bad):
-        for trainable in (False, True):
-            with pytest.raises(ValueError, match="sharpness"):
-                LnuParams.create(3, 2, sharpness=bad, trainable_sharpness=trainable)
-
-    def test_create_validates_sizes(self):
-        with pytest.raises(ValueError):
-            LnuParams.create(0, 2)
-
     def test_inverse_softplus_round_trip(self):
         for y in (0.1, 1.5, 10.0):
             g = Graph()
             node = ad.softplus(g.leaf([[inverse_softplus(y)]]))
-            assert node.item() == pytest.approx(y, rel=1e-12)
+            assert node.value.item() == pytest.approx(y, rel=1e-12)
 
     def test_inverse_softplus_keeps_expm1_form_where_finite(self):
         for y in (1e-3, 0.5, 1.5, 100.0, 709.0):
@@ -385,14 +376,15 @@ class TestParamValidation:
         for y in (710.0, 800.0, 1e4):
             x = inverse_softplus(y)
             g = Graph()
-            assert ad.softplus(g.leaf([[x]])).item() == pytest.approx(y, rel=1e-12)
+            assert ad.softplus(g.leaf([[x]])).value.item() == pytest.approx(y, rel=1e-12)
 
     def test_inverse_softplus_domain(self):
         with pytest.raises(ValueError):
             inverse_softplus(0.0)
 
     def test_init_ranges(self):
-        params = LnuParams.create(5, 6, rng=np.random.default_rng(15), negation_units=2)
-        for w in (params.w_and, params.w_or):
+        params = build_model(ModelSpec("logicron_neg", input_dim=5, hidden=6), seed=15).params
+        for w in (params["w_and"], params["w_or"]):
+            assert w.shape == (5, 6)
             assert np.all(w >= 0.25) and np.all(w <= 0.75)
-        np.testing.assert_array_equal(params.w_not, np.zeros((5, 2)))
+        np.testing.assert_array_equal(params["w_not"], np.zeros((5, 6)))

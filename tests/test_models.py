@@ -12,18 +12,15 @@ from logiclab.checks import GRAD_TOLERANCE, GRADCHECKS, run_gradcheck
 from logiclab.experiments import (
     ToyDataset,
     TrainConfig,
-    _stack_data,
     evaluate,
     generate_toy_data,
     train,
 )
-from logiclab.lnu import LnuParams
 from logiclab.models import (
     ModelSpec,
     build_model,
     count_params,
     default_model_suite,
-    stack_models,
     with_params,
 )
 
@@ -146,20 +143,6 @@ class TestBuild:
             assert not np.array_equal(other.forward(Graph(), x)[0].value, base), k
             arr[...] = saved
         assert np.array_equal(other.forward(Graph(), x)[0].value, base)
-
-    def test_training_builds_no_layer_params(self, monkeypatch):
-        # LnuParams copies the arrays it is given; batching and training use the model's own.
-        model = build_model(ModelSpec("logicron_neg"), seed=0)
-
-        def refuse(params):
-            raise AssertionError("an LnuParams was built after the model")
-
-        monkeypatch.setattr(LnuParams, "__post_init__", refuse)
-        config = TrainConfig(epochs=1, passes_per_epoch=2, seeds=(0, 1), n_train=20, n_test=20)
-        train_ds, test_ds = generate_toy_data(config.n_train, config.n_test, seed=0)
-        batch = stack_models([model, model])  # through with_params, as run_multi_seed batches
-        train(batch, _stack_data([train_ds] * 2), _stack_data([test_ds] * 2), config,
-              "Logicron+Neg", (0, 1))
 
     def test_suite_has_five_contenders(self):
         names = [name for name, _ in default_model_suite()]

@@ -74,6 +74,9 @@ MUTANTS = (
     Mutant("gated-reduce-without-dz*=s", "src/logiclab/lnu.py",
            "        dz *= s\n", "",
            ("tests/test_lnu.py::TestGatedReduce",)),
+    Mutant("gated-reduce-sharpness-shape-unchecked", "src/logiclab/lnu.py",
+           "    if sharpness.shape[-2:] != (1, 1):", "    if False:",
+           ("tests/test_lnu.py::TestGatedReduce::test_sharpness_node_must_end_in_one_by_one",)),
     # verification suites
     Mutant("worst-reads-first-residual", "src/logiclab/checks.py",
            "max(worst, *(float(r.max()) for r in residuals))",
@@ -137,6 +140,18 @@ MUTANTS = (
     Mutant("layer-width-unchecked", "src/logiclab/lnu.py",
            "    if x.shape[-1] != width:", "    if False:",
            ("tests/test_lnu.py::TestShapes::test_width_is_checked_before_the_range_scan",)),
+    Mutant("logicron-w-not-starts-nonzero", "src/logiclab/models.py",
+           'self.params["w_not"] = np.zeros((d, units))',
+           'self.params["w_not"] = np.full((d, units), 1e-3)',
+           ("tests/test_equivalence.py::test_golden_outputs_bit_identical",)),
+    Mutant("layer-check-draws-x0-before-w-not", "src/logiclab/checks.py",
+           "        if negation:\n"
+           "            params.append(rng.uniform(-0.5, 0.5, (4, 2)))\n"
+           "        x0 = rng.uniform(0.05, 0.95, (3, 4))\n",
+           "        x0 = rng.uniform(0.05, 0.95, (3, 4))\n"
+           "        if negation:\n"
+           "            params.append(rng.uniform(-0.5, 0.5, (4, 2)))\n",
+           ("tests/test_fd_reference.py::test_suite_maxima_are_pinned",)),
     Mutant("with-params-leaves-rho-stale", "src/logiclab/models.py",
            "    out.params = dict(params)\n",
            "    out.params = dict(params)\n"
