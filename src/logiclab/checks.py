@@ -1,5 +1,6 @@
 """Self-verification suites: gradient checks against finite differences and
-numerical checks of the operator algebra.
+numerical checks of the operator algebra, which evaluate the AND/OR
+operators through ``softlogic``'s operator table.
 
 Both suites are deterministic given a seed and are shared by the CLI and the
 test suite.
@@ -241,8 +242,8 @@ def gradcheck_suite(points: int = 100, seed: int = 0) -> dict[str, float]:
 
 # Each residual draws its samples one at a time, in the order of the scalar
 # loops it replaced, then evaluates every operator once per width: one
-# ``gate`` call, min/max or weighted kernel over the last axis of an (m, d)
-# matrix.  Row by row these give the bytes of the scalar operators
+# ``gate`` call, or the table ``sl.operator_values``, over the last axis of
+# an (m, d) matrix.  Row by row these give the bytes of the scalar operators
 # (``tests/test_logic_reference.py`` keeps the loops as the oracle).
 
 
@@ -259,22 +260,6 @@ def _worst(worst: float, *residuals: np.ndarray) -> float:
     """``worst`` raised to the largest entry of ``residuals``; an all-zero
     batch keeps it, and its sign, as the scalar ``max(worst, r)`` did."""
     return max(worst, *(float(r.max()) for r in residuals))
-
-
-def _operator_values(z: np.ndarray, w: np.ndarray, sharp: np.ndarray) -> dict[str, np.ndarray]:
-    """Every AND/OR operator over the last axis of (m, d) truth degrees ``z``
-    with weights ``w`` and an (m, 1) sharpness column: row i equals the
-    scalar operator on ``z[i]`` byte for byte."""
-    return {
-        "godel_and": z.min(axis=-1),
-        "godel_or": z.max(axis=-1),
-        "soft_and": sl.gate(z, -sharp)[1],
-        "soft_or": sl.gate(z, sharp)[1],
-        "nln_and": sl._nln_and_values(z, w),
-        "nln_or": sl._nln_or_values(z, w),
-        "lnn_and": sl._lnn_and_values(z, w),
-        "lnn_or": sl._lnn_or_values(z, w),
-    }
 
 
 def _demorgan_residual(samples: int, rng: np.random.Generator) -> float:
@@ -339,8 +324,8 @@ def _permutation_residual(samples: int, rng: np.random.Generator) -> float:
     worst = 0.0
     for z, w, perm, sharp in _by_width(drawn):
         sharp = sharp[:, None]
-        values = _operator_values(z, w, sharp)
-        permuted = _operator_values(
+        values = sl.operator_values(z, w, sharp)
+        permuted = sl.operator_values(
             np.take_along_axis(z, perm, axis=-1), np.take_along_axis(w, perm, axis=-1), sharp
         )
         worst = _worst(worst, *(np.abs(values[name] - permuted[name]) for name in values))
@@ -348,11 +333,9 @@ def _permutation_residual(samples: int, rng: np.random.Generator) -> float:
 
 
 def _truth_table_residual() -> float:
-    from .experiments import truth_table_sweep
-
     worst = 0.0
     for arity in (2, 3):
-        table = truth_table_sweep(arity=arity, sharpness=100.0)
+        table = sl.truth_table_sweep(arity=arity, sharpness=100.0)
         for name, entry in table.items():
             dev = entry["max_deviation"]
             if not name.startswith("soft_") and dev != 0.0:

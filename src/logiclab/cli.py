@@ -24,14 +24,13 @@ from .experiments import (
     grid_agreement,
     grid_mean_abs_deviation,
     run_multi_seed,
-    truth_table_sweep,
     write_grid_csv,
     write_grid_svg,
     write_results_csv,
     write_summary_json,
 )
 from .models import ModelSpec, default_model_suite
-from .softlogic import num_vars, parse_formula
+from .softlogic import num_vars, parse_formula, truth_table_sweep
 
 _EPILOG = """\
 output files:
@@ -261,8 +260,6 @@ def cmd_train(cfg: ExperimentConfig) -> int:
 
 
 def cmd_boundary(cfg: ExperimentConfig) -> int:
-    if cfg.resolution < 2:
-        raise ConfigError(f"resolution must be >= 2, got {cfg.resolution}")
     try:
         specs = default_grid_specs(cfg.betas, cfg.resolution)
     except ValueError as exc:

@@ -1,5 +1,5 @@
 """Toy-experiment harness: data generation, training, multi-seed statistics,
-decision-boundary grids, truth-table sweeps, and CSV/JSON/SVG emission.
+decision-boundary grids, and CSV/JSON/SVG emission.
 
 Everything is deterministic given the seeds in the configuration; seed-level
 runs are independent (fresh data, fresh init, fresh optimizer state).
@@ -48,7 +48,6 @@ __all__ = [
     "default_grid_specs",
     "grid_agreement",
     "grid_mean_abs_deviation",
-    "truth_table_sweep",
     "write_results_csv",
     "write_summary_json",
     "write_grid_csv",
@@ -500,44 +499,6 @@ def grid_mean_abs_deviation(grid: BoundaryGrid, hard: BoundaryGrid) -> float:
     if grid.values.shape != hard.values.shape:
         raise ValueError("grids have different resolutions")
     return float(np.mean(np.abs(grid.values - hard.values)))
-
-
-# ---------------------------------------------------------------------------
-# truth-table sweep
-# ---------------------------------------------------------------------------
-
-
-def truth_table_sweep(arity: int = 2, sharpness: float = 100.0) -> dict[str, dict]:
-    """Evaluate AND/OR operator families on all Boolean corners with unit weights.
-
-    Returns per operator the corner values and the max deviation from the
-    classical truth table.
-    """
-    if arity not in (2, 3):
-        raise ValueError(f"arity must be 2 or 3, got {arity}")
-    ones = np.ones(arity)
-    table: dict[str, dict] = {}
-    ops = {
-        "godel_and": lambda z: sl.godel_and(z),
-        "godel_or": lambda z: sl.godel_or(z),
-        "nln_and": lambda z: sl.nln_and(z, ones),
-        "nln_or": lambda z: sl.nln_or(z, ones),
-        "lnn_and": lambda z: sl.lnn_and(z, ones, bias_b=1.0),
-        "lnn_or": lambda z: sl.lnn_or(z, ones, bias_b=1.0),
-        "soft_and": lambda z: sl.soft_and(z, sharpness),
-        "soft_or": lambda z: sl.soft_or(z, sharpness),
-    }
-    corners = [tuple(int(b) for b in format(i, f"0{arity}b")) for i in range(2**arity)]
-    for name, fn in ops.items():
-        truth = (lambda c: min(c)) if name.endswith("_and") else (lambda c: max(c))
-        values = {}
-        max_dev = 0.0
-        for corner in corners:
-            val = fn(np.asarray(corner, dtype=np.float64))
-            values[corner] = val
-            max_dev = max(max_dev, abs(val - truth(corner)))
-        table[name] = {"values": values, "max_deviation": max_dev}
-    return table
 
 
 # ---------------------------------------------------------------------------

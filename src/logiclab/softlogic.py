@@ -10,11 +10,16 @@ Four families live here:
 * the two weighted baselines: product-form (nln_*) and clipped sum-form
   (lnn_*) AND/OR.
 
+The eight AND/OR operators also form one table, ``operator_values``, which
+evaluates them over the rows of a batch; the truth-table sweep and the
+algebra checks in ``checks`` go through it.
+
 All functions are pure; inputs are scalars, sequences or numpy arrays.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Union
 
@@ -44,6 +49,8 @@ __all__ = [
     "nln_or",
     "lnn_and",
     "lnn_or",
+    "operator_values",
+    "truth_table_sweep",
 ]
 
 
@@ -389,8 +396,8 @@ def _paired(x, w, name: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 # The arithmetic of each weighted operator is one kernel over the last axis,
-# so the scalar operators (after validating) and the batched algebra checks
-# in ``checks`` compute the same bytes.
+# so the scalar operators (after validating) and ``operator_values`` compute
+# the same bytes.
 
 
 def _nln_and_values(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -444,3 +451,44 @@ def lnn_and(x, w, bias_b: float = 1.0) -> float:
 def lnn_or(x, w, bias_b: float = 1.0) -> float:
     """Sum form: 1 - b + sum_i w_i * x_i, clipped to [0, 1]."""
     return float(_lnn_or_values(*_lnn_check(x, w, bias_b, "lnn_or")))
+
+
+# ---------------------------------------------------------------------------
+# the operator table
+# ---------------------------------------------------------------------------
+
+
+def operator_values(z: np.ndarray, w: np.ndarray, sharpness: np.ndarray) -> dict[str, np.ndarray]:
+    """Every AND/OR operator over the last axis of (m, d) truth degrees ``z``
+    with weights ``w`` and an (m, 1) sharpness column, in the truth table's
+    column order.  Row i equals the scalar operator on ``z[i]`` byte for
+    byte; the inputs are not validated."""
+    return {
+        "godel_and": z.min(axis=-1),
+        "godel_or": z.max(axis=-1),
+        "nln_and": _nln_and_values(z, w),
+        "nln_or": _nln_or_values(z, w),
+        "lnn_and": _lnn_and_values(z, w),
+        "lnn_or": _lnn_or_values(z, w),
+        "soft_and": gate(z, -sharpness)[1],
+        "soft_or": gate(z, sharpness)[1],
+    }
+
+
+def truth_table_sweep(arity: int = 2, sharpness: float = 100.0) -> dict[str, dict]:
+    """Every operator of ``operator_values`` on all Boolean corners, with unit weights.
+
+    Returns per operator the corner values, keyed by corner tuple, and the
+    max deviation from the classical truth table.
+    """
+    if arity not in (2, 3):
+        raise ValueError(f"arity must be 2 or 3, got {arity}")
+    corners = list(itertools.product((0, 1), repeat=arity))
+    z = np.array(corners, dtype=np.float64)
+    sharp = np.full((len(corners), 1), check_sharpness(sharpness))
+    table: dict[str, dict] = {}
+    for name, values in operator_values(z, np.ones_like(z), sharp).items():
+        truth = z.min(axis=-1) if name.endswith("_and") else z.max(axis=-1)
+        table[name] = {"values": dict(zip(corners, values.tolist())),
+                       "max_deviation": float(np.abs(values - truth).max())}
+    return table

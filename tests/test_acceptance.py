@@ -19,9 +19,9 @@ from logiclab.experiments import (
     grid_agreement,
     grid_mean_abs_deviation,
     run_multi_seed,
-    truth_table_sweep,
 )
 from logiclab.models import build_model, count_params, default_model_suite
+from logiclab.softlogic import truth_table_sweep
 
 
 def _report(num: int, ok: bool, detail: str) -> None:

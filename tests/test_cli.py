@@ -252,6 +252,16 @@ class TestTruthTable:
         assert run_cli("truth-table", "--arity", "3") == 0
         assert "(1, 1, 1)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, digest", [
+        ((), "39a20f8a28d030568607f33342c60461adab8e4e3b9bb8910a86e70f08cd687f"),
+        (("--arity", "3", "--sharpness", "7"),
+         "402065ef7fac833283765f4099b929f3da91fa0c3f734baaed38305c21c93bf6"),
+    ])
+    def test_stdout_is_golden(self, capsys, argv, digest):
+        # Pins the column order and every printed digit.
+        assert run_cli("truth-table", *argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     def test_python_dash_m_matches_main(self, capsys):
         assert run_cli("truth-table") == 0
         expected = capsys.readouterr().out

@@ -27,7 +27,6 @@ from logiclab.experiments import (
     grid_mean_abs_deviation,
     run_multi_seed,
     train,
-    truth_table_sweep,
     write_grid_csv,
     write_grid_svg,
     write_results_csv,
@@ -35,6 +34,7 @@ from logiclab.experiments import (
 )
 from logiclab.experiments import _CELL_PX, _color_for
 from logiclab.models import ModelSpec, build_model
+from logiclab.softlogic import truth_table_sweep
 
 
 FAST = TrainConfig(epochs=2, passes_per_epoch=2, seeds=(0, 1), n_train=12, n_test=30)

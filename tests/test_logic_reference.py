@@ -4,9 +4,12 @@
 evaluates each operator once per width, on a stacked (m, d) matrix.  The
 reference below is the scalar loops it replaced, one operator call per
 sample; every residual must agree with it to the last bit.  A few drawn
-samples also go through the public scalar operators, so the batched kernels
-and the operators stay cross-checked row by row.
+samples and the truth table's corners also go through the public scalar
+operators, so the table ``softlogic.operator_values`` and the operators stay
+cross-checked row by row.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -127,7 +130,9 @@ def test_seed0_residuals_are_pinned():
 
 def test_batched_operators_match_public_scalar_operators():
     # 20 drawn samples of mixed widths, grouped the way the suite groups
-    # them; exact 0 and 1 in the inputs and weights, and sharpness 0.
+    # them; exact 0 and 1 in the inputs and weights, and sharpness 0.  Then
+    # the points of the truth table: every Boolean corner of arity 2 and 3
+    # with unit weights, at sharpness 0, 1 and 100.
     rng = np.random.default_rng(11)
     drawn = []
     for _ in range(20):
@@ -148,16 +153,21 @@ def test_batched_operators_match_public_scalar_operators():
         "lnn_and": lambda z, w, s: sl.lnn_and(z, w),
         "lnn_or": lambda z, w, s: sl.lnn_or(z, w),
     }
+    batches = checks._by_width(drawn)
+    for arity in (2, 3):
+        corners = np.array(list(itertools.product((0.0, 1.0), repeat=arity)))
+        for sharp in (0.0, 1.0, 100.0):
+            batches.append((corners, np.ones_like(corners), np.full(len(corners), sharp)))
     compared = 0
-    for z, w, sharp in checks._by_width(drawn):
-        values = checks._operator_values(z, w, sharp[:, None])
+    for z, w, sharp in batches:
+        values = sl.operator_values(z, w, sharp[:, None])
         assert set(values) == set(scalar)
         for name, op in scalar.items():
             for i in range(len(z)):
                 want = op(z[i], w[i], float(sharp[i]))
                 assert float(values[name][i]).hex() == want.hex(), (name, z[i], w[i], sharp[i])
                 compared += 1
-    assert compared == 20 * len(scalar)
+    assert compared == (20 + 3 * (4 + 8)) * len(scalar)
 
 
 # The scalar weighted operators as they were written before they shared a

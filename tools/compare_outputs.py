@@ -28,6 +28,7 @@ COMMANDS = (
     ("boundary", "--svg", "--out", "out"),
     ("logic-checks",),
     ("truth-table",),
+    ("truth-table", "--arity", "3", "--sharpness", "7"),
 )
 STREAMS = ("exit code", "stdout", "stderr")
 

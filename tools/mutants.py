@@ -44,6 +44,7 @@ class Mutant(NamedTuple):
 
 _SIGMOID = "    return np.maximum(e, x >= 0) / (1.0 + e)"
 _SIGMOID_TESTS = ("tests/test_equivalence.py::TestSigmoidWithoutMaskedSelect",)
+_TABLE_TESTS = ("tests/test_logic_reference.py::test_batched_operators_match_public_scalar_operators",)
 _FORKED = (
     "tests/test_seed_batching.py::test_workers_and_serial_loop_are_byte_equal",
     "tests/test_seed_batching.py::test_serial_loop_without_fork_or_with_threads",
@@ -86,6 +87,24 @@ MUTANTS = (
            "np.clip((1.0 - b) + _dot(w, x), 0.0, 1.0)",
            "np.clip(1.0 + (_dot(w, x) - b), 0.0, 1.0)",
            ("tests/test_logic_reference.py::test_weighted_operators_keep_their_scalar_formulas",)),
+    # the operator table and the truth table
+    Mutant("table-soft-and-at-plus-sharpness", "src/logiclab/softlogic.py",
+           '"soft_and": gate(z, -sharpness)[1]', '"soft_and": gate(z, sharpness)[1]',
+           _TABLE_TESTS),
+    Mutant("table-nln-lnn-keys-swapped", "src/logiclab/softlogic.py",
+           '        "nln_and": _nln_and_values(z, w),\n'
+           '        "nln_or": _nln_or_values(z, w),\n'
+           '        "lnn_and": _lnn_and_values(z, w),\n'
+           '        "lnn_or": _lnn_or_values(z, w),\n',
+           '        "nln_and": _lnn_and_values(z, w),\n'
+           '        "nln_or": _lnn_or_values(z, w),\n'
+           '        "lnn_and": _nln_and_values(z, w),\n'
+           '        "lnn_or": _nln_or_values(z, w),\n',
+           _TABLE_TESTS),
+    Mutant("truth-table-and-against-max", "src/logiclab/softlogic.py",
+           'truth = z.min(axis=-1) if name.endswith("_and") else z.max(axis=-1)',
+           "truth = z.max(axis=-1)",
+           ("tests/test_cli.py::TestTruthTable::test_stdout_is_golden",)),
     # grid writer
     Mutant("svg-nan-fill", "src/logiclab/experiments.py",
            '_NAN_FILL = "#808080"', '_NAN_FILL = "#000000"',
