@@ -55,7 +55,6 @@ __all__ = [
     "mul",
     "one_minus",
     "matmul",
-    "activation",
     "sigmoid",
     "sigmoid_values",
     "relu",
@@ -437,16 +436,6 @@ def softplus(x: Node) -> Node:
         x.grad += grad * sigmoid_values(v)
 
     return x.graph.record(y, (x,), backward, op="softplus")
-
-
-_ACTIVATIONS = {"sigmoid": sigmoid, "relu": relu, "gelu": gelu}
-
-
-def activation(kind: str, x: Node) -> Node:
-    try:
-        return _ACTIVATIONS[kind](x)
-    except KeyError:
-        raise ValueError(f"unknown activation kind {kind!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -218,8 +218,6 @@ def _ensure_out_dir(path: str) -> None:
 
 
 def cmd_train(cfg: ExperimentConfig) -> int:
-    if cfg.seeds < 2:
-        raise ConfigError("train needs at least 2 seeds for mean/std reporting")
     try:
         formula = parse_formula(cfg.formula)
     except ValueError as exc:

@@ -81,10 +81,11 @@ class ToyDataset:
     """Inputs uniform in [0,1]^d; labels are the hard-logic truth of the
     binarized inputs (entry > 0.5 maps to 1).
 
-    Both are checked here, where the data enters: the inputs must be a
-    finite ``(n, d)`` matrix and the labels an ``(n, 1)`` matrix of 0/1, or
-    stacks of them along the same leading axes (one dataset per seed of a
-    batch).  ``target`` is the labels lifted once for ``bce_loss``, and
+    Both are checked here, where the data enters: the inputs must be an
+    ``(n, d)`` matrix of truth degrees in [0, 1], the range the gated layers
+    compute on (so no NaN or inf), and the labels an ``(n, 1)`` matrix of
+    0/1, or stacks of them along the same leading axes (one dataset per seed
+    of a batch).  ``target`` is the labels lifted once for ``bce_loss``, and
     ``labels`` is its read-only value, so no training step copies or
     re-checks them.
     """
@@ -94,9 +95,10 @@ class ToyDataset:
     target: ad.BinaryTarget = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.inputs = np.asarray(self.inputs, dtype=np.float64)
-        if self.inputs.ndim < 2 or not np.isfinite(self.inputs).all():
-            raise ValueError("inputs must be a finite (n, d) matrix")
+        x = self.inputs = np.asarray(self.inputs, dtype=np.float64)
+        # Elementwise, so that NaN fails both tests and zero rows pass.
+        if x.ndim < 2 or not ((x >= 0.0) & (x <= 1.0)).all():
+            raise ValueError("inputs must be an (n, d) matrix of finite truth degrees in [0, 1]")
         self.target = ad.BinaryTarget(self.labels)
         self.labels = self.target.value
         expected = self.inputs.shape[:-1] + (1,)
@@ -146,7 +148,8 @@ class TrainConfig:
     An epoch is the metrics-recording interval: ``passes_per_epoch`` passes
     over the training data, each a single full-batch step.  Thirty
     single-step epochs cannot reach interpolation on this task, so the
-    default records 30 epochs of 20 full-batch steps each.
+    default records 30 epochs of 20 full-batch steps each.  A run reports
+    the standard deviation over its seeds, so it needs at least two.
     """
 
     epochs: int = 30
@@ -162,6 +165,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if len(self.seeds) < 2:
+            raise ValueError("need at least 2 seeds to report a standard deviation")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.passes_per_epoch < 1:
@@ -338,6 +343,12 @@ def _map_tasks(fn: Callable, tasks: list[tuple]) -> list:
     return forked_map(fn, tasks, workers)
 
 
+def _check_distinct(names: list[str], what: str) -> None:
+    for name in names:
+        if names.count(name) > 1:
+            raise ValueError(f"{what} {name!r} is given more than once")
+
+
 def run_multi_seed(
     specs: Sequence[tuple[str, ModelSpec]],
     config: TrainConfig,
@@ -357,12 +368,7 @@ def run_multi_seed(
     byte written from them, are the same either way.  The stats are keyed
     by spec name, so the names must be distinct.
     """
-    if len(config.seeds) < 2:
-        raise ValueError("need at least 2 seeds to report a standard deviation")
-    names = [name for name, _ in specs]
-    for name in names:
-        if names.count(name) > 1:
-            raise ValueError(f"model {name!r} is given more than once")
+    _check_distinct([name for name, _ in specs], "model")
     chunk_size = max(1, _ROW_BUDGET // config.n_train)
     tasks = []
     single_class: dict[str, list[int]] = {"train": [], "test": []}
@@ -463,7 +469,11 @@ def default_grid_specs(
     betas: Sequence[float] = (1.0, 10.0, 100.0),
     resolution: int = 101,
 ) -> list[tuple[str, GridSpec]]:
-    """Grid inventory: hard references, gated units per sharpness, dense units."""
+    """Grid inventory: hard references, gated units per sharpness, dense units.
+
+    A gated grid is named by its sharpness as ``{b:g}``, and its files by its
+    name, so two values that format alike (10 and 1e1) raise ``ValueError``
+    rather than write one grid over the other."""
     specs: list[tuple[str, GridSpec]] = [
         ("hard_and", GridSpec("hard_and", resolution)),
         ("hard_or", GridSpec("hard_or", resolution)),
@@ -473,6 +483,7 @@ def default_grid_specs(
         specs.append((f"lnu_or_beta{b:g}", GridSpec("lnu_or", resolution, sharpness=float(b))))
     for bias in (0.0, -0.5):
         specs.append((f"inner_relu_bias{bias:+.1f}", GridSpec("inner_relu", resolution, bias=bias)))
+    _check_distinct([name for name, _ in specs], "grid")
     return specs
 
 

@@ -14,12 +14,12 @@ a Xeon).
 
 Inputs, weights and the sharpness, all nodes, may carry the same leading
 batch axes (one layer per batch entry), as every autodiff value may.  An
-optional negation branch ``1 - sigmoid(x W)`` can be attached.
+optional negation branch ``1 - sigmoid(x W)`` can be attached.  The inputs
+are truth degrees in [0, 1]: ``experiments.ToyDataset`` checks that range
+where the data enters, so the layer does not scan its input again.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
@@ -60,9 +60,9 @@ def gated_reduce(x: Node, w_and: Node, w_or: Node, sharpness: Node) -> Node:
     enters, by ``ModelSpec``).  ``x``, the weights and the sharpness
     broadcast over their leading batch axes: one layer, and one sharpness,
     per batch entry; an operand without an axis gets its gradient summed
-    over it.  Batch axes that do not broadcast, a sharpness not ending in
-    ``(1, 1)``, or branch weights of different shapes raise
-    ``ShapeError``.  The forward is
+    over it.  An input width that does not match the weights, batch axes
+    that do not broadcast, a sharpness not ending in ``(1, 1)``, or branch
+    weights of different shapes raise ``ShapeError``.  The forward is
     ``softlogic.gate`` over axis -3 of the feature-major ``(..., d, n, 2o)``
     tensor ``[-z_and | z_or]`` at the plain sharpness s (the AND units'
     weights enter negated); this op adds its backward rule, built in place
@@ -168,18 +168,9 @@ def lnu_forward(x: Node, w_and: Node, w_or: Node, sharpness: Node,
 
     ``w_and`` / ``w_or`` are (in_width, units) and ``sharpness`` is a
     ``(..., 1, 1)`` node; ``w_not`` (in_width, negation units) adds a third
-    branch ``1 - sigmoid(x @ w_not)``.
+    branch ``1 - sigmoid(x @ w_not)``.  ``gated_reduce`` checks the
+    input width against the weights.
     """
-    width = w_and.shape[-2]
-    if x.shape[-1] != width:
-        raise ShapeError(f"layer expects width {width}, input has {x.shape}")
-    if x.value.min(initial=0.0) < -1e-9 or x.value.max(initial=1.0) > 1.0 + 1e-9:
-        warnings.warn(
-            "layer input has entries outside [0, 1]; gated outputs are no longer "
-            "bounded truth degrees",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     out = gated_reduce(x, w_and, w_or, sharpness)
     if w_not is not None:
         out = ad.concat_cols(out, ad.one_minus(ad.sigmoid(ad.matmul(x, w_not))))

@@ -2,7 +2,8 @@
 
 A Logicron is one gated logic layer feeding a dense sigmoid head.  A
 Perceptron is one dense hidden layer (no bias) with a pointwise nonlinearity
-and the same head.  Default sizes are chosen so the trainable-scalar counts
+and the same head; the nonlinearities are named here, in ``ACTIVATION_KINDS``,
+and ``ModelSpec`` is the one check of a kind.  Default sizes are chosen so the trainable-scalar counts
 come out to 97 (perceptron, h=24), 90 (logicron, 11 units + trainable
 sharpness) and 110 (logicron with a 9-unit negation branch).
 
@@ -43,7 +44,8 @@ __all__ = [
 ]
 
 MODEL_KINDS = ("perceptron", "logicron", "logicron_neg")
-ACTIVATION_KINDS = tuple(ad._ACTIVATIONS)
+_ACTIVATIONS = {"sigmoid": ad.sigmoid, "relu": ad.relu, "gelu": ad.gelu}
+ACTIVATION_KINDS = tuple(_ACTIVATIONS)
 
 _DEFAULT_HIDDEN = {"perceptron": 24, "logicron": 11, "logicron_neg": 9}
 
@@ -106,7 +108,7 @@ class Perceptron:
     def forward(self, graph: Graph, inputs: np.ndarray) -> tuple[Node, dict[str, Node]]:
         leaves = {name: graph.leaf(arr) for name, arr in self.params.items()}
         x = graph.constant(inputs)
-        hidden = ad.activation(self.spec.activation, ad.matmul(x, leaves["w_hidden"]))
+        hidden = _ACTIVATIONS[self.spec.activation](ad.matmul(x, leaves["w_hidden"]))
         logits = ad.add(ad.matmul(hidden, leaves["w_head"]), leaves["b_head"])
         return ad.sigmoid(logits), leaves
 

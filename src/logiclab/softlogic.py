@@ -415,12 +415,13 @@ def _dot(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (w[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
-def _lnn_and_values(x: np.ndarray, w: np.ndarray, b: float = 1.0) -> np.ndarray:
-    return np.clip(b - _dot(w, 1.0 - x), 0.0, 1.0)
+def _lnn_and_values(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return np.clip(1.0 - _dot(w, 1.0 - x), 0.0, 1.0)
 
 
-def _lnn_or_values(x: np.ndarray, w: np.ndarray, b: float = 1.0) -> np.ndarray:
-    return np.clip((1.0 - b) + _dot(w, x), 0.0, 1.0)
+def _lnn_or_values(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # 0.0 + turns a -0.0 dot product into +0.0 before the clip.
+    return np.clip(0.0 + _dot(w, x), 0.0, 1.0)
 
 
 def nln_and(x, w) -> float:
@@ -433,24 +434,21 @@ def nln_or(x, w) -> float:
     return float(_nln_or_values(*_paired(x, w, "nln_or")))
 
 
-def _lnn_check(x, w, bias_b: float, name: str) -> tuple[np.ndarray, np.ndarray, float]:
+def _lnn_check(x, w, name: str) -> tuple[np.ndarray, np.ndarray]:
     xv, wv = _paired(x, w, name)
     if np.any(wv < 0.0):
         raise ValueError(f"{name}: weights must be nonnegative")
-    b = float(bias_b)
-    if b < 0.0:
-        raise ValueError(f"{name}: bias must be nonnegative, got {b}")
-    return xv, wv, b
+    return xv, wv
 
 
-def lnn_and(x, w, bias_b: float = 1.0) -> float:
-    """Sum form: b - sum_i w_i * (1 - x_i), clipped to [0, 1]."""
-    return float(_lnn_and_values(*_lnn_check(x, w, bias_b, "lnn_and")))
+def lnn_and(x, w) -> float:
+    """Sum form: 1 - sum_i w_i * (1 - x_i), clipped to [0, 1]."""
+    return float(_lnn_and_values(*_lnn_check(x, w, "lnn_and")))
 
 
-def lnn_or(x, w, bias_b: float = 1.0) -> float:
-    """Sum form: 1 - b + sum_i w_i * x_i, clipped to [0, 1]."""
-    return float(_lnn_or_values(*_lnn_check(x, w, bias_b, "lnn_or")))
+def lnn_or(x, w) -> float:
+    """Sum form: sum_i w_i * x_i, clipped to [0, 1]."""
+    return float(_lnn_or_values(*_lnn_check(x, w, "lnn_or")))
 
 
 # ---------------------------------------------------------------------------

@@ -114,19 +114,11 @@ class TestActivations:
         x = g.leaf([[0.0, 1.0]])
         np.testing.assert_allclose(ad.softplus(x).value, [[np.log(2.0), np.log1p(np.e)]])
 
-    def test_dispatcher(self):
-        g = Graph()
-        assert ad.activation("relu", g.leaf([[2.0]])).value.item() == 2.0
-        # softplus is the sharpness map of a gate, not a hidden activation.
-        for kind in ("tanh", "softplus"):
-            with pytest.raises(ValueError):
-                ad.activation(kind, g.leaf([[0.0]]))
-
     @pytest.mark.parametrize("kind", ["sigmoid", "relu", "gelu", "softplus"])
     def test_gradients(self, kind):
         rng = np.random.default_rng(11)
         x = rng.uniform(0.1, 1.5, (3, 4))  # clear of the ReLU kink
-        op = ad.softplus if kind == "softplus" else lambda node: ad.activation(kind, node)
+        op = getattr(ad, kind)
         err = _fd(
             lambda g, ls: ad.reduce_sum(ad.reduce_sum(op(ls[0]), "cols"), "rows"),
             [x],

@@ -349,6 +349,9 @@ class TestExitCodeContract:
         ("boundary", "--beta=nan"),
         ("truth-table", "--sharpness=nan"),
         ("truth-table", "--sharpness=-1"),
+        ("train", "--seeds", "1"),
+        ("boundary", "--beta", "10,1e1"),
+        ("boundary", "--beta", "0.1234567,0.1234568"),
     ])
     def test_rejected_with_one_line(self, argv, tmp_path, capsys):
         out = tmp_path / "o"

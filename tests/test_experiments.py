@@ -98,7 +98,7 @@ class TestToyData:
         with pytest.raises(ad.ShapeError):
             ToyDataset(np.full((2, 3), 0.5), labels)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.5, -1e-9])
     def test_non_finite_inputs_rejected(self, bad):
         inputs = np.full((2, 3), 0.5)
         inputs[1, 2] = bad

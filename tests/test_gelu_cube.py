@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logiclab import autodiff as ad
+from logiclab import models
 from logiclab.autodiff import Graph
 from logiclab.experiments import DEFAULT_FORMULA_TEXT, TrainConfig, run_multi_seed
 from logiclab.models import ModelSpec
@@ -150,7 +151,7 @@ def test_mlp_gelu_training_matches_the_power_cube(monkeypatch):
     config = TrainConfig()  # 20 seeds x 30 epochs
     formula = parse_formula(DEFAULT_FORMULA_TEXT)
     runs = run_multi_seed(specs, config, formula).runs
-    monkeypatch.setitem(ad._ACTIVATIONS, "gelu", _gelu_power_cube)
+    monkeypatch.setitem(models._ACTIVATIONS, "gelu", _gelu_power_cube)
     oracle = run_multi_seed(specs, config, formula).runs
     assert len(runs) == len(oracle) == len(config.seeds)
     for run, ref in zip(runs, oracle):

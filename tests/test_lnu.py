@@ -61,21 +61,6 @@ class TestShapes:
         with pytest.raises(ShapeError):
             _forward_values(np.zeros((2, 3)), _layer(4, 2))
 
-    def test_width_is_checked_before_the_range_scan(self):
-        # An input of the wrong width is a shape error, whatever its values.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ShapeError, match="layer expects width 4"):
-                _forward_values(np.full((2, 3), 2.0), _layer(4, 2, negation_units=1))
-
-    def test_out_of_range_input_warns(self):
-        with pytest.warns(RuntimeWarning):
-            _forward_values(np.array([[1.5, 0.2]]), _layer(2, 1))
-
-    def test_just_below_zero_warns(self):
-        with pytest.warns(RuntimeWarning):
-            _forward_values(np.array([[-2e-9, 0.2]]), _layer(2, 1))
-
     @pytest.mark.parametrize("x", [
         np.array([[0.0, 1.0], [1.0, 0.0]]),
         np.array([[np.nan, 0.5], [0.2, np.nan]]),

@@ -94,8 +94,10 @@ class TestBuild:
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):
             ModelSpec("transformer")
-        with pytest.raises(ValueError):
-            ModelSpec("perceptron", activation="swish")
+        # softplus is the sharpness map of a gate, not a hidden activation.
+        for kind in ("swish", "softplus", "tanh"):
+            with pytest.raises(ValueError):
+                ModelSpec("perceptron", activation=kind)
         with pytest.raises(ValueError):
             ModelSpec("perceptron", hidden=0)
         with pytest.raises(ValueError):

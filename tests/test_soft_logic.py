@@ -279,22 +279,18 @@ class TestNln:
 class TestLnn:
     def test_unit_corners(self):
         ones = np.ones(2)
-        assert sl.lnn_and([1.0, 1.0], ones, bias_b=1.0) == 1.0
-        assert sl.lnn_or([0.0, 0.0], ones, bias_b=1.0) == 0.0
-        assert sl.lnn_and([1.0, 0.0], ones, bias_b=1.0) == 0.0
-        assert sl.lnn_or([1.0, 0.0], ones, bias_b=1.0) == 1.0
+        assert sl.lnn_and([1.0, 1.0], ones) == 1.0
+        assert sl.lnn_or([0.0, 0.0], ones) == 0.0
+        assert sl.lnn_and([1.0, 0.0], ones) == 0.0
+        assert sl.lnn_or([1.0, 0.0], ones) == 1.0
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             sl.lnn_and([0.5, 0.5], [1.0, -0.1])
 
-    def test_negative_bias_rejected(self):
-        with pytest.raises(ValueError):
-            sl.lnn_or([0.5], [1.0], bias_b=-1.0)
-
     def test_clip_bounds_output(self):
         # Large weight sum saturates the clipped form at 1.
-        assert sl.lnn_or([1.0, 1.0], [2.0, 2.0], bias_b=1.0) == 1.0
+        assert sl.lnn_or([1.0, 1.0], [2.0, 2.0]) == 1.0
 
 
 class TestBooleanCornerFidelity:
@@ -308,8 +304,8 @@ class TestBooleanCornerFidelity:
                 assert sl.godel_or(z) == want_or
                 assert sl.nln_and(z, ones) == want_and
                 assert sl.nln_or(z, ones) == want_or
-                assert sl.lnn_and(z, ones, bias_b=1.0) == want_and
-                assert sl.lnn_or(z, ones, bias_b=1.0) == want_or
+                assert sl.lnn_and(z, ones) == want_and
+                assert sl.lnn_or(z, ones) == want_or
                 assert abs(sl.soft_and(z, 100.0) - want_and) <= 0.01
                 assert abs(sl.soft_or(z, 100.0) - want_or) <= 0.01
 

@@ -78,14 +78,18 @@ MUTANTS = (
     Mutant("gated-reduce-sharpness-shape-unchecked", "src/logiclab/lnu.py",
            "    if sharpness.shape[-2:] != (1, 1):", "    if False:",
            ("tests/test_lnu.py::TestGatedReduce::test_sharpness_node_must_end_in_one_by_one",)),
+    # Without the check, einsum raises a plain ValueError, not ShapeError.
+    Mutant("gated-reduce-width-unchecked", "src/logiclab/lnu.py",
+           "    if x.shape[-1] != w_and.shape[-2]:", "    if False:",
+           ("tests/test_lnu.py::TestShapes::test_width_mismatch_rejected",)),
     # verification suites
     Mutant("worst-reads-first-residual", "src/logiclab/checks.py",
            "max(worst, *(float(r.max()) for r in residuals))",
            "max(worst, float(residuals[0].max()))",
            ("tests/test_logic_reference.py::test_seed0_residuals_are_pinned",)),
     Mutant("lnn-or-reassociated", "src/logiclab/softlogic.py",
-           "np.clip((1.0 - b) + _dot(w, x), 0.0, 1.0)",
-           "np.clip(1.0 + (_dot(w, x) - b), 0.0, 1.0)",
+           "np.clip(0.0 + _dot(w, x), 0.0, 1.0)",
+           "np.clip(1.0 + (_dot(w, x) - 1.0), 0.0, 1.0)",
            ("tests/test_logic_reference.py::test_weighted_operators_keep_their_scalar_formulas",)),
     # the operator table and the truth table
     Mutant("table-soft-and-at-plus-sharpness", "src/logiclab/softlogic.py",
@@ -153,12 +157,20 @@ MUTANTS = (
            "        if cfg.include.count(key) > 1:", "        if False:",
            ("tests/test_cli.py::TestExitCodeContract::test_a_model_included_twice_is_rejected_with_one_line",)),
     Mutant("spec-name-twice-accepted", "src/logiclab/experiments.py",
-           "        if names.count(name) > 1:", "        if False:",
+           '    _check_distinct([name for name, _ in specs], "model")\n', "",
            ("tests/test_experiments.py::TestMultiSeed::test_rejects_a_name_given_twice",)),
-    # the layer and a Logicron's one param store
-    Mutant("layer-width-unchecked", "src/logiclab/lnu.py",
-           "    if x.shape[-1] != width:", "    if False:",
-           ("tests/test_lnu.py::TestShapes::test_width_is_checked_before_the_range_scan",)),
+    Mutant("grid-name-twice-accepted", "src/logiclab/experiments.py",
+           '    _check_distinct([name for name, _ in specs], "grid")\n', "",
+           ("tests/test_cli.py::TestExitCodeContract::test_rejected_with_one_line",)),
+    # each input contract is checked where it enters
+    Mutant("toy-inputs-range-unchecked", "src/logiclab/experiments.py",
+           "not ((x >= 0.0) & (x <= 1.0)).all()", "not np.isfinite(x).all()",
+           ("tests/test_experiments.py::TestToyData::test_non_finite_inputs_rejected",)),
+    Mutant("one-seed-config-accepted", "src/logiclab/experiments.py",
+           "        if len(self.seeds) < 2:", "        if False:",
+           ("tests/test_experiments.py::TestMultiSeed::test_requires_two_seeds",
+            "tests/test_cli.py::TestExitCodeContract::test_rejected_with_one_line")),
+    # a Logicron's one param store
     Mutant("logicron-w-not-starts-nonzero", "src/logiclab/models.py",
            'self.params["w_not"] = np.zeros((d, units))',
            'self.params["w_not"] = np.full((d, units), 1e-3)',
