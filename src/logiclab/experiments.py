@@ -27,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Graph
 from . import softlogic as sl
-from .models import Model, ModelSpec, ParamCount, build_model, count_params, stack_models
+from .models import Model, ModelSpec, ParamCount, build_model, count_params, stack_models, with_params
 from .softlogic import Formula, hard_eval, num_vars, parse_formula
 
 __all__ = [
@@ -56,19 +56,24 @@ __all__ = [
 
 DEFAULT_FORMULA_TEXT = "(x1 | x2) & ~x3"
 
-# Training rows per batch: ``run_multi_seed`` trains up to
-# ``max(1, _ROW_BUDGET // n_train)`` seeds of a model as one batch.  Batching
-# removes per-op overhead, which dominates small tapes; by about 1,000 rows
-# a step's cost is mostly the arithmetic.  The batches train in forked
-# workers, whose peak RSS grows with the budget.  At perfbench's wide
-# configuration (five models, two seeds of 1,000 rows) the workers peak at
-# 29.9-30.0 MB with 512, one seed per batch, and at 34.4-34.8 MB with 2,000,
-# two seeds per batch: +15 %.  The calling process peaks at 35.8 MB either
-# way (7 runs each, RUSAGE_CHILDREN and RUSAGE_SELF; python 3.11, numpy 2.4,
-# one BLAS thread, 2 CPUs of a Xeon).  Those runs took 0.81-0.97 s at 2,000
-# and 0.88-1.76 s at 512.  The budget stays below 1,000 rows, so a worker
-# holds one wide seed at a time.
-_ROW_BUDGET = 512
+# Rows per batch: ``run_multi_seed`` trains up to ``max(1, _ROW_BUDGET //
+# n_train)`` seeds of a model as one batch, and ``train`` evaluates the test
+# split in sub-batches of ``max(1, _ROW_BUDGET // n_test)`` seeds.  Batching
+# removes per-op overhead, which dominates small tapes, and still pays at
+# 1,000 rows: there a perceptron's serial CPU time per seed-step fell from
+# 339-686 us at one seed per batch to 245-574 us at two, while a gated
+# model's stayed at 1.0-1.3 ms (median of 3 runs; python 3.11, numpy 2.4,
+# one BLAS thread, a Xeon core).  The batches train in forked workers, whose
+# peak RSS follows the largest batch.  At perfbench's wide configuration
+# (five models, two seeds of 1,000 rows, one batch each at this budget, two
+# at 512) the workers peaked at 35.2-35.4 MB and took 18.1-18.2 k minor
+# faults, against 30.4-30.6 MB and 21.6-21.9 k at 512.  The default
+# ``logiclab train`` (20 seeds, 200 test rows each) evaluates in two
+# sub-batches, and its workers peaked at 31.2-31.3 MB instead of 35.2 MB when
+# the whole 4,000-row test stack was evaluated at once.  The calling process
+# peaked at 35.8-36.9 MB either way (3 runs each, RUSAGE_CHILDREN and
+# RUSAGE_SELF).
+_ROW_BUDGET = 2000
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +240,19 @@ def evaluate(model: Model, data: ToyDataset) -> tuple[np.ndarray, np.ndarray]:
     return acc, loss.value[..., 0, 0]
 
 
+def _sub_batches(model: Model, data: ToyDataset) -> list[tuple[Model, ToyDataset]]:
+    """``model`` and ``data`` cut along their seed axis into sub-batches of
+    ``max(1, _ROW_BUDGET // n)`` seeds, n the rows of one seed's data.  The
+    sub-models' params are views of ``model``'s, so they see its updates.
+    """
+    if data.inputs.ndim == 2:  # one seed, no seed axis
+        return [(model, data)]
+    size = max(1, _ROW_BUDGET // data.inputs.shape[-2])
+    return [(with_params(model, {name: arr[s:s + size] for name, arr in model.params.items()}),
+             ToyDataset(data.inputs[s:s + size], data.labels[s:s + size]))
+            for s in range(0, len(data.inputs), size)]
+
+
 def _step(model: Model, optimizer: Adam, inputs: np.ndarray, target: ad.BinaryTarget) -> np.ndarray:
     graph = Graph()
     out, leaves = model.forward(graph, inputs)
@@ -256,13 +274,16 @@ def train(
 
     ``model``'s params and both datasets hold the seeds' entries along one
     leading axis (none for a single seed).  A step is one tape and one Adam
-    update for the whole batch; metrics are recorded after each epoch.  A
-    seed whose loss turns non-finite is flagged as diverged alone and
+    update for the whole batch; metrics are recorded after each epoch.  The
+    test split is evaluated in sub-batches of at most ``_ROW_BUDGET`` rows
+    (at least one seed each), as ``run_multi_seed`` bounds the training rows.
+    A seed whose loss turns non-finite is flagged as diverged alone and
     records NaN from that epoch on; its batch-mates run on unchanged.
     """
     params = count_params(model)
     runs = [RunResult(model_name=model_name, seed=seed, params=params) for seed in seeds]
     optimizer = Adam(model.params, config)
+    test_batches = _sub_batches(model, test_data)
     finite = np.ones(len(seeds), dtype=bool)
     for _ in range(config.epochs):
         for _ in range(config.passes_per_epoch):
@@ -273,7 +294,9 @@ def train(
         if not finite.any():
             break
         tr_acc, tr_loss = map(np.ravel, evaluate(model, train_data))
-        te_acc, te_loss = map(np.ravel, evaluate(model, test_data))
+        tested = [evaluate(sub_model, sub_data) for sub_model, sub_data in test_batches]
+        te_acc = np.concatenate([np.ravel(acc) for acc, _ in tested])
+        te_loss = np.concatenate([np.ravel(loss) for _, loss in tested])
         for i in np.flatnonzero(finite):
             runs[i].train_acc.append(float(tr_acc[i]))
             runs[i].test_acc.append(float(te_acc[i]))
@@ -328,19 +351,20 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _map_tasks(fn: Callable, tasks: list[tuple]) -> list:
-    """``[fn(*task) for task in tasks]``, in forked workers if it can be.
+def _map_tasks(fn: Callable, tasks: list[tuple], order: Sequence[int]) -> list:
+    """``[fn(*task) for task in tasks]``, in forked workers if it can be,
+    started in ``order`` (see ``workers.forked_map``).
 
     One worker per usable CPU and never more than tasks.  With one of
     either, without ``os.fork`` or with other threads running (forking them
-    is unsafe), the tasks run here one after another.
+    is unsafe), the tasks run here one after another, in task order.
     """
     workers = min(_usable_cpus(), len(tasks))
     if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return [fn(*task) for task in tasks]
     from .workers import forked_map  # only a run that forks loads it
 
-    return forked_map(fn, tasks, workers)
+    return forked_map(fn, tasks, workers, order)
 
 
 def _check_distinct(names: list[str], what: str) -> None:
@@ -364,9 +388,11 @@ def run_multi_seed(
     Every (chunk, model) batch is built here first.  The batches are
     independent tasks; with more than one usable CPU they are trained in
     forked worker processes, one per CPU (see ``_map_tasks``), so the
-    models built here keep their initial parameters.  The runs, and every
-    byte written from them, are the same either way.  The stats are keyed
-    by spec name, so the names must be distinct.
+    models built here keep their initial parameters.  The workers start
+    every gated model's batch before any perceptron's, the longest first,
+    so that no long batch is left to run alone at the end.  The runs, and
+    every byte written from them, are the same either way.  The stats are
+    keyed by spec name, so the names must be distinct.
     """
     _check_distinct([name for name, _ in specs], "model")
     chunk_size = max(1, _ROW_BUDGET // config.n_train)
@@ -387,7 +413,10 @@ def run_multi_seed(
         for k, (name, spec) in enumerate(specs):
             model = stack_models([build_model(spec, init[k]) for init in inits])
             tasks.append((model, train_data, test_data, config, name, chunk))
-    batches = _map_tasks(train, tasks)
+    # Longest first: at n_train = 1000 a gated batch trains 2-5x as long as a
+    # perceptron batch of its chunk (README, seed batching).
+    order = sorted(range(len(tasks)), key=lambda i: tasks[i][0].spec.kind == "perceptron")
+    batches = _map_tasks(train, tasks, order)
     runs: list[RunResult] = []
     for start in range(0, len(batches), len(specs)):
         chunk_batches = batches[start:start + len(specs)]

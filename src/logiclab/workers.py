@@ -1,9 +1,10 @@
 """Independent tasks in forked worker processes.
 
 ``forked_map`` runs each task in a child forked for it, a few at a time,
-and returns the results in task order.  A child inherits its task with the
-parent's memory, so nothing is pickled on the way out, and it sends back
-only what the task returned or raised and the warnings it issued.
+starting them in the order it is given, and returns the results in task
+order.  A child inherits its task with the parent's memory, so nothing is
+pickled on the way out, and it sends back only what the task returned or
+raised and the warnings it issued.
 ``experiments.run_multi_seed`` trains its batches through it and loads this
 module only when it forks.
 
@@ -13,8 +14,9 @@ adaptation would end at.  A worker calls it before its task, and so does the
 process's allocator is touched.  Under the adaptive thresholds, a training
 step on n_train = 1000 frees its ~0.5 MB gate temporaries back to the OS and
 faults them in again on the next step: the tasks of one ``wide`` benchmark
-repetition, run in one worker, took 151 k minor page faults, and 22 k with
-the thresholds pinned.  A pinned process keeps its freed heap until it exits.
+repetition, one seed per batch and run in one worker, took 151 k minor page
+faults, and 22 k with the thresholds pinned.  A pinned process keeps its
+freed heap until it exits.
 """
 
 from __future__ import annotations
@@ -26,14 +28,19 @@ import select
 import signal
 import sys
 import warnings
-from typing import Callable, NoReturn
+from typing import Callable, NoReturn, Sequence
 
 __all__ = ["forked_map", "pin_heap_thresholds"]
 
 
-def forked_map(fn: Callable, tasks: list[tuple], workers: int) -> list:
+def forked_map(fn: Callable, tasks: list[tuple], workers: int, order: Sequence[int]) -> list:
     """``[fn(*task) for task in tasks]``, each task in a child forked for it
     and at most ``workers`` children at a time.
+
+    The children are forked in ``order``, a permutation of the task indices:
+    a caller that starts its longest tasks first keeps one long task from
+    running alone at the end.  The order changes only when a task runs;
+    results and warnings are kept by task index.
 
     A task that raises makes this raise the same exception, chained to the
     child's traceback, after the children still running are killed.  The
@@ -44,17 +51,17 @@ def forked_map(fn: Callable, tasks: list[tuple], workers: int) -> list:
     """
     results: list = [None] * len(tasks)
     caught: dict[int, list] = {}
-    todo = list(enumerate(tasks))[::-1]
+    todo = list(reversed(order))  # popped from the end
     running: dict[int, tuple[int, int, list[bytes]]] = {}  # read fd -> (index, pid, data)
     try:
         while todo or running:
             while todo and len(running) < workers:
-                index, task = todo.pop()
+                index = todo.pop()
                 read_fd, write_fd = os.pipe()
                 pid = os.fork()
                 if pid == 0:
                     os.close(read_fd)
-                    _work(fn, task, write_fd)
+                    _work(fn, tasks[index], write_fd)
                 os.close(write_fd)
                 running[read_fd] = (index, pid, [])
             ready, _, _ = select.select(list(running), [], [])

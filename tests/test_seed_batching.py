@@ -15,6 +15,7 @@ import pytest
 from logiclab import cli, experiments
 from logiclab.experiments import (
     TrainConfig,
+    evaluate,
     generate_toy_data,
     run_multi_seed,
     train,
@@ -65,9 +66,14 @@ def _stub_batch(model, train_data, test_data, config, model_name, seeds):
             for seed in seeds]
 
 
+def _chunks_under_the_budget(n_train, count=20):
+    size = max(1, experiments._ROW_BUDGET // n_train)
+    return [tuple(range(start, min(start + size, count))) for start in range(0, count, size)]
+
+
 @pytest.mark.parametrize("n_train, expected", [
     (20, [tuple(range(20))]),
-    (1000, [(seed,) for seed in range(20)]),
+    (1000, _chunks_under_the_budget(1000)),
 ])
 def test_chunks_follow_the_row_budget(monkeypatch, n_train, expected):
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)  # record here
@@ -122,7 +128,88 @@ def test_divergence_stays_in_its_seed(name, param):
             assert batch.params[key][i].tobytes() == arr.tobytes(), key
 
 
+def _train_solo(name, seed):
+    """One seed trained alone: its run and final params."""
+    model = build_model(SPECS[name], seed=seed)
+    (run,) = train(model, *generate_toy_data(SHORT.n_train, SHORT.n_test, seed=seed), SHORT, name, (seed,))
+    return run, model.params
+
+
+@pytest.mark.parametrize("name", ["MLP-GeLU", "Logicron+Neg"])
+def test_test_split_is_evaluated_within_the_row_budget(monkeypatch, name):
+    # Three seeds train as one batch; their test split is evaluated as 2 + 1.
+    monkeypatch.setattr(experiments, "_ROW_BUDGET", 2 * SHORT.n_test)
+    seeds = (0, 1, 2)
+    splits = [generate_toy_data(SHORT.n_train, SHORT.n_test, seed=seed) for seed in seeds]
+    test_data = experiments._stack_data([te for _, te in splits])
+    batch = stack_models([build_model(SPECS[name], seed=seed) for seed in seeds])
+    evaluated = []
+    monkeypatch.setattr(experiments, "evaluate",
+                        lambda model, data: evaluated.append(data.inputs.shape) or evaluate(model, data))
+    runs = train(batch, experiments._stack_data([tr for tr, _ in splits]), test_data, SHORT, name, seeds)
+    per_epoch = [(3, SHORT.n_train, 3), (2, SHORT.n_test, 3), (1, SHORT.n_test, 3)]
+    assert evaluated == per_epoch * SHORT.epochs
+    for i, seed in enumerate(seeds):
+        alone, params = _train_solo(name, seed)
+        assert repr(runs[i]) == repr(alone)
+        for key, arr in params.items():
+            assert batch.params[key][i].tobytes() == arr.tobytes(), key
+
+
+def test_a_nan_seed_in_an_evaluation_sub_batch_is_flagged_alone(monkeypatch):
+    monkeypatch.setattr(experiments, "_ROW_BUDGET", 2 * SHORT.n_test)
+    seeds = (0, 1, 2)
+    splits = [generate_toy_data(SHORT.n_train, SHORT.n_test, seed=seed) for seed in seeds]
+    models = [build_model(SPECS["Logicron"], seed=seed) for seed in seeds]
+    models[1].params["w_head"][...] = np.nan  # inside the sub-batch of seeds 0 and 1
+    runs = train(stack_models(models), experiments._stack_data([tr for tr, _ in splits]),
+                 experiments._stack_data([te for _, te in splits]), SHORT, "Logicron", seeds)
+    assert [run.diverged for run in runs] == [False, True, False]
+    assert all(np.isnan(v) for v in runs[1].test_acc + runs[1].test_loss)
+    for i in (0, 2):
+        assert repr(runs[i]) == repr(_train_solo("Logicron", seeds[i])[0])
+
+
 # --- training in forked workers ------------------------------------------------
+
+
+def _start_and_warn(index):
+    warnings.warn(f"task {index}")
+    return index, time.monotonic()
+
+
+def test_forked_map_starts_in_the_given_order_and_returns_in_task_order():
+    from logiclab.workers import forked_map
+
+    order = [3, 0, 4, 2, 1]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        results = forked_map(_start_and_warn, [(i,) for i in range(5)], 1, order)
+    assert [index for index, _ in results] == list(range(5))
+    starts = [results[i][1] for i in order]
+    assert starts == sorted(starts) and len(set(starts)) == 5
+    assert [str(w.message) for w in caught] == [f"task {i}" for i in range(5)]
+    _no_child_left()
+
+
+def test_gated_batches_start_before_perceptron_batches(monkeypatch):
+    # Two chunks of the five default models: tasks 0-4 and 5-9, suite order.
+    monkeypatch.setattr(experiments, "_ROW_BUDGET", 2 * SHORT.n_train)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(experiments, "train", _stub_batch)
+    seen = []
+
+    def recording(fn, tasks, workers, order):
+        seen.append(([task[0].spec.kind != "perceptron" for task in tasks], list(order)))
+        return [fn(*task) for task in tasks]
+
+    from logiclab import workers
+
+    monkeypatch.setattr(workers, "forked_map", recording)
+    run_multi_seed(default_model_suite(), SHORT)
+    [(gated, order)] = seen
+    assert gated == [False, False, False, True, True] * 2
+    assert order == [3, 4, 8, 9, 0, 1, 2, 5, 6, 7]
 
 
 def _no_child_left():
@@ -202,7 +289,7 @@ def test_workers_issue_warnings_as_one_process_would(monkeypatch):
 
 
 def _fail_one_task(model, train_data, test_data, config, model_name, seeds):
-    if model_name == "MLP-ReLU":
+    if model_name == "Logicron":  # among the first tasks to start
         raise MemoryError("Unable to allocate 931. GiB for an array")
     time.sleep(60.0)  # the other tasks would outlast the test
 

@@ -4,8 +4,9 @@
 
 Runs each command below with ``python -m logiclab`` from each tree's
 ``src/``, every run in a fresh temporary directory that is also its output
-directory. It compares the exit codes, stdout, stderr and the sha256 of every
-written file, prints one summary line, and exits 1 on any difference.
+directory and holds the config files of ``CONFIGS`` it names. It compares the
+exit codes, stdout, stderr and the sha256 of every written file, prints one
+summary line, and exits 1 on any difference.
 
 ``--one-cpu`` pins the other tree's runs to one CPU, so ``train`` runs its
 serial loop there; ``python tools/compare_outputs.py . --one-cpu`` checks the
@@ -21,8 +22,13 @@ import subprocess
 import sys
 import tempfile
 
+# Four seeds of 1,000 rows: more than one batch per model at any row budget
+# below 4,000, so the default run's single batch per model is not all that
+# is compared.
+CONFIGS = {"chunks.ini": "[train]\nn_train = 1000\nseeds = 4\nepochs = 1\n"}
 COMMANDS = (
     ("train", "--out", "out"),
+    ("train", "--config", "chunks.ini", "--out", "out"),
     ("gradcheck", "--points", "100"),
     ("boundary", "--out", "out"),
     ("boundary", "--svg", "--out", "out"),
@@ -39,14 +45,19 @@ def run(tree: str, argv: tuple[str, ...], cpus: set[int] | None = None) -> dict[
     env = {**os.environ, "PYTHONPATH": os.path.join(tree, "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     pin = None if cpus is None else (lambda: os.sched_setaffinity(0, cpus))
     with tempfile.TemporaryDirectory() as cwd:
+        for name in CONFIGS.keys() & set(argv):
+            with open(os.path.join(cwd, name), "w") as fh:
+                fh.write(CONFIGS[name])
         proc = subprocess.run([sys.executable, "-m", "logiclab", *argv], cwd=cwd, env=env,
                               capture_output=True, preexec_fn=pin)
         outcome: dict[str, object] = dict(zip(STREAMS, (proc.returncode, proc.stdout, proc.stderr)))
         for root, _, files in os.walk(cwd):
             for name in files:
                 path = os.path.join(root, name)
-                with open(path, "rb") as fh:
-                    outcome[os.path.relpath(path, cwd)] = hashlib.sha256(fh.read()).hexdigest()
+                rel = os.path.relpath(path, cwd)
+                if rel not in CONFIGS:  # an input, not a written file
+                    with open(path, "rb") as fh:
+                        outcome[rel] = hashlib.sha256(fh.read()).hexdigest()
     return outcome
 
 

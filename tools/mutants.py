@@ -113,6 +113,10 @@ MUTANTS = (
     Mutant("svg-nan-fill", "src/logiclab/experiments.py",
            '_NAN_FILL = "#808080"', '_NAN_FILL = "#000000"',
            ("tests/test_experiments.py::TestEmission",)),
+    # the test split evaluated within the row budget
+    Mutant("evaluation-drops-last-sub-batch", "src/logiclab/experiments.py",
+           "for s in range(0, len(data.inputs), size)]", "for s in range(0, len(data.inputs) - 1, size)]",
+           ("tests/test_seed_batching.py::test_test_split_is_evaluated_within_the_row_budget",)),
     # forked workers
     Mutant("never-fork", "src/logiclab/experiments.py",
            "if workers < 2 or", "if True or", _FORKED[:1]),
@@ -128,6 +132,9 @@ MUTANTS = (
            ("tests/test_seed_batching.py::test_a_failing_task_stops_the_workers",)),
     Mutant("results-in-completion-order", "src/logiclab/workers.py",
            "results[index] = value", "results[results.index(None)] = value", _FORKED[:1]),
+    Mutant("results-by-start-position", "src/logiclab/workers.py",
+           "results[index] = value", "results[list(order).index(index)] = value",
+           ("tests/test_seed_batching.py::test_forked_map_starts_in_the_given_order_and_returns_in_task_order",)),
     Mutant("worker-error-replaced", "src/logiclab/workers.py",
            "raise value from RuntimeError(", "raise RuntimeError(",
            ("tests/test_seed_batching.py::test_a_failing_task_stops_the_workers",)),
