@@ -381,17 +381,27 @@ def sigmoid_values(x: np.ndarray) -> np.ndarray:
     numerator is picked before the division, so each element is divided
     once, by the same divisor as in a sign-masked split.  As e lies in
     [0, 1], ``maximum(e, x >= 0)`` picks it without a masked select, and
-    passes on the NaN of a NaN x.
+    passes on the NaN of a NaN x.  ``e`` is computed, incremented and
+    divided into in one buffer (a 0-d x gives a numpy scalar, which is
+    lifted to a 0-d array to be written into), and every operation keeps
+    the operands and the order of ``maximum(e, x >= 0) / (1.0 + e)`` with
+    ``e = exp(-abs(x))``, so the bytes are that expression's.
     """
-    e = np.exp(-np.abs(x))
-    return np.maximum(e, x >= 0) / (1.0 + e)
+    e = np.asarray(np.abs(x))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    numerator = np.maximum(e, x >= 0)
+    np.add(1.0, e, out=e)
+    return np.divide(numerator, e, out=e)
 
 
 def sigmoid(x: Node) -> Node:
     y = sigmoid_values(x.value)
 
     def backward(grad: np.ndarray) -> None:
-        x.grad += grad * y * (1.0 - y)
+        dx = grad * y
+        dx *= 1.0 - y  # grad * y * (1.0 - y)
+        x.grad += dx
 
     return x.graph.record(y, (x,), backward, op="sigmoid")
 
@@ -414,15 +424,38 @@ def gelu(x: Node) -> Node:
     rounded either: it differs from glibc ``pow`` on about 5 % of positive and
     0.15 % of negative bases.  The backward's ``v**2`` is numpy's square fast
     path, byte-equal to ``v * v``.
+
+    The forward keeps ``t = tanh(inner)``, ``1 + t`` and ``0.5 * v``, and the
+    backward builds ``grad * (0.5 * (1 + t) + 0.5 * v * (1 - t**2) * d_inner)``
+    in one fresh buffer, writing over those three as it reads them last.
+    Each operation keeps the operands and their order in the expressions
+    noted beside it, so every value and gradient, NaN payloads included, has
+    those expressions' bytes.
     """
     v = x.value
-    inner = _SQRT_2_OVER_PI * (v + _GELU_COEF * (v * v * v))
-    t = np.tanh(inner)
-    y = 0.5 * v * (1.0 + t)
+    t = v * v
+    t *= v
+    np.multiply(_GELU_COEF, t, out=t)
+    np.add(v, t, out=t)
+    np.multiply(_SQRT_2_OVER_PI, t, out=t)  # inner = S * (v + C * (v * v * v))
+    np.tanh(t, out=t)
+    one_plus_t = 1.0 + t
+    half_v = 0.5 * v
+    y = half_v * one_plus_t  # 0.5 * v * (1.0 + t)
 
     def backward(grad: np.ndarray) -> None:
-        d_inner = _SQRT_2_OVER_PI * (1.0 + 3.0 * _GELU_COEF * v**2)
-        x.grad += grad * (0.5 * (1.0 + t) + 0.5 * v * (1.0 - t**2) * d_inner)
+        d = v**2
+        np.multiply(3.0 * _GELU_COEF, d, out=d)
+        np.add(1.0, d, out=d)
+        np.multiply(_SQRT_2_OVER_PI, d, out=d)  # d_inner = S * (1 + 3 C v**2)
+        np.square(t, out=t)
+        np.subtract(1.0, t, out=t)
+        np.multiply(half_v, t, out=t)
+        np.multiply(t, d, out=d)  # 0.5 * v * (1 - t**2) * d_inner
+        np.multiply(0.5, one_plus_t, out=one_plus_t)
+        np.add(one_plus_t, d, out=d)
+        np.multiply(grad, d, out=d)  # grad * (0.5 * (1 + t) + ...)
+        x.grad += d
 
     return x.graph.record(y, (x,), backward, op="gelu")
 

@@ -31,6 +31,7 @@ from .experiments import (
 )
 from .models import ModelSpec, default_model_suite
 from .softlogic import num_vars, parse_formula, truth_table_sweep
+from .workers import WorkerError
 
 _EPILOG = """\
 output files:
@@ -382,6 +383,9 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:
         print(f"error: {args.command} ran out of memory; use a smaller configuration "
               f"({' '.join(str(exc).split()) or 'MemoryError'})", file=sys.stderr)
+        return 2
+    except WorkerError as exc:
+        print(f"error: {args.command} stopped: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")
 

@@ -351,16 +351,21 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _map_tasks(fn: Callable, tasks: list[tuple], order: Sequence[int]) -> list:
+def _map_tasks(fn: Callable, tasks: list[tuple], order: Sequence[int], at_once: int) -> list:
     """``[fn(*task) for task in tasks]``, in forked workers if it can be,
     started in ``order`` (see ``workers.forked_map``).
 
-    One worker per usable CPU and never more than tasks.  With one of
-    either, without ``os.fork`` or with other threads running (forking them
-    is unsafe), the tasks run here one after another, in task order.
+    ``max(usable CPUs, at_once)`` workers run at a time, never more than
+    tasks: where ``at_once`` tasks outnumber the CPUs, they all run and the
+    OS shares the CPUs among them until the last one ends, so no CPU idles
+    while a long task finishes alone, whatever the tasks cost.  With one
+    usable CPU or one task, without ``os.fork`` or with other threads running
+    (forking them is unsafe), the tasks run here one after another, in task
+    order.
     """
-    workers = min(_usable_cpus(), len(tasks))
-    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+    cpus = _usable_cpus()
+    workers = min(len(tasks), max(cpus, at_once))
+    if cpus < 2 or workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return [fn(*task) for task in tasks]
     from .workers import forked_map  # only a run that forks loads it
 
@@ -387,12 +392,15 @@ def run_multi_seed(
 
     Every (chunk, model) batch is built here first.  The batches are
     independent tasks; with more than one usable CPU they are trained in
-    forked worker processes, one per CPU (see ``_map_tasks``), so the
-    models built here keep their initial parameters.  The workers start
-    every gated model's batch before any perceptron's, the longest first,
-    so that no long batch is left to run alone at the end.  The runs, and
-    every byte written from them, are the same either way.  The stats are
-    keyed by spec name, so the names must be distinct.
+    forked worker processes (see ``_map_tasks``), so the models built here
+    keep their initial parameters.  As many workers run at once as there
+    are CPUs or models, whichever is more: all of a chunk's batches share
+    the CPUs to the end, and no more than one chunk's worth of batches is
+    alive at a time.  The workers start every gated model's batch before
+    any perceptron's, the longest first, which matters where batches wait
+    for a worker.  The runs, and every byte written from them, are the same
+    either way.  The stats are keyed by spec name, so the names must be
+    distinct.
     """
     _check_distinct([name for name, _ in specs], "model")
     chunk_size = max(1, _ROW_BUDGET // config.n_train)
@@ -416,7 +424,7 @@ def run_multi_seed(
     # Longest first: at n_train = 1000 a gated batch trains 2-5x as long as a
     # perceptron batch of its chunk (README, seed batching).
     order = sorted(range(len(tasks)), key=lambda i: tasks[i][0].spec.kind == "perceptron")
-    batches = _map_tasks(train, tasks, order)
+    batches = _map_tasks(train, tasks, order, len(specs))
     runs: list[RunResult] = []
     for start in range(0, len(batches), len(specs)):
         chunk_batches = batches[start:start + len(specs)]

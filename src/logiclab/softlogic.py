@@ -336,11 +336,18 @@ def gate(z: np.ndarray, t: float, axis: int = -1) -> tuple[np.ndarray, np.ndarra
     C-contiguous ``z``, where each adds whole slabs (``lnu.gated_reduce``
     gates over axis -3 of a feature-major tensor for this reason).
     """
+    gates, products = _gate_products(z, t, axis)
+    return gates, products.sum(axis=axis)
+
+
+def _gate_products(z: np.ndarray, t: float, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """``gate``'s gates and its products ``gates * z``, before their sum over
+    ``axis``: ``lnu.gated_reduce`` keeps the products for its backward."""
     a = t * z
     a -= a.max(axis=axis, keepdims=True)
     gates = np.exp(a, out=a)
     gates /= gates.sum(axis=axis, keepdims=True)
-    return gates, (gates * z).sum(axis=axis)
+    return gates, gates * z
 
 
 def soft_or(values, sharpness: float) -> float:

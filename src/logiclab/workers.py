@@ -1,11 +1,12 @@
 """Independent tasks in forked worker processes.
 
-``forked_map`` runs each task in a child forked for it, a few at a time,
-starting them in the order it is given, and returns the results in task
-order.  A child inherits its task with the parent's memory, so nothing is
-pickled on the way out, and it sends back only what the task returned or
-raised and the warnings it issued.
-``experiments.run_multi_seed`` trains its batches through it and loads this
+``forked_map`` runs each task in a child forked for it, at most a given
+number at a time, starting them in the order it is given, and returns the
+results in task order.  A child inherits its task with the parent's memory,
+so nothing is pickled on the way out, and it sends back only what the task
+returned or raised and the warnings it issued.
+``experiments.run_multi_seed`` trains its batches through it, all of a
+chunk's batches at once even where they outnumber the CPUs, and loads this
 module only when it forks.
 
 ``pin_heap_thresholds`` fixes glibc's heap thresholds at the values its own
@@ -30,7 +31,12 @@ import sys
 import warnings
 from typing import Callable, NoReturn, Sequence
 
-__all__ = ["forked_map", "pin_heap_thresholds"]
+__all__ = ["WorkerError", "forked_map", "pin_heap_thresholds"]
+
+
+class WorkerError(RuntimeError):
+    """A worker process could not be started, or ended (killed by a signal,
+    say by the kernel's out-of-memory killer) without returning its result."""
 
 
 def forked_map(fn: Callable, tasks: list[tuple], workers: int, order: Sequence[int]) -> list:
@@ -43,7 +49,9 @@ def forked_map(fn: Callable, tasks: list[tuple], workers: int, order: Sequence[i
     results and warnings are kept by task index.
 
     A task that raises makes this raise the same exception, chained to the
-    child's traceback, after the children still running are killed.  The
+    child's traceback, after the children still running are killed; a child
+    that cannot be forked, or that ends without a result (killed by a
+    signal), makes it raise ``WorkerError`` the same way.  The
     warnings the children recorded are issued again here, task by task,
     through this process's filters and registries, so a warning that several
     tasks hit prints once, as in one process.  Every child is reaped before
@@ -58,7 +66,12 @@ def forked_map(fn: Callable, tasks: list[tuple], workers: int, order: Sequence[i
             while todo and len(running) < workers:
                 index = todo.pop()
                 read_fd, write_fd = os.pipe()
-                pid = os.fork()
+                try:
+                    pid = os.fork()
+                except OSError as exc:  # EAGAIN or ENOMEM: no process to run it in
+                    os.close(read_fd)
+                    os.close(write_fd)
+                    raise WorkerError(f"could not start a worker process ({exc})") from exc
                 if pid == 0:
                     os.close(read_fd)
                     _work(fn, tasks[index], write_fd)
@@ -75,8 +88,8 @@ def forked_map(fn: Callable, tasks: list[tuple], workers: int, order: Sequence[i
                 os.close(fd)
                 code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 if code != 0:
-                    raise RuntimeError(f"a worker exited with code {code} "
-                                       "before returning its result")
+                    how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
+                    raise WorkerError(f"a worker process {how} before returning its result")
                 ok, value, trace, caught[index] = pickle.loads(b"".join(data))
                 if not ok:
                     raise value from RuntimeError("in a worker process:\n" + trace)

@@ -75,7 +75,7 @@ def test_main_leaves_its_callers_allocator_alone(monkeypatch, tmp_path, capsys, 
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
     argv = ["train", "--seeds", "2", "--epochs", "1", "--out", str(tmp_path)]
     assert cli.main(argv) == 0
-    assert experiments._map_tasks(pow, [(2, 3), (3, 2)], [1, 0]) == [8, 9]
+    assert experiments._map_tasks(pow, [(2, 3), (3, 2)], [1, 0], 2) == [8, 9]
     assert pinned == []
 
 

@@ -4,7 +4,9 @@ batches train here or in forked workers, must not change a written byte,
 a trained parameter or a warning, and a seed that diverges must not reach
 its batch-mates."""
 
+import errno
 import os
+import signal
 import threading
 import time
 import warnings
@@ -217,6 +219,52 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+# Three seeds in chunks of three (5 tasks) or of two and one (10 tasks).
+@pytest.mark.parametrize("cpus, chunks, expected", [
+    (2, 1, 5),  # every batch of the chunk at once, more workers than CPUs
+    (2, 2, 5),  # no more than one chunk's worth of batches alive
+    (8, 1, 5),  # never more workers than tasks
+    (8, 2, 8),  # one per CPU where the CPUs outnumber a chunk's batches
+    (1, 2, None),  # the serial loop
+])
+def test_worker_count(monkeypatch, cpus, chunks, expected):
+    monkeypatch.setattr(experiments, "_ROW_BUDGET", (4 - chunks) * SHORT.n_train)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(experiments, "train", _stub_batch)
+    seen = []
+
+    def recording(fn, tasks, workers, order):
+        seen.append((len(tasks), workers))
+        return [fn(*task) for task in tasks]
+
+    from logiclab import workers
+
+    monkeypatch.setattr(workers, "forked_map", recording)
+    aggregate = run_multi_seed(default_model_suite(), SHORT)
+    assert len(aggregate.runs) == 5 * len(SHORT.seeds)
+    assert seen == ([] if expected is None else [(5 * chunks, expected)])
+
+
+def _start_and_end(pause):
+    start = time.monotonic()
+    time.sleep(pause)
+    return start, time.monotonic()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_forked_map_keeps_at_most_its_workers_alive(workers):
+    from logiclab.workers import forked_map
+
+    intervals = forked_map(_start_and_end, [(0.1,)] * 7, workers, range(7))
+    # Each instant of the run lies in at most `workers` intervals; checking
+    # every start suffices, as the count only rises at one.
+    for start, _ in intervals:
+        assert sum(s <= start < e for s, e in intervals) <= workers
+    if workers > 1:  # and it does run that many at once
+        assert max(sum(s <= start < e for s, e in intervals) for start, _ in intervals) == workers
+    _no_child_left()
+
+
 def _train_keeping_params(model, train_data, test_data, config, model_name, seeds):
     """``train``, with each run carrying its seed's final params and the pid
     of the process that trained it back to the caller."""
@@ -314,6 +362,51 @@ def test_memory_error_in_a_worker_exits_2_with_one_line(monkeypatch, tmp_path, c
     assert captured.out == ""
     assert captured.err == ("error: train ran out of memory; use a smaller configuration "
                             "(Unable to allocate 931. GiB for an array)\n")
+    _no_child_left()
+
+
+def _killed_or_sleeping(model, train_data, test_data, config, model_name, seeds):
+    if model_name == "Logicron":  # among the first tasks to start
+        os.kill(os.getpid(), signal.SIGKILL)
+    time.sleep(60.0)  # the other tasks would outlast the test
+
+
+def test_a_worker_killed_by_a_signal_exits_2_with_one_line(monkeypatch, tmp_path, capfd):
+    monkeypatch.setattr(experiments, "train", _killed_or_sleeping)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    start = time.perf_counter()
+    assert cli.main(["train", "--out", str(tmp_path / "o")]) == 2
+    assert time.perf_counter() - start < 30.0
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: train stopped: a worker process was killed by signal "
+                            f"{int(signal.SIGKILL)} before returning its result\n")
+    _no_child_left()
+
+
+def test_a_fork_that_fails_exits_2_with_one_line(monkeypatch, tmp_path, capfd):
+    # The second fork fails as one past the process limit would; the first
+    # worker, already running, is killed and reaped.
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(None)
+        if len(forks) == 2:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(experiments, "train", _fail_one_task)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    start = time.perf_counter()
+    assert cli.main(["train", "--out", str(tmp_path / "o")]) == 2
+    assert time.perf_counter() - start < 30.0
+    assert len(forks) == 2
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: train stopped: could not start a worker process "
+                            "([Errno 11] Resource temporarily unavailable)\n")
     _no_child_left()
 
 

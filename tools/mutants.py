@@ -42,9 +42,33 @@ class Mutant(NamedTuple):
     survives: str | None = None  # why an equivalent mutant cannot be killed
 
 
-_SIGMOID = "    return np.maximum(e, x >= 0) / (1.0 + e)"
+_SIGMOID = "    numerator = np.maximum(e, x >= 0)"
 _SIGMOID_TESTS = ("tests/test_equivalence.py::TestSigmoidWithoutMaskedSelect",)
 _TABLE_TESTS = ("tests/test_logic_reference.py::test_batched_operators_match_public_scalar_operators",)
+_ORACLES = "tests/test_kernel_oracles.py::"
+# The sharpness term must read the products before the z gradient is built
+# over them.
+_SHARPNESS_TERM = """\
+        if sharpness.needs_grad:
+            # d out[i,k] / d s = sign_k * (sum_j gate * z^2 - out^2)
+            d_sharp = np.multiply(gz, zs, out=gz).sum(axis=-3)
+            d_sharp -= out_s * out_s
+            d_sharp *= sign
+            d_sharp *= grad
+            for half in halves:
+                part = np.ascontiguousarray(d_sharp[..., half]).sum(axis=(-2, -1), keepdims=True)
+                sharpness.grad += _unbroadcast(part, sharpness.shape)
+"""
+_DZ_TERM = """\
+        # d out[i,k] / d z[j,i,k] = gate * (1 + t * (z - out)), in the
+        # products' buffer, which the sharpness term has read;
+        # t * (z - out) = s * (zs - out_s)
+        dz = np.subtract(zs, out_s[..., None, :, :], out=gz)
+        dz *= s
+        dz += 1.0
+        dz *= gates
+        dz *= grad[..., None, :, :]
+"""
 _FORKED = (
     "tests/test_seed_batching.py::test_workers_and_serial_loop_are_byte_equal",
     "tests/test_seed_batching.py::test_serial_loop_without_fork_or_with_threads",
@@ -64,6 +88,18 @@ MUTANTS = (
     Mutant("sigmoid-fmax", "src/logiclab/autodiff.py", _SIGMOID,
            _SIGMOID.replace("np.maximum", "np.fmax"), _SIGMOID_TESTS,
            survives="for a NaN x, 0 / (1 + e) carries the NaN bits of e, as e / (1 + e) does"),
+    Mutant("sigmoid-values-adds-one-first", "src/logiclab/autodiff.py",
+           "    numerator = np.maximum(e, x >= 0)\n    np.add(1.0, e, out=e)\n",
+           "    np.add(1.0, e, out=e)\n    numerator = np.maximum(e, x >= 0)\n",
+           (_ORACLES + "test_sigmoid_value_and_gradient_bytes",)),
+    Mutant("sigmoid-backward-reassociated", "src/logiclab/autodiff.py",
+           "        dx = grad * y\n        dx *= 1.0 - y",
+           "        dx = 1.0 - y\n        dx *= y\n        dx *= grad",
+           (_ORACLES + "test_sigmoid_value_and_gradient_bytes",)),
+    Mutant("gelu-backward-3c-unfolded", "src/logiclab/autodiff.py",
+           "        np.multiply(3.0 * _GELU_COEF, d, out=d)\n",
+           "        np.multiply(_GELU_COEF, d, out=d)\n        np.multiply(3.0, d, out=d)\n",
+           (_ORACLES + "test_gelu_value_and_gradient_bytes",)),
     Mutant("matmul-rank-one-without-transpose", "src/logiclab/autodiff.py",
            "da = grad * bt if", "da = grad * b.value if",
            ("tests/test_equivalence.py::TestRankOneMatmulGradient",)),
@@ -72,6 +108,9 @@ MUTANTS = (
            'dw = np.einsum("...jnk,...jn->...jk", dz, xt)',
            'dw = np.einsum("...jnk,...jn->...jk", dz, xt) * (1 + 2.0**-40)',
            ("tests/test_gate_layout.py::test_value_and_gradients_byte_equal_to_row_major",)),
+    Mutant("gated-reduce-dz-before-sharp-term", "src/logiclab/lnu.py",
+           _SHARPNESS_TERM + _DZ_TERM, _DZ_TERM + _SHARPNESS_TERM,
+           (_ORACLES + "test_gated_reduce_value_and_gradient_bytes",)),
     Mutant("gated-reduce-without-dz*=s", "src/logiclab/lnu.py",
            "        dz *= s\n", "",
            ("tests/test_lnu.py::TestGatedReduce",)),
@@ -119,7 +158,19 @@ MUTANTS = (
            ("tests/test_seed_batching.py::test_test_split_is_evaluated_within_the_row_budget",)),
     # forked workers
     Mutant("never-fork", "src/logiclab/experiments.py",
-           "if workers < 2 or", "if True or", _FORKED[:1]),
+           "if cpus < 2 or", "if True or", _FORKED[:1]),
+    Mutant("one-worker-per-cpu", "src/logiclab/experiments.py",
+           "workers = min(len(tasks), max(cpus, at_once))", "workers = min(len(tasks), cpus)",
+           ("tests/test_seed_batching.py::test_worker_count",)),
+    Mutant("one-worker-too-many", "src/logiclab/workers.py",
+           "while todo and len(running) < workers:", "while todo and len(running) <= workers:",
+           ("tests/test_seed_batching.py::test_forked_map_keeps_at_most_its_workers_alive",)),
+    Mutant("fork-error-escapes", "src/logiclab/workers.py",
+           "except OSError as exc:  # EAGAIN", "except ZeroDivisionError as exc:  # EAGAIN",
+           ("tests/test_seed_batching.py::test_a_fork_that_fails_exits_2_with_one_line",)),
+    Mutant("lost-worker-raises-runtime-error", "src/logiclab/workers.py",
+           'raise WorkerError(f"a worker process {how}', 'raise RuntimeError(f"a worker process {how}',
+           ("tests/test_seed_batching.py::test_a_worker_killed_by_a_signal_exits_2_with_one_line",)),
     Mutant("fork-beside-threads", "src/logiclab/experiments.py",
            " or threading.active_count() > 1", "", _FORKED[1:]),
     Mutant("assume-os-fork", "src/logiclab/experiments.py",
