@@ -154,7 +154,8 @@ class TrainConfig:
     over the training data, each a single full-batch step.  Thirty
     single-step epochs cannot reach interpolation on this task, so the
     default records 30 epochs of 20 full-batch steps each.  A run reports
-    the standard deviation over its seeds, so it needs at least two.
+    the standard deviation over its seeds, so it needs at least two, and
+    distinct: a seed given twice would train twice and count as two.
     """
 
     epochs: int = 30
@@ -172,6 +173,7 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if len(self.seeds) < 2:
             raise ValueError("need at least 2 seeds to report a standard deviation")
+        _check_distinct(list(self.seeds), "seed")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.passes_per_epoch < 1:
@@ -185,36 +187,68 @@ class TrainConfig:
 class Adam:
     """Standard Adam with bias correction; updates parameter arrays in place.
 
-    The learning rate, betas and eps come from ``config``.  The moments of
-    all parameters live in one flat vector each, in the order of ``params``;
-    a step is one vector update whose slices are subtracted from the
-    parameter arrays, which stay the same objects.
+    The learning rate, betas and eps come from ``config``.  ``params`` must
+    be views of one flat float64 vector that they tile in their order, as
+    ``build_model`` and ``stack_models`` allocate them; anything else raises
+    ``ValueError``.  The moments live in flat vectors of that size, and a
+    step builds the gradient, the moments and the update in buffers kept
+    from step to step, then subtracts the update from the shared vector in
+    one operation, so the parameter arrays stay the same objects.  Each
+    operation keeps the operands and their order of the per-array
+    expressions ``m = b1 * m + (1 - b1) * g``, ``v = b2 * v + (1 - b2) * g * g``
+    and ``p -= lr * m_hat / (sqrt(v_hat) + eps)``, so the bytes are theirs.
     """
 
     def __init__(self, params: dict[str, np.ndarray], config: TrainConfig):
         self.params = params
         self.config = config
         self.t = 0
-        self._spans = []  # (array, start, end): its slice of the flat moments
-        size = 0
-        for arr in params.values():
-            self._spans.append((arr, size, size + arr.size))
-            size += arr.size
+        self._flat = _shared_vector(list(params.values()))
+        size = self._flat.size
         self.m = np.zeros(size)
         self.v = np.zeros(size)
+        self._g = np.empty(size)
+        self._tmp = np.empty(size)
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
         cfg = self.config
         b1, b2 = cfg.beta1, cfg.beta2
-        g = np.concatenate([grads[name] for name in self.params], axis=None)
-        self.m = b1 * self.m + (1.0 - b1) * g
-        self.v = b2 * self.v + (1.0 - b2) * g * g
-        m_hat = self.m / (1.0 - b1**self.t)
-        v_hat = self.v / (1.0 - b2**self.t)
-        update = cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
-        for p, start, end in self._spans:
-            p -= update[start:end].reshape(p.shape)
+        m, v, tmp = self.m, self.v, self._tmp
+        g = np.concatenate([grads[name] for name in self.params], axis=None, out=self._g)
+        np.multiply(b1, m, out=m)
+        m += np.multiply(1.0 - b1, g, out=tmp)
+        np.multiply(b2, v, out=v)
+        np.multiply(1.0 - b2, g, out=tmp)
+        tmp *= g
+        v += tmp
+        # g and tmp are spent: m_hat and v_hat take their buffers.
+        m_hat = np.divide(m, 1.0 - b1**self.t, out=g)
+        v_hat = np.divide(v, 1.0 - b2**self.t, out=tmp)
+        np.multiply(cfg.learning_rate, m_hat, out=m_hat)
+        np.sqrt(v_hat, out=v_hat)
+        v_hat += cfg.eps
+        m_hat /= v_hat
+        self._flat -= m_hat
+
+
+def _shared_vector(arrays: list[np.ndarray]) -> np.ndarray:
+    """The flat float64 vector that ``arrays`` tile, in order, as contiguous
+    views; ``ValueError`` when there is none."""
+    flat = arrays[0].base if arrays else None
+    if (isinstance(flat, np.ndarray) and flat.ndim == 1 and flat.dtype == np.float64
+            and flat.flags.c_contiguous and flat.flags.writeable):
+        address = flat.__array_interface__["data"][0]
+        for arr in arrays:
+            if (arr.base is not flat or not arr.flags.c_contiguous
+                    or arr.__array_interface__["data"][0] != address):
+                break
+            address += arr.nbytes
+        else:
+            if address == flat.__array_interface__["data"][0] + flat.nbytes:
+                return flat
+    raise ValueError("Adam needs params that tile one flat float64 vector in order, "
+                     "as build_model and stack_models allocate them")
 
 
 @dataclass
@@ -231,13 +265,17 @@ class RunResult:
     diverged: bool = False
 
 
+def _metrics(pred: np.ndarray, loss: np.ndarray, data: ToyDataset) -> tuple[np.ndarray, np.ndarray]:
+    """Accuracy of the thresholded predictions ``pred`` and the mean BCE
+    ``loss`` on ``data``: one of each per batch entry."""
+    return ((pred >= 0.5) == (data.labels == 1.0)).mean(axis=(-2, -1)), loss[..., 0, 0]
+
+
 def evaluate(model: Model, data: ToyDataset) -> tuple[np.ndarray, np.ndarray]:
     """Accuracy of thresholded predictions and mean BCE on a dataset: one of
     each per batch entry, numpy scalars for a model without batch axes."""
     out, _ = model.forward(ad.ConstantGraph(), data.inputs)
-    loss = ad.bce_loss(out, data.target)
-    acc = ((out.value >= 0.5) == (data.labels == 1.0)).mean(axis=(-2, -1))
-    return acc, loss.value[..., 0, 0]
+    return _metrics(out.value, ad.bce_loss(out, data.target).value, data)
 
 
 def _sub_batches(model: Model, data: ToyDataset) -> list[tuple[Model, ToyDataset]]:
@@ -253,13 +291,25 @@ def _sub_batches(model: Model, data: ToyDataset) -> list[tuple[Model, ToyDataset
             for s in range(0, len(data.inputs), size)]
 
 
-def _step(model: Model, optimizer: Adam, inputs: np.ndarray, target: ad.BinaryTarget) -> np.ndarray:
+def _step(model: Model, optimizer: Adam, inputs: np.ndarray,
+          target: ad.BinaryTarget) -> tuple[np.ndarray, np.ndarray]:
+    """One full-batch Adam step: the predictions and the loss of its forward,
+    taken at the params before the update."""
     graph = Graph()
     out, leaves = model.forward(graph, inputs)
     loss = ad.bce_loss(out, target)
     graph.backward(loss)
     optimizer.step({name: node.grad for name, node in leaves.items()})
-    return loss.value
+    return out.value, loss.value
+
+
+def _record(runs: list[RunResult], finite: np.ndarray, split: str,
+            acc: np.ndarray, loss: np.ndarray) -> None:
+    """Append a split's metrics to the runs of the seeds still ``finite``."""
+    acc, loss = np.ravel(acc), np.ravel(loss)
+    for i in np.flatnonzero(finite):
+        getattr(runs[i], f"{split}_acc").append(float(acc[i]))
+        getattr(runs[i], f"{split}_loss").append(float(loss[i]))
 
 
 def train(
@@ -275,33 +325,40 @@ def train(
     ``model``'s params and both datasets hold the seeds' entries along one
     leading axis (none for a single seed).  A step is one tape and one Adam
     update for the whole batch; metrics are recorded after each epoch.  The
-    test split is evaluated in sub-batches of at most ``_ROW_BUDGET`` rows
-    (at least one seed each), as ``run_multi_seed`` bounds the training rows.
-    A seed whose loss turns non-finite is flagged as diverged alone and
-    records NaN from that epoch on; its batch-mates run on unchanged.
+    test split is evaluated at each epoch's end, in sub-batches of at most
+    ``_ROW_BUDGET`` rows (at least one seed each), as ``run_multi_seed``
+    bounds the training rows.  An epoch's train-split metrics are those of
+    the next epoch's first step, whose forward runs on the same params and
+    data as an evaluation would, op for op; only the last epoch's train
+    split is evaluated on its own.  A seed whose loss turns non-finite is
+    flagged as diverged alone and records NaN from that epoch on; its
+    batch-mates run on unchanged.  The train metrics are read before that
+    first step's loss updates the divergence flags, so an epoch records both
+    splits for the same seeds, those finite at its end.
     """
     params = count_params(model)
     runs = [RunResult(model_name=model_name, seed=seed, params=params) for seed in seeds]
     optimizer = Adam(model.params, config)
     test_batches = _sub_batches(model, test_data)
     finite = np.ones(len(seeds), dtype=bool)
+    owed = False  # the last epoch's train metrics, which the next forward gives
     for _ in range(config.epochs):
         for _ in range(config.passes_per_epoch):
-            loss = _step(model, optimizer, train_data.inputs, train_data.target)
+            pred, loss = _step(model, optimizer, train_data.inputs, train_data.target)
+            if owed:
+                _record(runs, finite, "train", *_metrics(pred, loss, train_data))
+                owed = False
             finite &= np.isfinite(loss).reshape(-1)
             if not finite.any():
                 break
         if not finite.any():
             break
-        tr_acc, tr_loss = map(np.ravel, evaluate(model, train_data))
         tested = [evaluate(sub_model, sub_data) for sub_model, sub_data in test_batches]
-        te_acc = np.concatenate([np.ravel(acc) for acc, _ in tested])
-        te_loss = np.concatenate([np.ravel(loss) for _, loss in tested])
-        for i in np.flatnonzero(finite):
-            runs[i].train_acc.append(float(tr_acc[i]))
-            runs[i].test_acc.append(float(te_acc[i]))
-            runs[i].train_loss.append(float(tr_loss[i]))
-            runs[i].test_loss.append(float(te_loss[i]))
+        _record(runs, finite, "test", np.concatenate([np.ravel(acc) for acc, _ in tested]),
+                np.concatenate([np.ravel(loss) for _, loss in tested]))
+        owed = True
+    if owed:
+        _record(runs, finite, "train", *evaluate(model, train_data))
     for run, ok in zip(runs, finite):
         run.diverged = not ok
         for curve in (run.train_acc, run.test_acc, run.train_loss, run.test_loss):

@@ -24,6 +24,8 @@ where the data enters, so the layer does not scan its input again.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import autodiff as ad
@@ -50,6 +52,14 @@ def inverse_softplus(y: float) -> float:
     if np.isfinite(e):
         return float(np.log(e))
     return float(y + np.log(-np.expm1(-y)))
+
+
+@functools.cache
+def _signs(o: int) -> np.ndarray:
+    """The unit signs ``[-1]*o ++ [+1]*o``, built once per unit count, read-only."""
+    sign = np.repeat((-1.0, 1.0), o)
+    sign.flags.writeable = False
+    return sign
 
 
 def gated_reduce(x: Node, w_and: Node, w_or: Node, sharpness: Node) -> Node:
@@ -109,7 +119,7 @@ def gated_reduce(x: Node, w_and: Node, w_or: Node, sharpness: Node) -> Node:
 
     _check_broadcast(x.shape[:-2], w_and.shape[:-2], "gated_reduce")
     o = w_and.shape[-1]
-    sign = np.repeat((-1.0, 1.0), o)  # (2o,): AND units, then OR units
+    sign = _signs(o)  # (2o,): AND units, then OR units
     if sharpness.shape[-2:] != (1, 1):
         raise ShapeError(f"sharpness node must be (..., 1, 1), got {sharpness.shape}")
     # Pairwise broadcasting batch axes broadcast all together.

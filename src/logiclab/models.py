@@ -12,6 +12,9 @@ A batch of models is one model whose params carry a leading seed axis
 Every trainable array lives in the model's ``params`` and nowhere else, and
 ``forward`` lifts each onto the graph from there, so ``with_params`` gives
 a model any other params of the same names by swapping that one dict.
+``build_model`` and ``stack_models`` allocate the params as views of one flat
+float64 vector, in ``params`` order, which ``experiments.Adam`` updates in
+one operation.
 """
 
 from __future__ import annotations
@@ -144,23 +147,46 @@ class Logicron:
 Model = Perceptron | Logicron
 
 
+def _flat_params(shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """Uninitialized params of the given shapes, each a view of one flat
+    float64 vector, laid end to end in the order of ``shapes``."""
+    flat = np.empty(sum(math.prod(shape) for shape in shapes.values()))
+    params, start = {}, 0
+    for name, shape in shapes.items():
+        end = start + math.prod(shape)
+        params[name] = flat[start:end].reshape(shape)
+        start = end
+    return params
+
+
 def build_model(spec: ModelSpec, seed: int | np.random.SeedSequence = 0) -> Model:
-    """Deterministically initialize a model from a seed."""
+    """Deterministically initialize a model from a seed.
+
+    Its params are views of one flat float64 vector, in ``params`` order,
+    so ``experiments.Adam`` updates them all with one subtraction.
+    """
     rng = np.random.default_rng(seed)
-    if spec.kind == "perceptron":
-        return Perceptron(spec, rng)
-    return Logicron(spec, rng)
+    model = Perceptron(spec, rng) if spec.kind == "perceptron" else Logicron(spec, rng)
+    params = _flat_params({name: arr.shape for name, arr in model.params.items()})
+    for name, arr in model.params.items():
+        params[name][...] = arr
+    model.params = params
+    return model
 
 
 def stack_models(models: Sequence[Model]) -> Model:
     """One model whose params stack those of ``models`` on a new leading axis.
 
     The models must share a spec; slice ``i`` of every param holds exactly
-    the bytes of ``models[i]``, and the models themselves are left as they are.
+    the bytes of ``models[i]``, and the models themselves are left as they
+    are.  As in ``build_model``, the stacked params are views of one flat
+    float64 vector, in ``params`` order.
     """
-    return with_params(
-        models[0], {name: np.stack([m.params[name] for m in models]) for name in models[0].params}
-    )
+    first = models[0].params
+    params = _flat_params({name: (len(models), *arr.shape) for name, arr in first.items()})
+    for name, stacked in params.items():
+        np.stack([m.params[name] for m in models], out=stacked)
+    return with_params(models[0], params)
 
 
 def with_params(model: Model, params: dict[str, np.ndarray]) -> Model:

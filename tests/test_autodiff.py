@@ -208,6 +208,13 @@ class TestBceLoss:
         with pytest.raises(ShapeError):
             ad.bce_loss(ad.ConstantGraph().leaf(p), np.ones((3, 1)))
 
+    def test_target_and_its_complement_are_kept_read_only(self):
+        target = ad.BinaryTarget([[1.0], [0.0]])
+        assert target.complement.tobytes() == (1.0 - target.value).tobytes()
+        for arr in (target.value, target.complement):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0.5
+
     def test_gradient(self):
         rng = np.random.default_rng(13)
         p = rng.uniform(0.05, 0.95, (6, 1))

@@ -68,7 +68,10 @@ def test_traced_training_and_evaluation_match_untraced(load_tracer):
         assert tracer.nodes[op] > trained_nodes[op] > 0, op
     assert trained_nodes[gate_label] == trained_nodes["bce_loss"]  # one layer per tape
     evaluations = len(tracer.durations["experiments.evaluate"])
-    assert evaluations == 2 * 2 + 1
+    # Per run: the test split at each of 2 epochs' ends and the train split
+    # once at the last (earlier train metrics come from the next step's
+    # forward), then the evaluation above.
+    assert evaluations == 2 + 1 + 1
     # lnu_forward resolves gated_reduce as a global of its own module, so the
     # tracer's patch sees one call per Logicron forward: 2 epochs x 2 steps,
     # then each evaluation.

@@ -33,7 +33,7 @@ from logiclab.experiments import (
     write_summary_json,
 )
 from logiclab.experiments import _CELL_PX, _color_for
-from logiclab.models import ModelSpec, build_model
+from logiclab.models import ModelSpec, build_model, stack_models
 from logiclab.softlogic import truth_table_sweep
 
 
@@ -160,6 +160,21 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             TrainConfig(n_test=0)
 
+    def test_adam_needs_params_that_tile_one_flat_vector(self):
+        params = build_model(ModelSpec("logicron_neg"), seed=0).params
+        items = list(params.items())
+        for bad in ({name: arr.copy() for name, arr in items},  # separate arrays
+                    dict(items[::-1]),  # out of order
+                    dict(items[:-1]),  # a tail of the vector left out
+                    dict(items[1:]),  # a head left out
+                    {}):
+            with pytest.raises(ValueError, match="tile one flat float64 vector"):
+                Adam(bad, TrainConfig())
+        stacked = stack_models([build_model(ModelSpec("logicron_neg"), seed=s) for s in (0, 1)])
+        Adam(stacked.params, TrainConfig())
+        with pytest.raises(ValueError, match="tile one flat float64 vector"):
+            Adam({name: arr[:1] for name, arr in stacked.params.items()}, TrainConfig())
+
     def test_sharpness_800_logicron_takes_a_finite_first_step(self):
         train_ds, _ = generate_toy_data(20, 20, seed=0)
         model = build_model(ModelSpec("logicron", sharpness=800.0), seed=0)
@@ -203,6 +218,14 @@ class TestMultiSeed:
     def test_requires_two_seeds(self):
         with pytest.raises(ValueError):
             run_multi_seed(self._specs(), TrainConfig(seeds=(0,)))
+
+    @pytest.mark.parametrize("seeds", [(3, 3), (0, 1, 2, 1)])
+    def test_rejects_a_seed_given_twice(self, seeds):
+        # A repeated seed trains twice and would count as two, so (3, 3) would
+        # report a std of exactly 0 from one seed.
+        repeated = seeds[-1]
+        with pytest.raises(ValueError, match=f"seed {repeated} is given more than once"):
+            TrainConfig(seeds=seeds)
 
     def test_rejects_a_name_given_twice(self):
         # The stats are keyed by name, so a repeated name would pool two models' runs.

@@ -8,7 +8,12 @@ fresh-array expression it replaced, so values, signed zeros and NaN payloads
 must come out the same.  The oracles below are those expressions, written
 out as they read before; they are compared on random arrays at the shapes of
 the ``wide`` workload, with +-0, +-inf, subnormals and NaNs of several
-payloads and both signs mixed in.
+payloads and both signs mixed in.  ``autodiff.bce_loss`` clamps with
+``minimum`` and ``maximum`` instead of ``clip``, reads the target's kept
+complement and builds its clamp mask in the backward; its oracle is the
+expression it was, compared at both clamp bounds, at 0 and 1 with both zeros,
+on NaN payloads and a signalling NaN, and with a target shared by the batch
+axes.
 """
 
 import numpy as np
@@ -194,3 +199,44 @@ def test_gated_reduce_value_and_gradient_bytes(sharp_grad, special):
                         [part for part in want if part is not None])
     if not special:
         assert all(np.isfinite(part).all() for part in got if part is not None)
+
+
+def _bce_oracle(pv, t, grad):
+    """``bce_loss``'s value and prediction gradient as it computed them with
+    ``np.clip``, a fresh ``1.0 - t`` and the clamp mask built with the value."""
+    p = np.clip(pv, ad._BCE_EPS, 1.0 - ad._BCE_EPS)
+    n = p.shape[-2] * p.shape[-1]
+    loss = -(t * np.log(p) + (1.0 - t) * np.log1p(-p)).sum(axis=(-2, -1), keepdims=True) / n
+    active = (pv > ad._BCE_EPS) & (pv < 1.0 - ad._BCE_EPS)
+    return loss, _accumulated(grad * active * (p - t) / (p * (1.0 - p) * n), pv.shape)
+
+
+def _quiet_bit(v):
+    return bool(np.array(v).view(np.uint64) & np.uint64(1 << 51))
+
+
+# Predictions at and beside both clamp bounds, the ends of [0, 1] with both
+# zeros, and NaNs of several payloads, a signalling one among them.
+BCE_EDGES = [ad._BCE_EPS, 1.0 - ad._BCE_EPS, np.nextafter(ad._BCE_EPS, 0.0),
+             np.nextafter(ad._BCE_EPS, 1.0), np.nextafter(1.0 - ad._BCE_EPS, 0.0),
+             np.nextafter(1.0 - ad._BCE_EPS, 1.0), 0.0, -0.0, 1.0] + SPECIAL
+
+
+@pytest.mark.parametrize("target_shape", [(2, 3, 60, 1), (60, 1)], ids=["own-target", "shared-target"])
+def test_bce_loss_value_and_gradient_bytes(target_shape):
+    assert not _quiet_bit(_nan(0, 1)) and _quiet_bit(_nan(0, 1 << 51))  # SPECIAL's NaN kinds
+    rng = np.random.default_rng(24)
+    pv = rng.uniform(0.0, 1.0, (2, 3, 60, 1))
+    flat = pv.reshape(-1)
+    flat[:len(BCE_EDGES)] = BCE_EDGES
+    flat[len(BCE_EDGES):2 * len(BCE_EDGES)] = BCE_EDGES
+    rng.shuffle(flat)
+    t = (rng.uniform(0.0, 1.0, target_shape) > 0.5).astype(np.float64)
+    grad = rng.normal(0.0, 1.0, (2, 3, 1, 1))
+    target = ad.BinaryTarget(t)
+    got = _swept(lambda x: ad.bce_loss(x, target), pv, grad)
+    _assert_bytes_equal(got, _bce_oracle(pv, t, grad))
+    # Where a clamp bound or a NaN is hit, the gradient is exactly 0 or NaN.
+    at_bounds = (pv <= ad._BCE_EPS) | (pv >= 1.0 - ad._BCE_EPS)
+    assert (got[1][at_bounds] == 0.0).all()
+    assert np.isnan(got[1][np.isnan(pv)]).all() and np.isnan(got[0]).any()

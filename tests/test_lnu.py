@@ -272,6 +272,37 @@ class TestGatedReduce:
                         assert out[b][i, half * o + k] == pytest.approx(want, abs=1e-14)
 
 
+class TestAndUnitCannotIgnoreAnInput:
+    """An AND unit at sharpness s over d inputs, one of them 0, reads at most
+    ``(d - 1) / (e s)`` at any positive weights.  The zero entry adds 1 to
+    the softmin's denominator, so each other term ``g_j z_j`` is at most
+    ``z_j exp(-s z_j) <= 1 / (e s)``: an input the unit should ignore pulls
+    it toward AND's absorbing 0 instead of contributing its identity 1."""
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    @pytest.mark.parametrize("s", [0.5, 1.5, 10.0, 100.0])
+    def test_a_zero_input_bounds_the_unit(self, d, s):
+        rng = np.random.default_rng(d * 1000 + int(s * 10))
+        units, rows = 16, 200
+        # Unit 0 has every weight 20; the others span two decades, and each
+        # unit has some weight near 1 / s, where z exp(-s z) peaks.
+        w_and = 10.0 ** rng.uniform(-1.0, 1.3, (d, units))
+        w_and[:, 0] = 20.0
+        w_and[0, 1:] = 1.0 / s
+        x = rng.uniform(0.0, 1.0, (rows, d))
+        x[:, 0] = 1.0
+        x[np.arange(rows), rng.integers(0, d, rows)] = 0.0
+        g = ad.ConstantGraph()
+        lifted = [g.constant(v) for v in (x, w_and, rng.uniform(0.0, 1.0, (d, units)), [[s]])]
+        anded = gated_reduce(*lifted).value[:, :units]
+        bound = (d - 1) / (np.e * s)
+        assert anded.max() <= bound
+        assert (anded >= 0.0).all()
+        # Without a zero, at inputs 1, the unit of weights 20 reads 20.
+        ones = gated_reduce(g.constant(np.ones((1, d))), *lifted[1:]).value
+        assert ones[0, 0] == pytest.approx(20.0) and ones[0, 0] > bound
+
+
 class TestSoftAndAsGraphFunction:
     def test_finite_differences_at_moderate_sharpness(self):
         # soft_and of a weighted vector, expressed through the fused gate:

@@ -149,8 +149,8 @@ def test_test_split_is_evaluated_within_the_row_budget(monkeypatch, name):
     monkeypatch.setattr(experiments, "evaluate",
                         lambda model, data: evaluated.append(data.inputs.shape) or evaluate(model, data))
     runs = train(batch, experiments._stack_data([tr for tr, _ in splits]), test_data, SHORT, name, seeds)
-    per_epoch = [(3, SHORT.n_train, 3), (2, SHORT.n_test, 3), (1, SHORT.n_test, 3)]
-    assert evaluated == per_epoch * SHORT.epochs
+    per_epoch = [(2, SHORT.n_test, 3), (1, SHORT.n_test, 3)]
+    assert evaluated == per_epoch * SHORT.epochs + [(3, SHORT.n_train, 3)]
     for i, seed in enumerate(seeds):
         alone, params = _train_solo(name, seed)
         assert repr(runs[i]) == repr(alone)

@@ -69,6 +69,14 @@ _DZ_TERM = """\
         dz *= gates
         dz *= grad[..., None, :, :]
 """
+_RECORDING = ("tests/test_recording_order.py",)
+_BCE_ORACLE = (_ORACLES + "test_bce_loss_value_and_gradient_bytes",)
+_TRAIN_METRICS_READ = """\
+            if owed:
+                _record(runs, finite, "train", *_metrics(pred, loss, train_data))
+                owed = False
+"""
+_FINITE_UPDATE = "            finite &= np.isfinite(loss).reshape(-1)\n"
 _FORKED = (
     "tests/test_seed_batching.py::test_workers_and_serial_loop_are_byte_equal",
     "tests/test_seed_batching.py::test_serial_loop_without_fork_or_with_threads",
@@ -103,6 +111,15 @@ MUTANTS = (
     Mutant("matmul-rank-one-without-transpose", "src/logiclab/autodiff.py",
            "da = grad * bt if", "da = grad * b.value if",
            ("tests/test_equivalence.py::TestRankOneMatmulGradient",)),
+    Mutant("bce-mask-lower-bound-inclusive", "src/logiclab/autodiff.py",
+           "active = (pred.value > _BCE_EPS)", "active = (pred.value >= _BCE_EPS)", _BCE_ORACLE),
+    Mutant("bce-mask-upper-bound-inclusive", "src/logiclab/autodiff.py",
+           "(pred.value < 1.0 - _BCE_EPS)", "(pred.value <= 1.0 - _BCE_EPS)", _BCE_ORACLE),
+    Mutant("bce-complement-is-target", "src/logiclab/autodiff.py",
+           "        self.complement = 1.0 - t\n", "        self.complement = t.copy()\n", _BCE_ORACLE),
+    Mutant("bce-complement-writeable", "src/logiclab/autodiff.py",
+           "        self.complement.flags.writeable = False\n", "",
+           ("tests/test_autodiff.py::TestBceLoss::test_target_and_its_complement_are_kept_read_only",)),
     # the fused gate kernel
     Mutant("gated-reduce-dw-scaled", "src/logiclab/lnu.py",
            'dw = np.einsum("...jnk,...jn->...jk", dz, xt)',
@@ -156,6 +173,21 @@ MUTANTS = (
     Mutant("evaluation-drops-last-sub-batch", "src/logiclab/experiments.py",
            "for s in range(0, len(data.inputs), size)]", "for s in range(0, len(data.inputs) - 1, size)]",
            ("tests/test_seed_batching.py::test_test_split_is_evaluated_within_the_row_budget",)),
+    # Adam updates the one vector the params tile
+    Mutant("adam-accepts-a-partial-tiling", "src/logiclab/experiments.py",
+           'if address == flat.__array_interface__["data"][0] + flat.nbytes:', "if True:",
+           ("tests/test_experiments.py::TestTrainLoop::test_adam_needs_params_that_tile_one_flat_vector",)),
+    # an epoch's train metrics come from the next epoch's first step
+    Mutant("train-metrics-from-second-step", "src/logiclab/experiments.py",
+           _TRAIN_METRICS_READ,
+           _TRAIN_METRICS_READ.replace("if owed:", 'if owed == "next":')
+           + '            elif owed:\n                owed = "next"\n',
+           _RECORDING),
+    Mutant("finite-updated-before-train-metrics", "src/logiclab/experiments.py",
+           _TRAIN_METRICS_READ + _FINITE_UPDATE, _FINITE_UPDATE + _TRAIN_METRICS_READ, _RECORDING),
+    Mutant("last-train-evaluation-skipped", "src/logiclab/experiments.py",
+           '    if owed:\n        _record(runs, finite, "train", *evaluate(model, train_data))\n', "",
+           _RECORDING),
     # forked workers
     Mutant("never-fork", "src/logiclab/experiments.py",
            "if cpus < 2 or", "if True or", _FORKED[:1]),
@@ -224,6 +256,9 @@ MUTANTS = (
     Mutant("toy-inputs-range-unchecked", "src/logiclab/experiments.py",
            "not ((x >= 0.0) & (x <= 1.0)).all()", "not np.isfinite(x).all()",
            ("tests/test_experiments.py::TestToyData::test_non_finite_inputs_rejected",)),
+    Mutant("repeated-seed-accepted", "src/logiclab/experiments.py",
+           '        _check_distinct(list(self.seeds), "seed")\n', "",
+           ("tests/test_experiments.py::TestMultiSeed::test_rejects_a_seed_given_twice",)),
     Mutant("one-seed-config-accepted", "src/logiclab/experiments.py",
            "        if len(self.seeds) < 2:", "        if False:",
            ("tests/test_experiments.py::TestMultiSeed::test_requires_two_seeds",
