@@ -14,6 +14,8 @@ gradient is its own.  Binary elementwise ops broadcast numpy-style (a
 ``1xc`` row, a ``1x1`` scalar, a ``(S, 1, 1)`` per-entry scalar), and
 matmul broadcasts its operands' batch axes; gradients are summed back over
 the broadcast axes, and shapes that do not broadcast raise ``ShapeError``.
+``split_batch`` and ``concat_batch`` cut the first batch axis into runs of
+entries and join them again, so each run can go through an op of its own.
 
 ``Graph.leaf`` records a node that receives a gradient (a parameter, or an
 input whose gradient is wanted); ``Graph.constant`` records data that never
@@ -40,6 +42,7 @@ axis, so it never runs a backward rule.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -62,6 +65,8 @@ __all__ = [
     "softplus",
     "reduce_sum",
     "concat_cols",
+    "split_batch",
+    "concat_batch",
     "bce_loss",
     "BinaryTarget",
     "finite_difference_check",
@@ -373,6 +378,54 @@ def concat_cols(a: Node, b: Node) -> Node:
             b.grad += grad[..., split:]
 
     return g.record(out_val, (a, b), backward, op="concat_cols")
+
+
+def split_batch(x: Node, sizes: Sequence[int]) -> list[Node]:
+    """``x`` cut along its first batch axis (axis -3) into consecutive parts
+    of ``sizes`` entries, one node each; axes before it pass through.
+
+    A part's value is a view of ``x``'s, and its backward adds the part's
+    gradient into its own slice of ``x``'s.  ``concat_batch`` joins parts
+    again, so an op can run on some entries of a batch and another op on
+    the rest.
+    """
+    if x.value.ndim < 3:
+        raise ShapeError(f"split_batch: a {x.shape} value has no batch axis")
+    if sum(sizes) != x.shape[-3] or min(sizes) < 1:
+        raise ShapeError(f"split_batch: parts of {list(sizes)} entries do not tile {x.shape[-3]}")
+    parts, start = [], 0
+    for size in sizes:
+        parts.append(_batch_part(x, start, start + size))
+        start += size
+    return parts
+
+
+def _batch_part(x: Node, start: int, stop: int) -> Node:
+    def backward(grad: np.ndarray) -> None:
+        x_grad = x.grad[..., start:stop, :, :]  # a view; an indexed += would also write it back
+        x_grad += grad
+
+    return x.graph.record(x.value[..., start:stop, :, :], (x,), backward, op="split_batch")
+
+
+def concat_batch(parts: Sequence[Node]) -> Node:
+    """``parts`` joined along their first batch axis (axis -3); every other
+    axis must agree.  Each part's gradient is its own slice of the output's."""
+    first = parts[0].shape
+    for part in parts:
+        if part.value.ndim < 3:
+            raise ShapeError(f"concat_batch: a {part.shape} part has no batch axis")
+        if part.shape[:-3] != first[:-3] or part.shape[-2:] != first[-2:]:
+            raise ShapeError(f"concat_batch: parts {first} and {part.shape} differ off axis -3")
+    out_val = np.concatenate([part.value for part in parts], axis=-3)
+    bounds = list(itertools.accumulate((part.shape[-3] for part in parts), initial=0))
+
+    def backward(grad: np.ndarray) -> None:
+        for part, start, stop in zip(parts, bounds[:-1], bounds[1:]):
+            if part.needs_grad:
+                part.grad += grad[..., start:stop, :, :]
+
+    return parts[0].graph.record(out_val, parts, backward, op="concat_batch")
 
 
 # ---------------------------------------------------------------------------

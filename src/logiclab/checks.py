@@ -155,6 +155,39 @@ def _model_check(spec: ModelSpec) -> GradCheck:
     return draw, forward
 
 
+def _entries_added(x):
+    """The entries of ``x``'s first batch axis added in order: a
+    ``(..., 1, n, k)`` value, so a check's loss is one scalar per point."""
+    parts = ad.split_batch(x, [1] * x.shape[-3])
+    total = parts[0]
+    for part in parts[1:]:
+        total = ad.add(total, part)
+    return total
+
+
+# The batch-axis ops: a point's params carry one entry, which probe weights
+# spread over three; the entries go through different ops in runs of 2 and 1.
+def _split_batch_draw(rng):
+    return [rng.uniform(-2.0, 2.0, (1, 3, 4))], [_probe_weights(rng, (3, 3, 4))]
+
+
+def _split_batch_forward(g, params, consts):
+    x = g.leaf(params[0])
+    pair, single = ad.split_batch(ad.mul(x, g.constant(consts[0])), (2, 1))
+    return _scalar_loss(ad.add(_entries_added(ad.gelu(pair)), ad.sigmoid(single))), [x]
+
+
+def _concat_batch_draw(rng):
+    params = [rng.uniform(-2.0, 2.0, (1, 3, 4)), rng.uniform(-2.0, 2.0, (1, 3, 4))]
+    return params, [_probe_weights(rng, (2, 3, 4)), _probe_weights(rng, (3, 3, 4))]
+
+
+def _concat_batch_forward(g, params, consts):
+    a, b = g.leaf(params[0]), g.leaf(params[1])
+    joined = ad.concat_batch([ad.mul(a, g.constant(consts[0])), ad.sigmoid(b)])
+    return _scalar_loss(_entries_added(ad.mul(joined, g.constant(consts[1])))), [a, b]
+
+
 GRADCHECKS: dict[str, GradCheck] = {
     "add": _binary(ad.add),
     "add_broadcast_row": _binary(ad.add, b_shape=(1, 4)),
@@ -177,6 +210,8 @@ GRADCHECKS: dict[str, GradCheck] = {
     "perceptron_gelu": _model_check(ModelSpec("perceptron", hidden=5, activation="gelu")),
     "logicron": _model_check(ModelSpec("logicron", hidden=4)),
     "logicron_neg": _model_check(ModelSpec("logicron_neg", hidden=3)),
+    "split_batch": (_split_batch_draw, _split_batch_forward),
+    "concat_batch": (_concat_batch_draw, _concat_batch_forward),
 }
 
 

@@ -4,10 +4,12 @@ decision-boundary grids, and CSV/JSON/SVG emission.
 Everything is deterministic given the seeds in the configuration; seed-level
 runs are independent (fresh data, fresh init, fresh optimizer state).
 ``train`` is the one trainer: it trains the seeds of one model together, as
-one batch whose params, data and Adam moments carry a leading seed axis; no
-operation mixes seeds, so each seed's run is byte for byte what it would be
-alone.  ``run_multi_seed`` draws the data and models and calls it per batch,
-in forked worker processes when more than one CPU is usable.
+one batch whose params, data and Adam moments carry a leading entry axis,
+and the perceptrons that differ only in activation together with them,
+an activation run each; no operation mixes entries, so each run is byte for
+byte what it would be alone.  ``run_multi_seed`` draws the data and models
+and calls it per batch, in forked worker processes when more than one CPU
+is usable.
 Adam reads its learning rate, betas and eps from ``TrainConfig``, the one
 set of training defaults.
 """
@@ -27,7 +29,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Graph
 from . import softlogic as sl
-from .models import Model, ModelSpec, ParamCount, build_model, count_params, stack_models, with_params
+from .models import Model, ModelSpec, ParamCount, build_model, count_params, entry_slice, stack_models
 from .softlogic import Formula, hard_eval, num_vars, parse_formula
 
 __all__ = [
@@ -57,8 +59,14 @@ __all__ = [
 DEFAULT_FORMULA_TEXT = "(x1 | x2) & ~x3"
 
 # Rows per batch: ``run_multi_seed`` trains up to ``max(1, _ROW_BUDGET //
-# n_train)`` seeds of a model as one batch, and ``train`` evaluates the test
-# split in sub-batches of ``max(1, _ROW_BUDGET // n_test)`` seeds.  Batching
+# n_train)`` seeds of a model as one batch, the perceptrons of a chunk that
+# share their structure as one batch when their rows fit it together, and
+# ``train`` evaluates the test split in sub-batches of ``max(1, _ROW_BUDGET
+# // n_test)`` entries.  On the toy task one step of the three default
+# perceptrons as one 9-entry batch took 180-185 us against 286-313 us as
+# three 3-seed batches (best of 5 x 200 steps, 3 runs, one Xeon core).  At
+# n_train = 1000, grouping them in spite of the budget read perfbench's
+# wide run_rel 85.9 -> 90.4 (median of 5 pairs, 2 lower).  Batching
 # removes per-op overhead, which dominates small tapes, and still pays at
 # 1,000 rows: there a perceptron's serial CPU time per seed-step fell from
 # 339-686 us at one seed per batch to 245-574 us at two, while a gated
@@ -279,16 +287,22 @@ def evaluate(model: Model, data: ToyDataset) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sub_batches(model: Model, data: ToyDataset) -> list[tuple[Model, ToyDataset]]:
-    """``model`` and ``data`` cut along their seed axis into sub-batches of
-    ``max(1, _ROW_BUDGET // n)`` seeds, n the rows of one seed's data.  The
-    sub-models' params are views of ``model``'s, so they see its updates.
+    """``model`` and ``data`` cut along their entry axis into sub-batches of
+    ``max(1, _ROW_BUDGET // n)`` entries, n the rows of one entry's data.
+    The sub-models (``entry_slice``) see ``model``'s updates and carry the
+    activation runs of their own entries.
     """
-    if data.inputs.ndim == 2:  # one seed, no seed axis
+    if data.inputs.ndim == 2:  # one entry, no entry axis
         return [(model, data)]
     size = max(1, _ROW_BUDGET // data.inputs.shape[-2])
-    return [(with_params(model, {name: arr[s:s + size] for name, arr in model.params.items()}),
-             ToyDataset(data.inputs[s:s + size], data.labels[s:s + size]))
+    return [(entry_slice(model, s, s + size), ToyDataset(data.inputs[s:s + size], data.labels[s:s + size]))
             for s in range(0, len(data.inputs), size)]
+
+
+def _repeated(data: ToyDataset, times: int) -> ToyDataset:
+    """``data``'s entries ``times`` over, along an entry axis (added to data
+    of one entry that has none)."""
+    return ToyDataset(np.tile(data.inputs, (times, 1, 1)), np.tile(data.labels, (times, 1, 1)))
 
 
 def _step(model: Model, optimizer: Adam, inputs: np.ndarray,
@@ -317,48 +331,61 @@ def train(
     train_data: ToyDataset,
     test_data: ToyDataset,
     config: TrainConfig,
-    model_name: str,
+    names: Sequence[str],
     seeds: Sequence[int],
 ) -> list[RunResult]:
-    """Train one model per seed as one batch, one ``RunResult`` per seed.
+    """Train a batch of runs as one model: one ``RunResult`` per model name
+    and seed, name-major.
 
-    ``model``'s params and both datasets hold the seeds' entries along one
-    leading axis (none for a single seed).  A step is one tape and one Adam
-    update for the whole batch; metrics are recorded after each epoch.  The
-    test split is evaluated at each epoch's end, in sub-batches of at most
-    ``_ROW_BUDGET`` rows (at least one seed each), as ``run_multi_seed``
-    bounds the training rows.  An epoch's train-split metrics are those of
-    the next epoch's first step, whose forward runs on the same params and
-    data as an evaluation would, op for op; only the last epoch's train
-    split is evaluated on its own.  A seed whose loss turns non-finite is
-    flagged as diverged alone and records NaN from that epoch on; its
-    batch-mates run on unchanged.  The train metrics are read before that
-    first step's loss updates the divergence flags, so an epoch records both
-    splits for the same seeds, those finite at its end.
+    ``model``'s params hold one entry per run along one leading axis (none
+    for a single run): a block of ``len(seeds)`` entries for each of
+    ``names`` in turn, as a stack of one spec's seeds (one name) or of
+    perceptrons that differ only in activation (``stack_models``; one name
+    per activation run) holds them.  Both datasets hold the seeds' entries
+    (none for a single seed), and every block trains on them.  A step is one
+    tape and one Adam update for the whole batch; metrics are recorded after
+    each epoch.  The test split is evaluated at each epoch's end, in
+    sub-batches of at most ``_ROW_BUDGET`` rows (at least one entry each),
+    as ``run_multi_seed`` bounds the training rows.  An epoch's train-split
+    metrics are those of the next epoch's first step, whose forward runs on
+    the same params and data as an evaluation would, op for op; only the
+    last epoch's train split is evaluated on its own.  A run whose loss
+    turns non-finite is flagged as diverged alone and records NaN from that
+    epoch on; its batch-mates run on unchanged.  The train metrics are read
+    before that first step's loss updates the divergence flags, so an epoch
+    records both splits for the same runs, those finite at its end.  numpy's
+    floating-point warnings are off while it trains: a diverging run shows
+    in its flag alone.
     """
+    entries = math.prod(model.params["b_head"].shape[:-2])
+    if entries != len(names) * len(seeds):
+        raise ValueError(f"a model of {entries} entries cannot hold {len(names)} names x {len(seeds)} seeds")
+    if len(names) > 1:
+        train_data, test_data = _repeated(train_data, len(names)), _repeated(test_data, len(names))
     params = count_params(model)
-    runs = [RunResult(model_name=model_name, seed=seed, params=params) for seed in seeds]
+    runs = [RunResult(model_name=name, seed=seed, params=params) for name in names for seed in seeds]
     optimizer = Adam(model.params, config)
     test_batches = _sub_batches(model, test_data)
-    finite = np.ones(len(seeds), dtype=bool)
+    finite = np.ones(len(runs), dtype=bool)
     owed = False  # the last epoch's train metrics, which the next forward gives
-    for _ in range(config.epochs):
-        for _ in range(config.passes_per_epoch):
-            pred, loss = _step(model, optimizer, train_data.inputs, train_data.target)
-            if owed:
-                _record(runs, finite, "train", *_metrics(pred, loss, train_data))
-                owed = False
-            finite &= np.isfinite(loss).reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(config.epochs):
+            for _ in range(config.passes_per_epoch):
+                pred, loss = _step(model, optimizer, train_data.inputs, train_data.target)
+                if owed:
+                    _record(runs, finite, "train", *_metrics(pred, loss, train_data))
+                    owed = False
+                finite &= np.isfinite(loss).reshape(-1)
+                if not finite.any():
+                    break
             if not finite.any():
                 break
-        if not finite.any():
-            break
-        tested = [evaluate(sub_model, sub_data) for sub_model, sub_data in test_batches]
-        _record(runs, finite, "test", np.concatenate([np.ravel(acc) for acc, _ in tested]),
-                np.concatenate([np.ravel(loss) for _, loss in tested]))
-        owed = True
-    if owed:
-        _record(runs, finite, "train", *evaluate(model, train_data))
+            tested = [evaluate(sub_model, sub_data) for sub_model, sub_data in test_batches]
+            _record(runs, finite, "test", np.concatenate([np.ravel(acc) for acc, _ in tested]),
+                    np.concatenate([np.ravel(loss) for _, loss in tested]))
+            owed = True
+        if owed:
+            _record(runs, finite, "train", *evaluate(model, train_data))
     for run, ok in zip(runs, finite):
         run.diverged = not ok
         for curve in (run.train_acc, run.test_acc, run.train_loss, run.test_loss):
@@ -410,7 +437,9 @@ def _usable_cpus() -> int:
 
 def _map_tasks(fn: Callable, tasks: list[tuple], order: Sequence[int], at_once: int) -> list:
     """``[fn(*task) for task in tasks]``, in forked workers if it can be,
-    started in ``order`` (see ``workers.forked_map``).
+    started in ``order`` (see ``workers.forked_map``).  ``run_multi_seed``
+    passes its spec count as ``at_once``: a chunk trains at most that many
+    batches, and fewer where its perceptrons share one.
 
     ``max(usable CPUs, at_once)`` workers run at a time, never more than
     tasks: where ``at_once`` tasks outnumber the CPUs, they all run and the
@@ -435,6 +464,19 @@ def _check_distinct(names: list[str], what: str) -> None:
             raise ValueError(f"{what} {name!r} is given more than once")
 
 
+def _batch_specs(specs: Sequence[tuple[str, ModelSpec]], rows: int) -> list[list[int]]:
+    """The spec indices each batch of a chunk of ``rows`` training rows per
+    spec trains, in order of their first spec: all the perceptrons of one
+    input width and hidden size together when their rows fit
+    ``_ROW_BUDGET`` together, and otherwise every spec alone."""
+    groups: dict[object, list[int]] = {}
+    for k, (_, spec) in enumerate(specs):
+        key = (spec.input_dim, spec.resolved_hidden) if spec.kind == "perceptron" else k
+        groups.setdefault(key, []).append(k)
+    return [batch for group in groups.values()
+            for batch in ([group] if len(group) * rows <= _ROW_BUDGET else [[k] for k in group])]
+
+
 def run_multi_seed(
     specs: Sequence[tuple[str, ModelSpec]],
     config: TrainConfig,
@@ -443,19 +485,25 @@ def run_multi_seed(
     """Train every spec on every seed; fresh data and init per seed.
 
     All models share the data drawn for a seed so the comparison is paired.
-    The seeds are trained in chunks of ``max(1, _ROW_BUDGET // n_train)``,
-    each chunk of one model as one batch; runs are returned seed-major, in
-    the order of ``config.seeds`` and then of ``specs``.
+    The seeds are trained in chunks of ``max(1, _ROW_BUDGET // n_train)``.
+    A chunk trains each gated spec as one batch, and its perceptrons of one
+    input width and hidden size as one batch of them all, an activation run
+    per spec (``stack_models``), when their rows fit ``_ROW_BUDGET``
+    together (chunk seeds x ``n_train`` x specs), and otherwise one batch
+    per spec.  The default suite then trains three batches per chunk on the
+    toy task and the default ``train``, and five at n_train = 1000.  Runs
+    are returned seed-major, in the order of ``config.seeds`` and then of
+    ``specs``, however they were batched.
 
-    Every (chunk, model) batch is built here first.  The batches are
-    independent tasks; with more than one usable CPU they are trained in
-    forked worker processes (see ``_map_tasks``), so the models built here
-    keep their initial parameters.  As many workers run at once as there
-    are CPUs or models, whichever is more: all of a chunk's batches share
-    the CPUs to the end, and no more than one chunk's worth of batches is
-    alive at a time.  The workers start every gated model's batch before
-    any perceptron's, the longest first, which matters where batches wait
-    for a worker.  The runs, and every byte written from them, are the same
+    Every batch is built here first.  The batches are independent tasks;
+    with more than one usable CPU they are trained in forked worker
+    processes (see ``_map_tasks``), so the models built here keep their
+    initial parameters.  As many workers run at once as there are CPUs or
+    specs, whichever is more: all of a chunk's batches share the CPUs to
+    the end, and no more than one chunk's worth of batches is alive at a
+    time.  The workers start every gated model's batch before any
+    perceptron's, the longest first, which matters where batches wait for a
+    worker.  The runs, and every byte written from them, are the same
     either way.  The stats are keyed by spec name, so the names must be
     distinct.
     """
@@ -475,17 +523,15 @@ def run_multi_seed(
         train_data = _stack_data([train_split for train_split, _ in splits])
         test_data = _stack_data([test_split for _, test_split in splits])
         inits = [init_root.spawn(len(specs)) for _, init_root in roots]
-        for k, (name, spec) in enumerate(specs):
-            model = stack_models([build_model(spec, init[k]) for init in inits])
-            tasks.append((model, train_data, test_data, config, name, chunk))
+        for batch in _batch_specs(specs, len(chunk) * config.n_train):
+            model = stack_models([build_model(specs[k][1], init[k]) for k in batch for init in inits])
+            tasks.append((model, train_data, test_data, config, [specs[k][0] for k in batch], chunk))
     # Longest first: at n_train = 1000 a gated batch trains 2-5x as long as a
     # perceptron batch of its chunk (README, seed batching).
     order = sorted(range(len(tasks)), key=lambda i: tasks[i][0].spec.kind == "perceptron")
     batches = _map_tasks(train, tasks, order, len(specs))
-    runs: list[RunResult] = []
-    for start in range(0, len(batches), len(specs)):
-        chunk_batches = batches[start:start + len(specs)]
-        runs.extend(run for seed_runs in zip(*chunk_batches) for run in seed_runs)
+    by_run = {(run.model_name, run.seed): run for batch_runs in batches for run in batch_runs}
+    runs = [by_run[name, seed] for seed in config.seeds for name, _ in specs]
 
     stats: dict[str, ModelStats] = {}
     for name, _ in specs:

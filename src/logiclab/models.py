@@ -7,8 +7,11 @@ and ``ModelSpec`` is the one check of a kind.  Default sizes are chosen so the t
 come out to 97 (perceptron, h=24), 90 (logicron, 11 units + trainable
 sharpness) and 110 (logicron with a 9-unit negation branch).
 
-A batch of models is one model whose params carry a leading seed axis
-(``stack_models``); its ``forward`` is the same code on stacked inputs.
+A batch of models is one model whose params carry a leading entry axis
+(``stack_models``); its ``forward`` is the same code on stacked inputs.  The
+entries are the seeds of one model, or, for perceptrons that differ only in
+activation, runs of seeds of each activation (``Perceptron.runs``), and
+``entry_slice`` cuts a batch to some of its entries.
 Every trainable array lives in the model's ``params`` and nowhere else, and
 ``forward`` lifts each onto the graph from there, so ``with_params`` gives
 a model any other params of the same names by swapping that one dict.
@@ -20,6 +23,7 @@ one operation.
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -41,6 +45,7 @@ __all__ = [
     "Logicron",
     "build_model",
     "stack_models",
+    "entry_slice",
     "with_params",
     "count_params",
     "default_model_suite",
@@ -97,11 +102,23 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 
 
 class Perceptron:
-    """Dense hidden layer (no bias) + activation + dense sigmoid head."""
+    """Dense hidden layer (no bias) + activation + dense sigmoid head.
+
+    ``runs`` names the activation of each entry of the model as contiguous
+    ``(kind, entries)`` runs: one run for a model, or a stack of one spec,
+    and one per activation for a stack of perceptrons that differ only in
+    activation.  With one run the forward applies that activation to the
+    hidden matmul.  With several, it cuts the hidden pre-activations into
+    the runs along the entry axis (``ad.split_batch``), applies each run's
+    activation to its part and joins the parts (``ad.concat_batch``); the
+    hidden matmul, the head and everything after serve all the entries at
+    once.
+    """
 
     def __init__(self, spec: ModelSpec, rng: np.random.Generator):
         h = spec.resolved_hidden
         self.spec = spec
+        self.runs: tuple[tuple[str, int], ...] = ((spec.activation, 1),)
         self.params: dict[str, np.ndarray] = {
             "w_hidden": _glorot(rng, spec.input_dim, h),
             "w_head": _glorot(rng, h, 1),
@@ -111,7 +128,13 @@ class Perceptron:
     def forward(self, graph: Graph, inputs: np.ndarray) -> tuple[Node, dict[str, Node]]:
         leaves = {name: graph.leaf(arr) for name, arr in self.params.items()}
         x = graph.constant(inputs)
-        hidden = _ACTIVATIONS[self.spec.activation](ad.matmul(x, leaves["w_hidden"]))
+        pre = ad.matmul(x, leaves["w_hidden"])
+        if len(self.runs) == 1:
+            hidden = _ACTIVATIONS[self.runs[0][0]](pre)
+        else:
+            parts = ad.split_batch(pre, [entries for _, entries in self.runs])
+            hidden = ad.concat_batch([_ACTIVATIONS[kind](part)
+                                      for (kind, _), part in zip(self.runs, parts)])
         logits = ad.add(ad.matmul(hidden, leaves["w_head"]), leaves["b_head"])
         return ad.sigmoid(logits), leaves
 
@@ -174,19 +197,48 @@ def build_model(spec: ModelSpec, seed: int | np.random.SeedSequence = 0) -> Mode
     return model
 
 
-def stack_models(models: Sequence[Model]) -> Model:
-    """One model whose params stack those of ``models`` on a new leading axis.
+def _runs(kinds) -> tuple[tuple[str, int], ...]:
+    """Per-entry activation kinds as contiguous ``(kind, entries)`` runs."""
+    return tuple((kind, len(list(run))) for kind, run in itertools.groupby(kinds))
 
-    The models must share a spec; slice ``i`` of every param holds exactly
-    the bytes of ``models[i]``, and the models themselves are left as they
-    are.  As in ``build_model``, the stacked params are views of one flat
-    float64 vector, in ``params`` order.
+
+def _kinds(model: Perceptron) -> list[str]:
+    return [kind for kind, entries in model.runs for _ in range(entries)]
+
+
+def stack_models(models: Sequence[Model]) -> Model:
+    """One model whose params stack those of ``models`` on a new leading
+    entry axis.
+
+    The models must share a kind, input width and hidden size, or this
+    raises ``ValueError``; perceptrons may differ in activation, and the
+    stack keeps its entries' activations, in the order given, as contiguous
+    runs (``Perceptron.runs``): give each activation's models together.  The
+    stack's ``spec`` is that of ``models[0]``.  Slice ``i`` of every param
+    holds exactly the bytes of ``models[i]``, and the models themselves are
+    left as they are.  As in ``build_model``, the stacked params are views
+    of one flat float64 vector, in ``params`` order.
     """
-    first = models[0].params
-    params = _flat_params({name: (len(models), *arr.shape) for name, arr in first.items()})
+    first = models[0]
+    if len({(m.spec.kind, m.spec.input_dim, m.spec.resolved_hidden) for m in models}) > 1:
+        raise ValueError("stack_models needs models of one kind, input width and hidden size")
+    params = _flat_params({name: (len(models), *arr.shape) for name, arr in first.params.items()})
     for name, stacked in params.items():
         np.stack([m.params[name] for m in models], out=stacked)
-    return with_params(models[0], params)
+    out = with_params(first, params)
+    if isinstance(out, Perceptron):
+        out.runs = _runs(kind for m in models for kind in _kinds(m))
+    return out
+
+
+def entry_slice(model: Model, start: int, stop: int) -> Model:
+    """Entries ``start:stop`` of a stacked model: a copy whose params are
+    views of those entries of ``model``'s, so it sees their updates, and
+    whose perceptron activation runs are cut to them."""
+    out = with_params(model, {name: arr[start:stop] for name, arr in model.params.items()})
+    if isinstance(out, Perceptron):
+        out.runs = _runs(_kinds(model)[start:stop])
+    return out
 
 
 def with_params(model: Model, params: dict[str, np.ndarray]) -> Model:

@@ -40,7 +40,7 @@ def _short_run(name):
                                      n_train=20, n_test=40)
     train_ds, test_ds = experiments.generate_toy_data(config.n_train, config.n_test, seed=0)
     model = models.build_model(dict(models.default_model_suite())[name], seed=0)
-    (result,) = experiments.train(model, train_ds, test_ds, config, name, (0,))
+    (result,) = experiments.train(model, train_ds, test_ds, config, (name,), (0,))
     curves = [result.train_acc, result.test_acc, result.train_loss, result.test_loss]
     return model, test_ds, repr(curves) + repr(result.diverged)
 

@@ -114,7 +114,7 @@ class TestTrainLoop:
     def test_records_every_epoch(self):
         train_ds, test_ds = generate_toy_data(FAST.n_train, FAST.n_test, seed=0)
         model = build_model(ModelSpec("perceptron", hidden=4), seed=0)
-        (result,) = train(model, train_ds, test_ds, FAST, "model", (0,))
+        (result,) = train(model, train_ds, test_ds, FAST, ("model",), (0,))
         assert len(result.train_acc) == FAST.epochs
         assert len(result.test_loss) == FAST.epochs
         assert not result.diverged
@@ -124,7 +124,7 @@ class TestTrainLoop:
         train_ds, test_ds = generate_toy_data(FAST.n_train, FAST.n_test, seed=0)
         model = build_model(ModelSpec("perceptron", hidden=4), seed=0)
         model.params["w_head"][...] = np.nan
-        (result,) = train(model, train_ds, test_ds, FAST, "model", (0,))
+        (result,) = train(model, train_ds, test_ds, FAST, ("model",), (0,))
         assert result.diverged
         assert len(result.test_acc) == FAST.epochs
         assert all(np.isnan(a) for a in result.test_acc)
@@ -134,7 +134,7 @@ class TestTrainLoop:
         for kind in ("logicron", "logicron_neg"):
             model = build_model(ModelSpec(kind), seed=0)
             model.params["rho"][...] = np.nan
-            (result,) = train(model, train_ds, test_ds, FAST, "model", (0,))
+            (result,) = train(model, train_ds, test_ds, FAST, ("model",), (0,))
             assert result.diverged
             assert all(np.isnan(a) for a in result.test_acc)
 
@@ -142,7 +142,7 @@ class TestTrainLoop:
         cfg = TrainConfig(epochs=10, passes_per_epoch=5, seeds=(0, 1))
         train_ds, test_ds = generate_toy_data(20, 50, seed=1)
         model = build_model(ModelSpec("logicron"), seed=1)
-        (result,) = train(model, train_ds, test_ds, cfg, "model", (0,))
+        (result,) = train(model, train_ds, test_ds, cfg, ("model",), (0,))
         assert result.train_loss[-1] < result.train_loss[0]
 
     def test_config_validation(self):

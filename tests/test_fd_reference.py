@@ -75,7 +75,8 @@ def test_batched_oracle_matches_serial_reference(seed):
             for h in SUITE_FD_STEPS:
                 serial = _serial_finite_difference_check(_serial_function(forward), params, h=h)
                 batched = ad.finite_difference_check(forward, params, h=h)
-                assert batched.hex() == serial.hex(), (name, point, h)
+                # A point of the batch-axis checks carries one entry: a (1,) result.
+                assert np.asarray(batched).item().hex() == serial.hex(), (name, point, h)
 
 
 # gradcheck_suite(points=20, seed=s) as the serial oracle gave it, as float.hex.

@@ -234,7 +234,7 @@ class TestLayerTape:
         config = TrainConfig(epochs=1, passes_per_epoch=2, seeds=(0, 1), n_train=20, n_test=20)
         train_ds, test_ds = generate_toy_data(config.n_train, config.n_test, seed=0)
         model = build_model(dict(default_model_suite())[name], seed=0)
-        train(model, train_ds, test_ds, config, name, (0,))
+        train(model, train_ds, test_ds, config, (name,), (0,))
         assert len(tapes) == 2
         for ops in tapes:
             assert ops["gated_reduce"] == 1
@@ -259,7 +259,7 @@ class TestGradcheckCoverage:
         config = TrainConfig(epochs=1, passes_per_epoch=1, seeds=(0, 1), n_train=20, n_test=20)
         train_ds, test_ds = generate_toy_data(config.n_train, config.n_test, seed=0)
         for name, spec in default_model_suite():
-            train(build_model(spec, seed=0), train_ds, test_ds, config, name, (0,))
+            train(build_model(spec, seed=0), train_ds, test_ds, config, (name,), (0,))
         assert len(tapes) == 5
         trained = set().union(*tapes)
         assert {"gated_reduce", "concat_cols", "one_minus", "softplus", "gelu"} <= trained

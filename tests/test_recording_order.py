@@ -25,9 +25,10 @@ CONFIG = TrainConfig(epochs=3, passes_per_epoch=3, seeds=(0, 1, 2), n_train=20, 
 _ADAM_STEP = Adam.step
 
 
-def _evaluating_train(model, train_data, test_data, config, model_name, seeds):
+def _evaluating_train(model, train_data, test_data, config, names, seeds):
     """``train`` with a train-split evaluation at the end of every epoch."""
-    runs = [RunResult(model_name=model_name, seed=seed, params=count_params(model)) for seed in seeds]
+    (name,) = names
+    runs = [RunResult(model_name=name, seed=seed, params=count_params(model)) for seed in seeds]
     optimizer = Adam(model.params, config)
     test_batches = experiments._sub_batches(model, test_data)
     finite = np.ones(len(seeds), dtype=bool)
@@ -76,7 +77,7 @@ def _poisoned_run(trainer, name, poisoned, after_step, monkeypatch):
     if after_step == 0:
         batch.params["w_head"][list(poisoned)] = np.nan
     runs = trainer(batch, experiments._stack_data([tr for tr, _ in splits]),
-                   experiments._stack_data([te for _, te in splits]), CONFIG, name, CONFIG.seeds)
+                   experiments._stack_data([te for _, te in splits]), CONFIG, (name,), CONFIG.seeds)
     return runs, {key: arr.copy() for key, arr in batch.params.items()}
 
 

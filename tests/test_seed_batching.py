@@ -38,11 +38,11 @@ def _recording_run(monkeypatch, tmp_path, row_budget):
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
     batches, finals = [], {}
 
-    def recording(model, train_data, test_data, config, model_name, seeds):
-        runs = train(model, train_data, test_data, config, model_name, seeds)
+    def recording(model, train_data, test_data, config, names, seeds):
+        runs = train(model, train_data, test_data, config, names, seeds)
         batches.append(tuple(seeds))
-        for i, seed in enumerate(seeds):
-            finals[model_name, seed] = {k: arr[i].tobytes() for k, arr in model.params.items()}
+        for i, run in enumerate(runs):
+            finals[run.model_name, run.seed] = {k: arr[i].tobytes() for k, arr in model.params.items()}
         return runs
 
     monkeypatch.setattr(experiments, "train", recording)
@@ -62,10 +62,10 @@ def test_one_chunk_and_chunks_of_one_are_byte_equal(monkeypatch, tmp_path):
     assert len(whole[2]) == 5 * 3 and whole[2] == single[2]
 
 
-def _stub_batch(model, train_data, test_data, config, model_name, seeds):
+def _stub_batch(model, train_data, test_data, config, names, seeds):
     assert train_data.inputs.shape[:-1] == (len(seeds), config.n_train)
-    return [experiments.RunResult(model_name, seed, count_params(model), [0.5], [0.5], [0.5], [0.5])
-            for seed in seeds]
+    return [experiments.RunResult(name, seed, count_params(model), [0.5], [0.5], [0.5], [0.5])
+            for name in names for seed in seeds]
 
 
 def _chunks_under_the_budget(n_train, count=20):
@@ -81,9 +81,9 @@ def test_chunks_follow_the_row_budget(monkeypatch, n_train, expected):
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)  # record here
     batches = []
 
-    def stub(model, train_data, test_data, config, model_name, seeds):
+    def stub(model, train_data, test_data, config, names, seeds):
         batches.append(tuple(seeds))
-        return _stub_batch(model, train_data, test_data, config, model_name, seeds)
+        return _stub_batch(model, train_data, test_data, config, names, seeds)
 
     monkeypatch.setattr(experiments, "train", stub)
     config = TrainConfig(epochs=1, seeds=tuple(range(20)), n_train=n_train, n_test=10)
@@ -117,14 +117,14 @@ def test_divergence_stays_in_its_seed(name, param):
         batch,
         experiments._stack_data([tr for tr, _ in splits]),
         experiments._stack_data([te for _, te in splits]),
-        SHORT, name, seeds,
+        SHORT, (name,), seeds,
     )
     assert [run.diverged for run in runs] == [False, True, False]
     for curve in (runs[1].train_acc, runs[1].test_acc, runs[1].train_loss, runs[1].test_loss):
         assert len(curve) == SHORT.epochs and all(np.isnan(v) for v in curve)
     for i in (0, 2):
         solo = build_model(SPECS[name], seed=seeds[i])
-        (alone,) = train(solo, *splits[i], SHORT, name, (seeds[i],))
+        (alone,) = train(solo, *splits[i], SHORT, (name,), (seeds[i],))
         assert repr(runs[i]) == repr(alone)
         for key, arr in solo.params.items():
             assert batch.params[key][i].tobytes() == arr.tobytes(), key
@@ -133,7 +133,7 @@ def test_divergence_stays_in_its_seed(name, param):
 def _train_solo(name, seed):
     """One seed trained alone: its run and final params."""
     model = build_model(SPECS[name], seed=seed)
-    (run,) = train(model, *generate_toy_data(SHORT.n_train, SHORT.n_test, seed=seed), SHORT, name, (seed,))
+    (run,) = train(model, *generate_toy_data(SHORT.n_train, SHORT.n_test, seed=seed), SHORT, (name,), (seed,))
     return run, model.params
 
 
@@ -148,7 +148,7 @@ def test_test_split_is_evaluated_within_the_row_budget(monkeypatch, name):
     evaluated = []
     monkeypatch.setattr(experiments, "evaluate",
                         lambda model, data: evaluated.append(data.inputs.shape) or evaluate(model, data))
-    runs = train(batch, experiments._stack_data([tr for tr, _ in splits]), test_data, SHORT, name, seeds)
+    runs = train(batch, experiments._stack_data([tr for tr, _ in splits]), test_data, SHORT, (name,), seeds)
     per_epoch = [(2, SHORT.n_test, 3), (1, SHORT.n_test, 3)]
     assert evaluated == per_epoch * SHORT.epochs + [(3, SHORT.n_train, 3)]
     for i, seed in enumerate(seeds):
@@ -165,7 +165,7 @@ def test_a_nan_seed_in_an_evaluation_sub_batch_is_flagged_alone(monkeypatch):
     models = [build_model(SPECS["Logicron"], seed=seed) for seed in seeds]
     models[1].params["w_head"][...] = np.nan  # inside the sub-batch of seeds 0 and 1
     runs = train(stack_models(models), experiments._stack_data([tr for tr, _ in splits]),
-                 experiments._stack_data([te for _, te in splits]), SHORT, "Logicron", seeds)
+                 experiments._stack_data([te for _, te in splits]), SHORT, ("Logicron",), seeds)
     assert [run.diverged for run in runs] == [False, True, False]
     assert all(np.isnan(v) for v in runs[1].test_acc + runs[1].test_loss)
     for i in (0, 2):
@@ -265,10 +265,10 @@ def test_forked_map_keeps_at_most_its_workers_alive(workers):
     _no_child_left()
 
 
-def _train_keeping_params(model, train_data, test_data, config, model_name, seeds):
-    """``train``, with each run carrying its seed's final params and the pid
-    of the process that trained it back to the caller."""
-    runs = train(model, train_data, test_data, config, model_name, seeds)
+def _train_keeping_params(model, train_data, test_data, config, names, seeds):
+    """``train``, with each run carrying its entry's final params and the
+    pid of the process that trained it back to the caller."""
+    runs = train(model, train_data, test_data, config, names, seeds)
     for i, run in enumerate(runs):
         run.final = {k: arr[i].tobytes() for k, arr in model.params.items()}
         run.pid = os.getpid()
@@ -318,26 +318,34 @@ def test_serial_loop_without_fork_or_with_threads(monkeypatch, condition):
     assert {run.pid for run in aggregate.runs} == {os.getpid()}
 
 
+def _warning_batch(model, train_data, test_data, config, names, seeds):
+    """A stub task that issues a warning of its own and one that every task
+    issues from the same line (``train`` itself keeps numpy's quiet)."""
+    warnings.warn(f"{names} on {seeds}")
+    np.log(np.zeros(1))  # numpy's RuntimeWarning: divide by zero
+    return _stub_batch(model, train_data, test_data, config, names, seeds)
+
+
 def test_workers_issue_warnings_as_one_process_would(monkeypatch):
-    # Learning rate 1e300 overflows every model in every task; each distinct
-    # warning prints once per location either way, in the same order.
-    config = TrainConfig(epochs=2, learning_rate=1e300, passes_per_epoch=2, seeds=(0, 1, 2),
-                         n_train=20, n_test=40)
-    monkeypatch.setattr(experiments, "_ROW_BUDGET", 2 * config.n_train)
+    # Each distinct warning prints once per location either way, in the
+    # same order: the task's own one per task, numpy's once.
+    monkeypatch.setattr(experiments, "_ROW_BUDGET", 2 * SHORT.n_train)
+    monkeypatch.setattr(experiments, "train", _warning_batch)
     seen = {}
     for path, count in (("serial", 1), ("forked", 2)):
         monkeypatch.setattr(experiments, "_usable_cpus", lambda: count)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("default")
-            run_multi_seed(default_model_suite(), config)
+            run_multi_seed(default_model_suite(), SHORT)
         seen[path] = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
-    assert seen["serial"] and seen["forked"] == seen["serial"]
-    assert len(set(seen["serial"])) == len(seen["serial"])
+    assert seen["forked"] == seen["serial"]
+    assert [category for category, *_ in seen["serial"]].count(RuntimeWarning) == 1
+    assert len(seen["serial"]) == 1 + 10 and len(set(seen["serial"])) == len(seen["serial"])
     _no_child_left()
 
 
-def _fail_one_task(model, train_data, test_data, config, model_name, seeds):
-    if model_name == "Logicron":  # among the first tasks to start
+def _fail_one_task(model, train_data, test_data, config, names, seeds):
+    if "Logicron" in names:  # among the first tasks to start
         raise MemoryError("Unable to allocate 931. GiB for an array")
     time.sleep(60.0)  # the other tasks would outlast the test
 
@@ -365,8 +373,8 @@ def test_memory_error_in_a_worker_exits_2_with_one_line(monkeypatch, tmp_path, c
     _no_child_left()
 
 
-def _killed_or_sleeping(model, train_data, test_data, config, model_name, seeds):
-    if model_name == "Logicron":  # among the first tasks to start
+def _killed_or_sleeping(model, train_data, test_data, config, names, seeds):
+    if "Logicron" in names:  # among the first tasks to start
         os.kill(os.getpid(), signal.SIGKILL)
     time.sleep(60.0)  # the other tasks would outlast the test
 

@@ -50,7 +50,7 @@ def test_training_path_leaves_no_cycles(name, no_cyclic_gc):
     train_ds, test_ds = generate_toy_data(SHORT.n_train, SHORT.n_test, seed=0)
     model = build_model(SPECS[name], seed=0)
     assert gc.collect() == 0
-    (result,) = train(model, train_ds, test_ds, SHORT, name, (0,))
+    (result,) = train(model, train_ds, test_ds, SHORT, (name,), (0,))
     assert len(result.test_acc) == SHORT.epochs and not result.diverged
     assert gc.collect() == 0
     evaluate(model, test_ds)

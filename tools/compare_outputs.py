@@ -32,15 +32,21 @@ import tempfile
 # is compared.
 # A learning rate of 1e300 takes ``train``'s divergence path: at three
 # seeds and three epochs MLP-Sigmoid stays finite and the other four models
-# diverge (numpy's RuntimeWarnings go to stderr, which is compared too).
+# diverge (stderr is compared too).
+# Twenty-five seeds of 100 rows make a chunk of 20 seeds whose perceptrons
+# train a batch each (6,000 rows together) and one of 5 whose perceptrons
+# share a batch (1,500 rows); its 15 test entries are evaluated 6 at a time,
+# so two sub-batches cut inside an activation run.
 CONFIGS = {
     "chunks.ini": "[train]\nn_train = 1000\nseeds = 4\nepochs = 1\n",
     "diverge.ini": "[train]\nlearning_rate = 1e300\nseeds = 3\nepochs = 3\n",
+    "groups.ini": "[train]\nn_train = 100\nn_test = 300\nseeds = 25\nepochs = 1\n",
 }
 COMMANDS = (
     ("train", "--out", "out"),
     ("train", "--config", "chunks.ini", "--out", "out"),
     ("train", "--config", "diverge.ini", "--out", "out"),
+    ("train", "--config", "groups.ini", "--out", "out"),
     ("gradcheck", "--points", "100"),
     ("boundary", "--out", "out"),
     ("boundary", "--svg", "--out", "out"),

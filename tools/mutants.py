@@ -72,11 +72,17 @@ _DZ_TERM = """\
 _RECORDING = ("tests/test_recording_order.py",)
 _BCE_ORACLE = (_ORACLES + "test_bce_loss_value_and_gradient_bytes",)
 _TRAIN_METRICS_READ = """\
-            if owed:
-                _record(runs, finite, "train", *_metrics(pred, loss, train_data))
-                owed = False
+                if owed:
+                    _record(runs, finite, "train", *_metrics(pred, loss, train_data))
+                    owed = False
 """
-_FINITE_UPDATE = "            finite &= np.isfinite(loss).reshape(-1)\n"
+_FINITE_UPDATE = "                finite &= np.isfinite(loss).reshape(-1)\n"
+_GROUP_GRADIENTS = (
+    "tests/test_fd_reference.py::test_suite_maxima_are_pinned",
+    "tests/test_batched_ops.py::TestBatchSplitAndConcat",
+    "tests/test_perceptron_groups.py::test_toy_run_trains_one_perceptron_batch_and_matches_the_per_spec_loop",
+)
+_GROUPING = ("tests/test_perceptron_groups.py::test_perceptrons_share_a_batch_when_their_rows_fit_the_budget",)
 _FORKED = (
     "tests/test_seed_batching.py::test_workers_and_serial_loop_are_byte_equal",
     "tests/test_seed_batching.py::test_serial_loop_without_fork_or_with_threads",
@@ -120,6 +126,14 @@ MUTANTS = (
     Mutant("bce-complement-writeable", "src/logiclab/autodiff.py",
            "        self.complement.flags.writeable = False\n", "",
            ("tests/test_autodiff.py::TestBceLoss::test_target_and_its_complement_are_kept_read_only",)),
+    # the batch-axis split and concat
+    Mutant("concat-batch-grad-to-neighbour", "src/logiclab/autodiff.py",
+           "        for part, start, stop in zip(parts, bounds[:-1], bounds[1:]):",
+           "        for part, start, stop in zip([*parts[1:], parts[0]], bounds[:-1], bounds[1:]):",
+           _GROUP_GRADIENTS),
+    Mutant("split-batch-grad-bound-off-by-one", "src/logiclab/autodiff.py",
+           "        x_grad = x.grad[..., start:stop, :, :]", "        x_grad = x.grad[..., start:stop + 1, :, :]",
+           _GROUP_GRADIENTS),
     # the fused gate kernel
     Mutant("gated-reduce-dw-scaled", "src/logiclab/lnu.py",
            'dw = np.einsum("...jnk,...jn->...jk", dz, xt)',
@@ -181,13 +195,22 @@ MUTANTS = (
     Mutant("train-metrics-from-second-step", "src/logiclab/experiments.py",
            _TRAIN_METRICS_READ,
            _TRAIN_METRICS_READ.replace("if owed:", 'if owed == "next":')
-           + '            elif owed:\n                owed = "next"\n',
+           + '                elif owed:\n                    owed = "next"\n',
            _RECORDING),
     Mutant("finite-updated-before-train-metrics", "src/logiclab/experiments.py",
            _TRAIN_METRICS_READ + _FINITE_UPDATE, _FINITE_UPDATE + _TRAIN_METRICS_READ, _RECORDING),
     Mutant("last-train-evaluation-skipped", "src/logiclab/experiments.py",
-           '    if owed:\n        _record(runs, finite, "train", *evaluate(model, train_data))\n', "",
+           '        if owed:\n            _record(runs, finite, "train", *evaluate(model, train_data))\n', "",
            _RECORDING),
+    # a chunk's perceptrons share a batch when their rows fit the budget
+    Mutant("group-only-below-the-budget", "src/logiclab/experiments.py",
+           "if len(group) * rows <= _ROW_BUDGET else", "if len(group) * rows < _ROW_BUDGET else",
+           _GROUPING),
+    Mutant("group-whatever-the-budget", "src/logiclab/experiments.py",
+           "if len(group) * rows <= _ROW_BUDGET else", "if True else", _GROUPING),
+    Mutant("sub-batch-keeps-every-run", "src/logiclab/models.py",
+           "out.runs = _runs(_kinds(model)[start:stop])", "out.runs = model.runs",
+           ("tests/test_perceptron_groups.py::test_a_chunk_too_large_to_group_beside_one_that_groups",)),
     # forked workers
     Mutant("never-fork", "src/logiclab/experiments.py",
            "if cpus < 2 or", "if True or", _FORKED[:1]),
