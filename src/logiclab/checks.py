@@ -167,8 +167,9 @@ def _entries_added(x):
 
 # The batch-axis ops: a point's params carry one entry, which probe weights
 # spread over three; the entries go through different ops in runs of 2 and 1.
+# Small matrices keep each check to one chunk of points.
 def _split_batch_draw(rng):
-    return [rng.uniform(-2.0, 2.0, (1, 3, 4))], [_probe_weights(rng, (3, 3, 4))]
+    return [rng.uniform(-2.0, 2.0, (1, 2, 3))], [_probe_weights(rng, (3, 2, 3))]
 
 
 def _split_batch_forward(g, params, consts):
@@ -178,8 +179,8 @@ def _split_batch_forward(g, params, consts):
 
 
 def _concat_batch_draw(rng):
-    params = [rng.uniform(-2.0, 2.0, (1, 3, 4)), rng.uniform(-2.0, 2.0, (1, 3, 4))]
-    return params, [_probe_weights(rng, (2, 3, 4)), _probe_weights(rng, (3, 3, 4))]
+    params = [rng.uniform(-2.0, 2.0, (1, 2, 3)), rng.uniform(-2.0, 2.0, (1, 2, 3))]
+    return params, [_probe_weights(rng, (2, 2, 3)), _probe_weights(rng, (3, 2, 3))]
 
 
 def _concat_batch_forward(g, params, consts):
