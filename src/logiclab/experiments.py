@@ -3,13 +3,13 @@ decision-boundary grids, and CSV/JSON/SVG emission.
 
 Everything is deterministic given the seeds in the configuration; seed-level
 runs are independent (fresh data, fresh init, fresh optimizer state).
-``train`` is the one trainer: it trains the seeds of one model together, as
-one batch whose params, data and Adam moments carry a leading entry axis,
-and the perceptrons that differ only in activation together with them,
-an activation run each; no operation mixes entries, so each run is byte for
-byte what it would be alone.  ``run_multi_seed`` draws the data and models
-and calls it per batch, in forked worker processes when more than one CPU
-is usable.
+``train`` is the one trainer: it trains a batch of runs as one model whose
+params, data and Adam moments carry a leading entry axis, holding the seeds
+of one model or of perceptrons that differ only in activation (a run of
+entries each); no operation mixes entries, so each run is byte for byte
+what it would be alone.  ``run_multi_seed`` draws the data and models and
+calls it per batch, in forked worker processes when more than one CPU is
+usable.
 Adam reads its learning rate, betas and eps from ``TrainConfig``, the one
 set of training defaults.
 """
