@@ -276,20 +276,28 @@ def gradcheck_suite(points: int = 100, seed: int = 0) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 
 
-# Each residual draws its samples one at a time, in the order of the scalar
-# loops it replaced, then evaluates every operator once per width: one
-# ``gate`` call, or the table ``sl.operator_values``, over the last axis of
-# an (m, d) matrix.  Row by row these give the bytes of the scalar operators
-# (``tests/test_logic_reference.py`` keeps the loops as the oracle).
+# Each residual draws its samples in the order of the scalar loops it
+# replaced (``tests/test_logic_reference.py`` keeps the loops as the oracle),
+# with one ``rng.random(k)`` call per run of a sample's consecutive doubles:
+# ``rng.uniform(low, high)`` is numpy's ``low + (high - low) * u`` of one
+# double ``u``, so the same arithmetic, applied to a width group's stacked
+# doubles, gives the same bytes.  The ``integers`` and ``permutation`` calls
+# stay separate and in place: they draw 32-bit halves of the generator's
+# words and keep the spare half, so moving one across a double would shift
+# every later draw.  Each operator then runs once per width: one ``gate``
+# call, or the table ``sl.operator_values``, over the last axis of an (m, d)
+# matrix, which row by row gives the bytes of the scalar operators.
 
 
-def _by_width(samples: list[tuple]) -> list[tuple[np.ndarray, ...]]:
-    """Group per-sample tuples by the width of their first vector and stack
-    each field: (m, d) matrices for vectors, (m,) arrays for floats."""
-    groups: dict[int, list[tuple]] = {}
-    for sample in samples:
-        groups.setdefault(len(sample[0]), []).append(sample)
-    return [tuple(np.array(field) for field in zip(*group)) for group in groups.values()]
+def _by_width(widths: list[int], *fields: list) -> list[tuple[np.ndarray, ...]]:
+    """Group the samples by their widths, in the order a width first appears,
+    and stack each field's entries of a group: (m, k) matrices of vectors,
+    (m,) arrays of floats.  ``fields`` hold one entry per sample."""
+    groups: dict[int, list[int]] = {}
+    for i, d in enumerate(widths):
+        groups.setdefault(d, []).append(i)
+    return [tuple(np.array([field[i] for i in group]) for field in fields)
+            for group in groups.values()]
 
 
 def _worst(worst: float, *residuals: np.ndarray) -> float:
@@ -300,9 +308,11 @@ def _worst(worst: float, *residuals: np.ndarray) -> float:
 
 def _demorgan_residual(samples: int, rng: np.random.Generator) -> float:
     dims = (2, 3, 8)
-    drawn = [(rng.uniform(0.0, 1.0, dims[i % len(dims)]),) for i in range(samples)]
+    widths = [dims[i % len(dims)] for i in range(samples)]
+    u = rng.random(sum(widths))
+    ends = np.cumsum(widths).tolist()
     worst = 0.0
-    for (z,) in _by_width(drawn):
+    for (z,) in _by_width(widths, [u[end - d:end] for end, d in zip(ends, widths)]):
         for sharp in (0.0, 1.0, 10.0, 100.0):
             lhs = sl.gate(1.0 - z, sharp)[1]
             rhs = 1.0 - sl.gate(z, -sharp)[1]
@@ -311,13 +321,14 @@ def _demorgan_residual(samples: int, rng: np.random.Generator) -> float:
 
 
 def _convex_hull_residual(samples: int, rng: np.random.Generator) -> float:
-    drawn = []
+    widths, drawn = [], []
     for _ in range(samples):
         d = int(rng.integers(2, 9))
-        drawn.append((rng.uniform(0.0, 1.0, d), float(rng.uniform(0.0, 200.0))))
+        widths.append(d)
+        drawn.append(rng.random(d + 1))  # z, then the sharpness
     worst = 0.0
-    for z, sharp in _by_width(drawn):
-        t = sharp[:, None]
+    for (u,) in _by_width(widths, drawn):
+        z, t = u[:, :-1], 200.0 * u[:, -1:]
         lo, hi = z.min(axis=-1), z.max(axis=-1)
         for val in (sl.gate(z, -t)[1], sl.gate(z, t)[1]):
             worst = _worst(worst, lo - val, val - hi)
@@ -325,25 +336,32 @@ def _convex_hull_residual(samples: int, rng: np.random.Generator) -> float:
 
 
 def _sharp_limit_residual(samples: int, rng: np.random.Generator) -> float:
-    lows, tops = [], []
+    widths, drawn = [], []
     for _ in range(samples):
         d = int(rng.integers(2, 9))
-        m = float(rng.uniform(0.0, 0.5))
-        lows.append((np.concatenate([[m], rng.uniform(m + 0.1, 1.0, d - 1)]), m))
-        top = float(rng.uniform(0.5, 1.0))
-        tops.append((np.concatenate([[top], rng.uniform(0.0, top - 0.1, d - 1)]), top))
+        widths.append(d)
+        drawn.append(rng.random(2 * d))  # the low sample's d doubles, then the top's
     worst = 0.0
-    for z, m in _by_width(lows):
-        worst = _worst(worst, np.abs(sl.gate(z, -200.0)[1] - m))
-    for z, top in _by_width(tops):
-        worst = _worst(worst, np.abs(sl.gate(z, 200.0)[1] - top))
+    for (u,) in _by_width(widths, drawn):
+        d = u.shape[1] // 2
+        m = 0.5 * u[:, :1]
+        lo = m + 0.1
+        low = np.concatenate([m, lo + (1.0 - lo) * u[:, 1:d]], axis=1)
+        top = 0.5 + 0.5 * u[:, d:d + 1]
+        high = np.concatenate([top, (top - 0.1) * u[:, d + 1:]], axis=1)
+        worst = _worst(worst, np.abs(sl.gate(low, -200.0)[1] - m[:, 0]))
+        worst = _worst(worst, np.abs(sl.gate(high, 200.0)[1] - top[:, 0]))
     return worst
 
 
 def _mean_residual(samples: int, rng: np.random.Generator) -> float:
-    drawn = [(rng.uniform(0.0, 1.0, int(rng.integers(2, 9))),) for _ in range(samples)]
+    widths, drawn = [], []
+    for _ in range(samples):
+        d = int(rng.integers(2, 9))
+        widths.append(d)
+        drawn.append(rng.random(d))
     worst = 0.0
-    for (z,) in _by_width(drawn):
+    for (z,) in _by_width(widths, drawn):
         mean = z.mean(axis=-1)
         # -0.0: the signed zero soft_and(z, 0.0) passes to the gate.
         worst = _worst(worst, np.abs(sl.gate(z, -0.0)[1] - mean), np.abs(sl.gate(z, 0.0)[1] - mean))
@@ -351,15 +369,19 @@ def _mean_residual(samples: int, rng: np.random.Generator) -> float:
 
 
 def _permutation_residual(samples: int, rng: np.random.Generator) -> float:
-    drawn = []
+    widths, pairs, perms, sharps = [], [], [], []
     for _ in range(samples):
         d = int(rng.integers(2, 6))
-        z = rng.uniform(0.0, 1.0, d)
-        w = rng.uniform(0.0, 1.0, d)
-        drawn.append((z, w, rng.permutation(d), float(rng.uniform(0.0, 100.0))))
+        widths.append(d)
+        pairs.append(rng.random(2 * d))  # z, then w
+        perms.append(rng.permutation(d))
+        sharps.append(rng.random())
     worst = 0.0
-    for z, w, perm, sharp in _by_width(drawn):
-        sharp = sharp[:, None]
+    for zw, perm, sharp in _by_width(widths, pairs, perms, sharps):
+        # z and w as C-contiguous matrices, as the weighted operators' matmul
+        # saw them when each was drawn on its own.
+        z, w = zw.reshape(len(zw), 2, -1).transpose(1, 0, 2).copy()
+        sharp = 100.0 * sharp[:, None]
         values = sl.operator_values(z, w, sharp)
         permuted = sl.operator_values(
             np.take_along_axis(z, perm, axis=-1), np.take_along_axis(w, perm, axis=-1), sharp
@@ -382,6 +404,8 @@ def _truth_table_residual() -> float:
 
 def logic_check_suite(samples: int = 1000, seed: int = 0) -> dict[str, dict]:
     """Operator-algebra verification; each entry reports pass, residual, tolerance."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     suite = {
         "demorgan_duality": (_demorgan_residual(samples, rng), 1e-12),

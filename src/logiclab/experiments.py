@@ -21,6 +21,7 @@ import json
 import math
 import os
 import threading
+from collections import Counter
 from dataclasses import dataclass, field, asdict
 from typing import Callable, Iterable, Sequence
 
@@ -459,8 +460,10 @@ def _map_tasks(fn: Callable, tasks: list[tuple], order: Sequence[int], at_once: 
 
 
 def _check_distinct(names: list[str], what: str) -> None:
+    """Reject a repeated name, naming the first one in list order that repeats."""
+    counts = Counter(names)
     for name in names:
-        if names.count(name) > 1:
+        if counts[name] > 1:
             raise ValueError(f"{what} {name!r} is given more than once")
 
 
@@ -710,7 +713,7 @@ def _format_rows(values: np.ndarray, fmt) -> Iterable[list[str]]:
     """
     bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
     distinct, inverse = np.unique(bits, return_inverse=True)
-    table = np.array([fmt(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+    table = np.array(list(map(fmt, distinct.view(np.float64).tolist())), dtype=object)
     for row in inverse.reshape(values.shape):
         yield table[row].tolist()
 

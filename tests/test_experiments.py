@@ -219,13 +219,22 @@ class TestMultiSeed:
         with pytest.raises(ValueError):
             run_multi_seed(self._specs(), TrainConfig(seeds=(0,)))
 
-    @pytest.mark.parametrize("seeds", [(3, 3), (0, 1, 2, 1)])
+    @pytest.mark.parametrize("seeds", [(3, 3), (0, 1, 2, 1), (5, 7, 7, 5)])
     def test_rejects_a_seed_given_twice(self, seeds):
         # A repeated seed trains twice and would count as two, so (3, 3) would
-        # report a std of exactly 0 from one seed.
+        # report a std of exactly 0 from one seed.  The message names the
+        # first seed in the list that repeats.
         repeated = seeds[-1]
         with pytest.raises(ValueError, match=f"seed {repeated} is given more than once"):
             TrainConfig(seeds=seeds)
+
+    def test_many_seeds_are_checked_in_one_count(self):
+        # Counting each seed on its own took seconds at 16,000 seeds and
+        # grew with their square.
+        seeds = tuple(range(200_000))
+        assert TrainConfig(seeds=seeds).seeds == seeds
+        with pytest.raises(ValueError, match="seed 3 is given more than once"):
+            TrainConfig(seeds=seeds + (3,))
 
     def test_rejects_a_name_given_twice(self):
         # The stats are keyed by name, so a repeated name would pool two models' runs.

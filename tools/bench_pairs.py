@@ -8,8 +8,11 @@ the checkout's ``src/logiclab/__pycache__`` before each run so that both
 sides compile their sources alike.  It prints every run's metrics as it
 ends, then one line per metric of the result: each side's median with its
 quartiles [q1, q3], the median of the per-pair ratios change / parent, and in
-how many pairs the change read lower.  If any run fails or is not
-``correct``, it names the run and exits 1 without a summary.
+how many pairs the change read lower.  The same lines follow for the phase
+medians each run prints (``train_s``, ``write_s``, ``gradcheck_s``,
+``logic_checks_s``, ``boundary_s``, whichever the workload has).  They carry
+no bound; they show which phase a change in ``run_s`` came from.  If any run
+fails or is not ``correct``, it names the run and exits 1 without a summary.
 
 It needs only the standard library, and changes nothing in either checkout
 but the caches it removes and what ``perfbench/run.py`` writes itself.
@@ -26,11 +29,11 @@ import subprocess
 import sys
 
 RUN_TIMEOUT_S = 600
+PHASES = ("train_s", "write_s", "gradcheck_s", "logic_checks_s", "boundary_s")
 
 
 def run_once(checkout: str, args: argparse.Namespace) -> dict:
-    """One ``perfbench/run.py`` run in ``checkout``: its result JSON, or
-    ``{"correct": False, "error": ...}`` when it printed none."""
+    """One ``perfbench/run.py`` run in ``checkout``, read by ``parse_run``."""
     shutil.rmtree(os.path.join(checkout, "src", "logiclab", "__pycache__"), ignore_errors=True)
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", str(args.trace)]
@@ -39,11 +42,24 @@ def run_once(checkout: str, args: argparse.Namespace) -> dict:
                               timeout=RUN_TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return {"correct": False, "error": f"no result in {RUN_TIMEOUT_S} s"}
-    lines = done.stdout.strip().splitlines()
+    return parse_run(done.stdout, done.stderr, done.returncode)
+
+
+def parse_run(stdout: str, stderr: str, returncode: int) -> dict:
+    """A run's result JSON, its last line, with the phase medians it printed
+    under ``"phases"`` (seconds by name); or ``{"correct": False, "error":
+    ...}`` when it printed no result."""
+    lines = stdout.strip().splitlines()
     try:
-        return json.loads(lines[-1])
+        result = json.loads(lines[-1])
     except (IndexError, ValueError):
-        return {"correct": False, "error": f"exit code {done.returncode}: {done.stderr.strip()}"}
+        return {"correct": False, "error": f"exit code {returncode}: {stderr.strip()}"}
+    result["phases"] = {}
+    for line in lines:
+        words = line.split()
+        if len(words) > 1 and words[0] in PHASES:
+            result["phases"][words[0]] = float(words[1])
+    return result
 
 
 def _quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -60,17 +76,24 @@ def summarise(parent: list[dict], change: list[dict]) -> list[str]:
             if not result.get("correct"):
                 raise ValueError(f"{side} run {i + 1} is not correct: "
                                  f"{result.get('error') or 'verdict INCORRECT'}")
-    lines = [f"{'metric':<14}{'unit':<6}{'parent median [q1, q3]':<32}"
+    lines = [f"{'metric':<16}{'unit':<6}{'parent median [q1, q3]':<32}"
              f"{'change median [q1, q3]':<32}{'change/parent':<15}lower"]
     for name, metric in parent[0]["metrics"].items():
-        a = [r["metrics"][name]["value"] for r in parent]
-        b = [r["metrics"][name]["value"] for r in change]
-        ratio = statistics.median(y / x for x, y in zip(a, b))
-        lower = sum(y < x for x, y in zip(a, b))
-        sides = ["{1:.4g} [{0:.4g}, {2:.4g}]".format(*_quartiles(v)) for v in (a, b)]
-        lines.append(f"{name:<14}{metric['unit']:<6}{sides[0]:<32}{sides[1]:<32}"
-                     f"{ratio:<15.4f}{lower}/{len(a)}")
+        lines.append(_line(name, metric["unit"], [r["metrics"][name]["value"] for r in parent],
+                           [r["metrics"][name]["value"] for r in change]))
+    phases = [name for name in PHASES if name in parent[0].get("phases", {})]
+    if phases:
+        lines.append("phase medians, unbounded:")
+        lines.extend(_line(name, "s", [r["phases"][name] for r in parent],
+                           [r["phases"][name] for r in change]) for name in phases)
     return lines
+
+
+def _line(name: str, unit: str, a: list[float], b: list[float]) -> str:
+    ratio = statistics.median(y / x for x, y in zip(a, b))
+    lower = sum(y < x for x, y in zip(a, b))
+    sides = ["{1:.4g} [{0:.4g}, {2:.4g}]".format(*_quartiles(v)) for v in (a, b)]
+    return f"{name:<16}{unit:<6}{sides[0]:<32}{sides[1]:<32}{ratio:<15.4f}{lower}/{len(a)}"
 
 
 def _brief(result: dict) -> str:

@@ -46,6 +46,7 @@ _SIGMOID = "    numerator = np.maximum(e, x >= 0)"
 _SIGMOID_TESTS = ("tests/test_equivalence.py::TestSigmoidWithoutMaskedSelect",)
 _TABLE_TESTS = ("tests/test_logic_reference.py::test_batched_operators_match_public_scalar_operators",)
 _ORACLES = "tests/test_kernel_oracles.py::"
+_SAMPLE_ORACLE = ("tests/test_logic_reference.py::test_batched_residual_operates_on_the_scalar_samples",)
 # The sharpness term must read the products before the z gradient is built
 # over them.
 _SHARPNESS_TERM = """\
@@ -157,6 +158,15 @@ MUTANTS = (
            "max(worst, *(float(r.max()) for r in residuals))",
            "max(worst, float(residuals[0].max()))",
            ("tests/test_logic_reference.py::test_seed0_residuals_are_pinned",)),
+    # a residual's samples, against the scalar loop's draws: a changed draw
+    # need not move the residual's maximum (the convex-hull bound is 0 at most
+    # seeds whatever its sharpness)
+    Mutant("hull-sharpness-from-first-double", "src/logiclab/checks.py",
+           "z, t = u[:, :-1], 200.0 * u[:, -1:]", "z, t = u[:, :-1], 200.0 * u[:, :1]", _SAMPLE_ORACLE),
+    Mutant("sharp-limit-draws-extra-double", "src/logiclab/checks.py",
+           "drawn.append(rng.random(2 * d))", "drawn.append(rng.random(2 * d + 1))", _SAMPLE_ORACLE),
+    Mutant("permutation-sharpness-unscaled", "src/logiclab/checks.py",
+           "sharp = 100.0 * sharp[:, None]", "sharp = sharp[:, None]", _SAMPLE_ORACLE),
     Mutant("lnn-or-reassociated", "src/logiclab/softlogic.py",
            "np.clip(0.0 + _dot(w, x), 0.0, 1.0)",
            "np.clip(1.0 + (_dot(w, x) - 1.0), 0.0, 1.0)",
