@@ -14,8 +14,9 @@ gradient is its own.  Binary elementwise ops broadcast numpy-style (a
 ``1xc`` row, a ``1x1`` scalar, a ``(S, 1, 1)`` per-entry scalar), and
 matmul broadcasts its operands' batch axes; gradients are summed back over
 the broadcast axes, and shapes that do not broadcast raise ``ShapeError``.
-``split_batch`` and ``concat_batch`` cut the first batch axis into runs of
-entries and join them again, so each run can go through an op of its own.
+``activation`` applies a pointwise activation to each run of entries of
+the first batch axis, a kind of its own per run, as one node; ``sigmoid``,
+``relu`` and ``gelu`` are its one-run calls.
 
 ``Graph.leaf`` records a node that receives a gradient (a parameter, or an
 input whose gradient is wanted); ``Graph.constant`` records data that never
@@ -60,13 +61,13 @@ __all__ = [
     "matmul",
     "sigmoid",
     "sigmoid_values",
+    "ACTIVATION_KERNELS",
+    "activation",
     "relu",
     "gelu",
     "softplus",
     "reduce_sum",
     "concat_cols",
-    "split_batch",
-    "concat_batch",
     "bce_loss",
     "BinaryTarget",
     "finite_difference_check",
@@ -380,54 +381,6 @@ def concat_cols(a: Node, b: Node) -> Node:
     return g.record(out_val, (a, b), backward, op="concat_cols")
 
 
-def split_batch(x: Node, sizes: Sequence[int]) -> list[Node]:
-    """``x`` cut along its first batch axis (axis -3) into consecutive parts
-    of ``sizes`` entries, one node each; axes before it pass through.
-
-    A part's value is a view of ``x``'s, and its backward adds the part's
-    gradient into its own slice of ``x``'s.  ``concat_batch`` joins parts
-    again, so an op can run on some entries of a batch and another op on
-    the rest.
-    """
-    if x.value.ndim < 3:
-        raise ShapeError(f"split_batch: a {x.shape} value has no batch axis")
-    if sum(sizes) != x.shape[-3] or min(sizes) < 1:
-        raise ShapeError(f"split_batch: parts of {list(sizes)} entries do not tile {x.shape[-3]}")
-    parts, start = [], 0
-    for size in sizes:
-        parts.append(_batch_part(x, start, start + size))
-        start += size
-    return parts
-
-
-def _batch_part(x: Node, start: int, stop: int) -> Node:
-    def backward(grad: np.ndarray) -> None:
-        x_grad = x.grad[..., start:stop, :, :]  # a view; an indexed += would also write it back
-        x_grad += grad
-
-    return x.graph.record(x.value[..., start:stop, :, :], (x,), backward, op="split_batch")
-
-
-def concat_batch(parts: Sequence[Node]) -> Node:
-    """``parts`` joined along their first batch axis (axis -3); every other
-    axis must agree.  Each part's gradient is its own slice of the output's."""
-    first = parts[0].shape
-    for part in parts:
-        if part.value.ndim < 3:
-            raise ShapeError(f"concat_batch: a {part.shape} part has no batch axis")
-        if part.shape[:-3] != first[:-3] or part.shape[-2:] != first[-2:]:
-            raise ShapeError(f"concat_batch: parts {first} and {part.shape} differ off axis -3")
-    out_val = np.concatenate([part.value for part in parts], axis=-3)
-    bounds = list(itertools.accumulate((part.shape[-3] for part in parts), initial=0))
-
-    def backward(grad: np.ndarray) -> None:
-        for part, start, stop in zip(parts, bounds[:-1], bounds[1:]):
-            if part.needs_grad:
-                part.grad += grad[..., start:stop, :, :]
-
-    return parts[0].graph.record(out_val, parts, backward, op="concat_batch")
-
-
 # ---------------------------------------------------------------------------
 # activations
 # ---------------------------------------------------------------------------
@@ -454,44 +407,41 @@ def sigmoid_values(x: np.ndarray) -> np.ndarray:
     return np.divide(numerator, e, out=e)
 
 
-def sigmoid(x: Node) -> Node:
-    y = sigmoid_values(x.value)
+def _sigmoid_kernel(v: np.ndarray):
+    y = sigmoid_values(v)
 
-    def backward(grad: np.ndarray) -> None:
+    def rule(grad: np.ndarray) -> np.ndarray:
         dx = grad * y
         dx *= 1.0 - y  # grad * y * (1.0 - y)
-        x.grad += dx
+        return dx
 
-    return x.graph.record(y, (x,), backward, op="sigmoid")
-
-
-def relu(x: Node) -> Node:
-    y = np.maximum(x.value, 0.0)
-
-    def backward(grad: np.ndarray) -> None:
-        x.grad += grad * (x.value > 0.0)
-
-    return x.graph.record(y, (x,), backward, op="relu")
+    return y, rule
 
 
-def gelu(x: Node) -> Node:
+def _relu_kernel(v: np.ndarray):
+    def rule(grad: np.ndarray) -> np.ndarray:
+        return grad * (v > 0.0)
+
+    return np.maximum(v, 0.0), rule
+
+
+def _gelu_kernel(v: np.ndarray):
     """GeLU, tanh approximation (cubic coefficient 0.044715).
 
     The cube is two multiplies, each correctly rounded, so it is within two
     roundings of v^3.  numpy's float64 ``power`` (``v**3``) measured 50-65x
     slower on a (1000, 24) array (numpy 2.4, x86-64), and it is not correctly
     rounded either: it differs from glibc ``pow`` on about 5 % of positive and
-    0.15 % of negative bases.  The backward's ``v**2`` is numpy's square fast
+    0.15 % of negative bases.  The rule's ``v**2`` is numpy's square fast
     path, byte-equal to ``v * v``.
 
     The forward keeps ``t = tanh(inner)``, ``1 + t`` and ``0.5 * v``, and the
-    backward builds ``grad * (0.5 * (1 + t) + 0.5 * v * (1 - t**2) * d_inner)``
+    rule builds ``grad * (0.5 * (1 + t) + 0.5 * v * (1 - t**2) * d_inner)``
     in one fresh buffer, writing over those three as it reads them last.
     Each operation keeps the operands and their order in the expressions
     noted beside it, so every value and gradient, NaN payloads included, has
     those expressions' bytes.
     """
-    v = x.value
     t = v * v
     t *= v
     np.multiply(_GELU_COEF, t, out=t)
@@ -502,7 +452,7 @@ def gelu(x: Node) -> Node:
     half_v = 0.5 * v
     y = half_v * one_plus_t  # 0.5 * v * (1.0 + t)
 
-    def backward(grad: np.ndarray) -> None:
+    def rule(grad: np.ndarray) -> np.ndarray:
         d = v**2
         np.multiply(3.0 * _GELU_COEF, d, out=d)
         np.add(1.0, d, out=d)
@@ -513,10 +463,64 @@ def gelu(x: Node) -> Node:
         np.multiply(t, d, out=d)  # 0.5 * v * (1 - t**2) * d_inner
         np.multiply(0.5, one_plus_t, out=one_plus_t)
         np.add(one_plus_t, d, out=d)
-        np.multiply(grad, d, out=d)  # grad * (0.5 * (1 + t) + ...)
-        x.grad += d
+        return np.multiply(grad, d, out=d)  # grad * (0.5 * (1 + t) + ...)
 
-    return x.graph.record(y, (x,), backward, op="gelu")
+    return y, rule
+
+
+# The pointwise activations by name.  A kernel maps a value v to
+# ``(f(v), rule)``, where ``rule(grad)`` returns the input gradient under the
+# output gradient ``grad``; a rule is called at most once.
+ACTIVATION_KERNELS = {"sigmoid": _sigmoid_kernel, "relu": _relu_kernel, "gelu": _gelu_kernel}
+
+
+def activation(x: Node, runs: Sequence[tuple[str, int]]) -> Node:
+    """Each ``(kind, entries)`` run of ``runs`` applied to its consecutive
+    entries of ``x``'s first batch axis (axis -3); axes before it pass
+    through.  The kinds name ``ACTIVATION_KERNELS``.
+
+    A single run covers the whole value, whatever its count and whether or
+    not ``x`` has a batch axis, and the node is recorded under its kind's
+    name.  Several runs must tile axis -3, and the node is recorded as
+    ``activation``.  The backward adds each run's rule, applied to its slice
+    of the output gradient, into that slice of ``x``'s gradient.
+    """
+    if len(runs) == 1:
+        kind = runs[0][0]
+        y, rule = ACTIVATION_KERNELS[kind](x.value)
+
+        def backward(grad: np.ndarray) -> None:
+            x.grad += rule(grad)
+
+        return x.graph.record(y, (x,), backward, op=kind)
+    if x.value.ndim < 3:
+        raise ShapeError(f"activation: a {x.shape} value has no batch axis")
+    sizes = [entries for _, entries in runs]
+    if sum(sizes) != x.shape[-3] or min(sizes, default=0) < 1:
+        raise ShapeError(f"activation: runs of {sizes} entries do not tile {x.shape[-3]}")
+    bounds = list(itertools.accumulate(sizes, initial=0))
+    parts = [np.s_[..., start:stop, :, :] for start, stop in zip(bounds[:-1], bounds[1:])]
+    values, rules = zip(*(ACTIVATION_KERNELS[kind](x.value[part])
+                          for (kind, _), part in zip(runs, parts)))
+
+    def backward(grad: np.ndarray) -> None:
+        for part, rule in zip(parts, rules):
+            x_grad = x.grad[part]  # a view; an indexed += would also write it back
+            x_grad += rule(grad[part])
+
+    return x.graph.record(np.concatenate(values, axis=-3), (x,), backward, op="activation")
+
+
+def sigmoid(x: Node) -> Node:
+    return activation(x, (("sigmoid", 1),))
+
+
+def relu(x: Node) -> Node:
+    return activation(x, (("relu", 1),))
+
+
+def gelu(x: Node) -> Node:
+    return activation(x, (("gelu", 1),))
 
 
 def softplus(x: Node) -> Node:

@@ -71,11 +71,11 @@ def _probe_weights(rng: np.random.Generator, shape) -> np.ndarray:
     return _away_from_zero(rng, shape, margin=0.5)
 
 
-def _unary(op: Callable, kink_margin: float = 0.0) -> GradCheck:
+def _unary(op: Callable, kink_margin: float = 0.0, shape=(3, 4)) -> GradCheck:
     def draw(rng):
         if kink_margin > 0.0:
-            return [_away_from_zero(rng, (3, 4), kink_margin)], []
-        return [rng.uniform(-2.0, 2.0, (3, 4))], []
+            return [_away_from_zero(rng, shape, kink_margin)], []
+        return [rng.uniform(-2.0, 2.0, shape)], []
 
     def forward(g, params, consts):
         x = g.leaf(params[0])
@@ -155,40 +155,6 @@ def _model_check(spec: ModelSpec) -> GradCheck:
     return draw, forward
 
 
-def _entries_added(x):
-    """The entries of ``x``'s first batch axis added in order: a
-    ``(..., 1, n, k)`` value, so a check's loss is one scalar per point."""
-    parts = ad.split_batch(x, [1] * x.shape[-3])
-    total = parts[0]
-    for part in parts[1:]:
-        total = ad.add(total, part)
-    return total
-
-
-# The batch-axis ops: a point's params carry one entry, which probe weights
-# spread over three; the entries go through different ops in runs of 2 and 1.
-# Small matrices keep each check to one chunk of points.
-def _split_batch_draw(rng):
-    return [rng.uniform(-2.0, 2.0, (1, 2, 3))], [_probe_weights(rng, (3, 2, 3))]
-
-
-def _split_batch_forward(g, params, consts):
-    x = g.leaf(params[0])
-    pair, single = ad.split_batch(ad.mul(x, g.constant(consts[0])), (2, 1))
-    return _scalar_loss(ad.add(_entries_added(ad.gelu(pair)), ad.sigmoid(single))), [x]
-
-
-def _concat_batch_draw(rng):
-    params = [rng.uniform(-2.0, 2.0, (1, 2, 3)), rng.uniform(-2.0, 2.0, (1, 2, 3))]
-    return params, [_probe_weights(rng, (2, 2, 3)), _probe_weights(rng, (3, 2, 3))]
-
-
-def _concat_batch_forward(g, params, consts):
-    a, b = g.leaf(params[0]), g.leaf(params[1])
-    joined = ad.concat_batch([ad.mul(a, g.constant(consts[0])), ad.sigmoid(b)])
-    return _scalar_loss(_entries_added(ad.mul(joined, g.constant(consts[1])))), [a, b]
-
-
 GRADCHECKS: dict[str, GradCheck] = {
     "add": _binary(ad.add),
     "add_broadcast_row": _binary(ad.add, b_shape=(1, 4)),
@@ -211,8 +177,10 @@ GRADCHECKS: dict[str, GradCheck] = {
     "perceptron_gelu": _model_check(ModelSpec("perceptron", hidden=5, activation="gelu")),
     "logicron": _model_check(ModelSpec("logicron", hidden=4)),
     "logicron_neg": _model_check(ModelSpec("logicron_neg", hidden=3)),
-    "split_batch": (_split_batch_draw, _split_batch_forward),
-    "concat_batch": (_concat_batch_draw, _concat_batch_forward),
+    # A point is three entries, a loss each, in runs of 2 and 1; small
+    # matrices keep the check to one chunk of points.
+    "activation_runs": _unary(lambda x: ad.activation(x, (("gelu", 2), ("sigmoid", 1))),
+                              shape=(3, 2, 2)),
 }
 
 
@@ -261,8 +229,10 @@ def run_gradcheck(check: GradCheck, points: int, rng: np.random.Generator) -> fl
 
 
 def _fd_errors(forward, params, consts, h: float) -> np.ndarray:
-    """Per-point finite-difference errors of points stacked on axis 0."""
-    return ad.finite_difference_check(lambda g, p: forward(g, p, consts), params, h=h)
+    """Per-point finite-difference errors of points stacked on axis 0: the
+    max over each point's entries, for a point may carry several."""
+    err = ad.finite_difference_check(lambda g, p: forward(g, p, consts), params, h=h)
+    return err.reshape(len(err), -1).max(axis=1)
 
 
 def gradcheck_suite(points: int = 100, seed: int = 0) -> dict[str, float]:

@@ -2,10 +2,12 @@
 
 A Logicron is one gated logic layer feeding a dense sigmoid head.  A
 Perceptron is one dense hidden layer (no bias) with a pointwise nonlinearity
-and the same head; the nonlinearities are named here, in ``ACTIVATION_KINDS``,
-and ``ModelSpec`` is the one check of a kind.  Default sizes are chosen so the trainable-scalar counts
-come out to 97 (perceptron, h=24), 90 (logicron, 11 units + trainable
-sharpness) and 110 (logicron with a 9-unit negation branch).
+and the same head; the nonlinearities are the kernels of
+``autodiff.ACTIVATION_KERNELS``, named here in ``ACTIVATION_KINDS``, and
+``ModelSpec`` is the one check of a kind.  Default sizes are chosen so the
+trainable-scalar counts come out to 97 (perceptron, h=24), 90 (logicron, 11
+units + trainable sharpness) and 110 (logicron with a 9-unit negation
+branch).
 
 A batch of models is one model whose params carry a leading entry axis
 (``stack_models``); its ``forward`` is the same code on stacked inputs.  The
@@ -52,8 +54,7 @@ __all__ = [
 ]
 
 MODEL_KINDS = ("perceptron", "logicron", "logicron_neg")
-_ACTIVATIONS = {"sigmoid": ad.sigmoid, "relu": ad.relu, "gelu": ad.gelu}
-ACTIVATION_KINDS = tuple(_ACTIVATIONS)
+ACTIVATION_KINDS = tuple(ad.ACTIVATION_KERNELS)
 
 _DEFAULT_HIDDEN = {"perceptron": 24, "logicron": 11, "logicron_neg": 9}
 
@@ -107,12 +108,10 @@ class Perceptron:
     ``runs`` names the activation of each entry of the model as contiguous
     ``(kind, entries)`` runs: one run for a model, or a stack of one spec,
     and one per activation for a stack of perceptrons that differ only in
-    activation.  With one run the forward applies that activation to the
-    hidden matmul.  With several, it cuts the hidden pre-activations into
-    the runs along the entry axis (``ad.split_batch``), applies each run's
-    activation to its part and joins the parts (``ad.concat_batch``); the
-    hidden matmul, the head and everything after serve all the entries at
-    once.
+    activation.  The forward applies them to the hidden pre-activations as
+    one ``ad.activation`` node, which with one run is that activation's own
+    node; the hidden matmul, the head and everything after serve all the
+    entries at once.
     """
 
     def __init__(self, spec: ModelSpec, rng: np.random.Generator):
@@ -128,13 +127,7 @@ class Perceptron:
     def forward(self, graph: Graph, inputs: np.ndarray) -> tuple[Node, dict[str, Node]]:
         leaves = {name: graph.leaf(arr) for name, arr in self.params.items()}
         x = graph.constant(inputs)
-        pre = ad.matmul(x, leaves["w_hidden"])
-        if len(self.runs) == 1:
-            hidden = _ACTIVATIONS[self.runs[0][0]](pre)
-        else:
-            parts = ad.split_batch(pre, [entries for _, entries in self.runs])
-            hidden = ad.concat_batch([_ACTIVATIONS[kind](part)
-                                      for (kind, _), part in zip(self.runs, parts)])
+        hidden = ad.activation(ad.matmul(x, leaves["w_hidden"]), self.runs)
         logits = ad.add(ad.matmul(hidden, leaves["w_head"]), leaves["b_head"])
         return ad.sigmoid(logits), leaves
 

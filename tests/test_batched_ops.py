@@ -115,6 +115,30 @@ class TestActivationsAndLoss:
         assert_batch_equals_slices(op, slices, seed)
 
     @SETTINGS
+    @given(batch, rows, width,
+           st.lists(st.tuples(st.sampled_from(["sigmoid", "relu", "gelu"]), st.integers(1, 3)),
+                    min_size=1, max_size=4),
+           seeds)
+    def test_activation_runs(self, s, n, c, runs, seed):
+        # Each slice is a stack of entries the runs tile; the stacked slices
+        # add an axis before it, which passes through.
+        rng = np.random.default_rng(seed)
+        entries = sum(count for _, count in runs)
+        slices = [_draw(rng, [(entries, n, c)], -8.0, 8.0) for _ in range(s)]
+        assert_batch_equals_slices(lambda x: ad.activation(x, runs), slices, seed)
+
+    @pytest.mark.parametrize("sizes", [(2, 2), (3, 3), (5, 0), (6, -1)])
+    def test_runs_that_do_not_tile_the_entry_axis_are_rejected(self, sizes):
+        g = Graph()
+        with pytest.raises(ad.ShapeError, match="do not tile"):
+            ad.activation(g.leaf(np.ones((5, 3, 4))), [("relu", size) for size in sizes])
+
+    def test_runs_need_a_batch_axis(self):
+        g = Graph()
+        with pytest.raises(ad.ShapeError, match="no batch axis"):
+            ad.activation(g.leaf(np.ones((3, 4))), (("sigmoid", 1), ("relu", 1)))
+
+    @SETTINGS
     @given(batch, rows, seeds)
     def test_bce_loss(self, s, n, seed):
         rng = np.random.default_rng(seed)
@@ -242,63 +266,3 @@ class TestUnequalBatchAxes:
         x, w = g.leaf(np.full((3, 4, 2), 0.5)), g.leaf(np.full((2, 2, 5), 0.5))
         with pytest.raises(ad.ShapeError):
             gated_reduce(x, w, w, g.constant([[1.0]]))
-
-
-class TestBatchSplitAndConcat:
-    """``split_batch`` and ``concat_batch`` act on axis -3 whatever axes lie
-    before it: a part is its slice of the value, and each slice of the
-    gradient goes back to its own part."""
-
-    @pytest.mark.parametrize("lead", [(), (2,), (2, 3)])
-    def test_parts_and_their_gradients_are_their_own_slices(self, lead):
-        rng = np.random.default_rng(len(lead))
-        x0 = rng.uniform(-2.0, 2.0, lead + (6, 3, 4))
-        scale = rng.uniform(1.0, 2.0, lead + (2, 3, 4))
-        probe = rng.normal(0.0, 1.0, lead + (6, 3, 4))
-        g = Graph()
-        x = g.leaf(x0)
-        parts = ad.split_batch(x, (2, 3, 1))
-        bounds = [(0, 2), (2, 5), (5, 6)]
-        for part, (start, stop) in zip(parts, bounds):
-            assert part.value.tobytes() == x0[..., start:stop, :, :].tobytes()
-        # The first run is scaled, the last negated, the middle one kept.
-        out = ad.concat_batch([ad.mul(parts[0], g.constant(scale)), parts[1], ad.one_minus(parts[2])])
-        assert out.shape == x0.shape
-        expected = np.concatenate([x0[..., :2, :, :] * scale, x0[..., 2:5, :, :],
-                                   1.0 - x0[..., 5:, :, :]], axis=-3)
-        assert out.value.tobytes() == expected.tobytes()
-
-        def inject(grad):
-            out.grad += probe
-
-        g.backward(g.record(np.zeros(lead + (6, 1, 1)), (out,), inject, op="probe"))
-        want = np.concatenate([probe[..., :2, :, :] * scale, probe[..., 2:5, :, :],
-                               -probe[..., 5:, :, :]], axis=-3)
-        assert x.grad.tobytes() == want.tobytes()
-
-    def test_a_part_that_needs_no_gradient_is_skipped(self):
-        g = Graph()
-        a, b = g.leaf(np.ones((2, 3, 4))), g.constant(np.zeros((1, 3, 4)))
-        out = ad.concat_batch([a, b])
-        g.backward(ad.reduce_sum(ad.reduce_sum(out, "rows"), "cols"))
-        assert a.grad.tobytes() == np.ones((2, 3, 4)).tobytes() and b.grad is None
-
-    def test_a_value_without_a_batch_axis_is_rejected(self):
-        g = Graph()
-        x = g.leaf(np.ones((3, 4)))
-        with pytest.raises(ad.ShapeError, match="no batch axis"):
-            ad.split_batch(x, (1,))
-        with pytest.raises(ad.ShapeError, match="no batch axis"):
-            ad.concat_batch([g.leaf(np.ones((1, 3, 4))), x])
-
-    @pytest.mark.parametrize("sizes", [(2, 2), (3, 3), (5, 0), (6, -1)])
-    def test_sizes_that_do_not_tile_the_axis_are_rejected(self, sizes):
-        g = Graph()
-        with pytest.raises(ad.ShapeError, match="do not tile"):
-            ad.split_batch(g.leaf(np.ones((5, 3, 4))), sizes)
-
-    @pytest.mark.parametrize("other", [(1, 3, 5), (1, 2, 4), (2, 1, 3, 4)])
-    def test_parts_whose_other_axes_differ_are_rejected(self, other):
-        g = Graph()
-        with pytest.raises(ad.ShapeError, match="differ off axis -3"):
-            ad.concat_batch([g.leaf(np.ones((2, 3, 4))), g.leaf(np.ones(other))])

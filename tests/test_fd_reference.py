@@ -19,25 +19,28 @@ _EPS = float(np.finfo(np.float64).eps)
 
 def _serial_function(forward):
     """``f(params, value_only)`` for the reference: a value-only call runs
-    ``forward`` on a ``ConstantGraph``, a gradient call sweeps a ``Graph``."""
+    ``forward`` on a ``ConstantGraph``, a gradient call sweeps a ``Graph``.
+    The loss comes back flat, one value per batch entry."""
 
     def f(params, value_only=False):
         if value_only:
-            return forward(ad.ConstantGraph(), params)[0].value.item(), None
+            return forward(ad.ConstantGraph(), params)[0].value.reshape(-1), None
         graph = ad.Graph()
         loss, nodes = forward(graph, params)
         graph.backward(loss)
-        return loss.value.item(), [node.grad for node in nodes]
+        return loss.value.reshape(-1), [node.grad for node in nodes]
 
     return f
 
 
 def _serial_finite_difference_check(f, params, h=1e-5):
-    """Reference oracle: two value-only calls of ``f`` per coordinate."""
+    """Reference oracle: two value-only calls of ``f`` per coordinate, each
+    read at the batch entry the coordinate belongs to.  Returns the max
+    over every entry's coordinates."""
     if h <= 0.0:
         raise ValueError("h must be positive")
     params = [ad.as_array(p) for p in params]
-    _, grads = f(params, value_only=False)
+    loss, grads = f(params, value_only=False)
     if grads is None:
         raise ValueError("f must return gradients when value_only is False")
     grads = [np.asarray(gr, dtype=np.float64) for gr in grads]
@@ -47,11 +50,12 @@ def _serial_finite_difference_check(f, params, h=1e-5):
     for k, p in enumerate(params):
         flat = p.reshape(-1)
         for i in range(flat.size):
+            entry = i // (flat.size // loss.size)  # the batch axes lead
             saved = flat[i]
             flat[i] = saved + h
-            f_plus = f(params, value_only=True)[0]
+            f_plus = f(params, value_only=True)[0][entry]
             flat[i] = saved - h
-            f_minus = f(params, value_only=True)[0]
+            f_minus = f(params, value_only=True)[0][entry]
             flat[i] = saved
             numeric = (f_plus - f_minus) / (2.0 * h)
             analytic = grads[k].reshape(-1)[i]
@@ -75,8 +79,9 @@ def test_batched_oracle_matches_serial_reference(seed):
             for h in SUITE_FD_STEPS:
                 serial = _serial_finite_difference_check(_serial_function(forward), params, h=h)
                 batched = ad.finite_difference_check(forward, params, h=h)
-                # A point of the batch-axis checks carries one entry: a (1,) result.
-                assert np.asarray(batched).item().hex() == serial.hex(), (name, point, h)
+                # A point of ``activation_runs`` carries three entries: its
+                # error is the max over them, as ``run_gradcheck`` takes it.
+                assert float(np.max(batched)).hex() == serial.hex(), (name, point, h)
 
 
 # gradcheck_suite(points=20, seed=s) as the serial oracle gave it, as float.hex.

@@ -16,7 +16,8 @@ from logiclab.checks import GRADCHECKS, SUITE_FD_STEPS, gradcheck_suite, run_gra
 
 
 def _per_point_run_gradcheck(check, points, rng, steps=SUITE_FD_STEPS):
-    """Reference: every point on its own, each later step only while needed."""
+    """Reference: every point on its own, each later step only while needed;
+    a point's error at a step is the max over its entries."""
     draw, forward_with = check
     worst = 0.0
     for _ in range(points):
@@ -25,11 +26,11 @@ def _per_point_run_gradcheck(check, points, rng, steps=SUITE_FD_STEPS):
         def forward(g, ps):
             return forward_with(g, ps, consts)
 
-        err = ad.finite_difference_check(forward, params, h=steps[0])
+        err = float(np.max(ad.finite_difference_check(forward, params, h=steps[0])))
         for h in steps[1:]:
             if err <= 1e-5:
                 break
-            err = min(err, ad.finite_difference_check(forward, params, h=h))
+            err = min(err, float(np.max(ad.finite_difference_check(forward, params, h=h))))
         worst = max(worst, err)
     return worst
 
@@ -52,7 +53,7 @@ def _quantized_check(shape):
 
     def draw(rng):
         x0 = rng.uniform(0.0, 1.0, shape)
-        return [x0], [np.array([[10.0 ** rng.uniform(3.0, 9.0)]])]
+        return [x0], [np.full((1,) * len(shape), 10.0 ** rng.uniform(3.0, 9.0))]
 
     def forward(g, params, consts):
         x = g.leaf(params[0])
@@ -70,7 +71,7 @@ def _curved_check(shape):
     points keep their first error."""
 
     def draw(rng):
-        return [rng.uniform(0.0, 1.0, shape)], [np.array([[rng.uniform(200.0, 2000.0)]])]
+        return [rng.uniform(0.0, 1.0, shape)], [np.full((1,) * len(shape), rng.uniform(200.0, 2000.0))]
 
     def forward(g, params, consts):
         x, k = g.leaf(params[0]), consts[0]
@@ -84,8 +85,10 @@ def _curved_check(shape):
     return draw, forward
 
 
+# A (3, 2, 3) point is three entries, a loss each: its error is their max,
+# and a retry re-runs whole points.
 @pytest.mark.parametrize("make_check", [_quantized_check, _curved_check])
-@pytest.mark.parametrize("shape", [(2, 3), (20, 15)])
+@pytest.mark.parametrize("shape", [(2, 3), (20, 15), (3, 2, 3)])
 def test_retry_of_a_subset_equals_per_point_loop(make_check, shape, monkeypatch):
     check = make_check(shape)
     points, first, retried = 20, [], []

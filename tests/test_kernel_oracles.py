@@ -13,7 +13,11 @@ payloads and both signs mixed in.  ``autodiff.bce_loss`` clamps with
 complement and builds its clamp mask in the backward; its oracle is the
 expression it was, compared at both clamp bounds, at 0 and 1 with both zeros,
 on NaN payloads and a signalling NaN, and with a target shared by the batch
-axes.
+axes.  ``autodiff.activation`` gives each run of entries its own activation
+in one node.  Its oracle is the chain of nodes it replaced: a split of the
+first batch axis into the runs, each run's one-run activation, and a
+concat.  They are compared with special values mixed in and with up to two
+axes before the runs.
 """
 
 import numpy as np
@@ -240,3 +244,53 @@ def test_bce_loss_value_and_gradient_bytes(target_shape):
     at_bounds = (pv <= ad._BCE_EPS) | (pv >= 1.0 - ad._BCE_EPS)
     assert (got[1][at_bounds] == 0.0).all()
     assert np.isnan(got[1][np.isnan(pv)]).all() and np.isnan(got[0]).any()
+
+
+def _split_batch(x, sizes):
+    """The removed ``split_batch``: one node per run, a view of its slice of
+    ``x``, whose backward adds its gradient into that slice of ``x``'s."""
+    parts, start = [], 0
+    for size in sizes:
+        def backward(grad, start=start, stop=start + size):
+            x_grad = x.grad[..., start:stop, :, :]
+            x_grad += grad
+
+        parts.append(x.graph.record(x.value[..., start:start + size, :, :], (x,), backward))
+        start += size
+    return parts
+
+
+def _concat_batch(parts):
+    """The removed ``concat_batch``: the parts joined on axis -3, each given
+    its slice of the output's gradient."""
+    bounds = np.cumsum([0] + [part.shape[-3] for part in parts])
+
+    def backward(grad):
+        for part, start, stop in zip(parts, bounds[:-1], bounds[1:]):
+            part.grad += grad[..., start:stop, :, :]
+
+    return parts[0].graph.record(np.concatenate([p.value for p in parts], axis=-3), parts, backward)
+
+
+ONE_RUN = {"sigmoid": ad.sigmoid, "relu": ad.relu, "gelu": ad.gelu}
+RUNS = (("sigmoid", 2), ("relu", 1), ("gelu", 3))
+
+
+def _activation_chain(x, runs):
+    parts = _split_batch(x, [entries for _, entries in runs])
+    return _concat_batch([ONE_RUN[kind](part) for (kind, _), part in zip(runs, parts)])
+
+
+@pytest.mark.parametrize("lead", [(), (2,), (2, 3)])
+@pytest.mark.parametrize("scale", [1.0, 30.0])
+def test_activation_runs_value_and_gradient_bytes(lead, scale):
+    rng = np.random.default_rng(25)
+    shape = lead + (6, 40, 5)
+    v, grad = _sprinkled(rng, shape, scale), _sprinkled(rng, shape, 1.0)
+    got = _swept(lambda x: ad.activation(x, RUNS), v, grad)
+    _assert_bytes_equal(got, _swept(lambda x: _activation_chain(x, RUNS), v, grad))
+    # Every run met NaNs, infinities and zeros of both signs.
+    for start, stop in ((0, 2), (2, 3), (3, 6)):
+        run = v[..., start:stop, :, :]
+        assert np.isnan(run).any() and np.isinf(run).any()
+        assert (np.signbit(run) & (run == 0.0)).any() and (~np.signbit(run) & (run == 0.0)).any()

@@ -78,11 +78,6 @@ _TRAIN_METRICS_READ = """\
                     owed = False
 """
 _FINITE_UPDATE = "                finite &= np.isfinite(loss).reshape(-1)\n"
-_GROUP_GRADIENTS = (
-    "tests/test_fd_reference.py::test_suite_maxima_are_pinned",
-    "tests/test_batched_ops.py::TestBatchSplitAndConcat",
-    "tests/test_perceptron_groups.py::test_toy_run_trains_one_perceptron_batch_and_matches_the_per_spec_loop",
-)
 _GROUPING = ("tests/test_perceptron_groups.py::test_perceptrons_share_a_batch_when_their_rows_fit_the_budget",)
 _FORKED = (
     "tests/test_seed_batching.py::test_workers_and_serial_loop_are_byte_equal",
@@ -127,14 +122,18 @@ MUTANTS = (
     Mutant("bce-complement-writeable", "src/logiclab/autodiff.py",
            "        self.complement.flags.writeable = False\n", "",
            ("tests/test_autodiff.py::TestBceLoss::test_target_and_its_complement_are_kept_read_only",)),
-    # the batch-axis split and concat
-    Mutant("concat-batch-grad-to-neighbour", "src/logiclab/autodiff.py",
-           "        for part, start, stop in zip(parts, bounds[:-1], bounds[1:]):",
-           "        for part, start, stop in zip([*parts[1:], parts[0]], bounds[:-1], bounds[1:]):",
-           _GROUP_GRADIENTS),
-    Mutant("split-batch-grad-bound-off-by-one", "src/logiclab/autodiff.py",
-           "        x_grad = x.grad[..., start:stop, :, :]", "        x_grad = x.grad[..., start:stop + 1, :, :]",
-           _GROUP_GRADIENTS),
+    # the activation runs of one node
+    Mutant("activation-rule-to-neighbour-slice", "src/logiclab/autodiff.py",
+           "        for part, rule in zip(parts, rules):",
+           "        for part, rule in zip([*parts[1:], parts[0]], rules):",
+           (_ORACLES + "test_activation_runs_value_and_gradient_bytes",)),
+    Mutant("activation-run-bound-off-by-one", "src/logiclab/autodiff.py",
+           "np.s_[..., start:stop, :, :]", "np.s_[..., start:stop + 1, :, :]",
+           ("tests/test_batched_ops.py::TestActivationsAndLoss::test_activation_runs",)),
+    Mutant("activation-forward-previous-kind", "src/logiclab/autodiff.py",
+           "for (kind, _), part in zip(runs, parts)", "for (kind, _), part in zip([runs[-1], *runs], parts)",
+           ("tests/test_perceptron_groups.py::"
+            "test_toy_run_trains_one_perceptron_batch_and_matches_the_per_spec_loop",)),
     # the fused gate kernel
     Mutant("gated-reduce-dw-scaled", "src/logiclab/lnu.py",
            'dw = np.einsum("...jnk,...jn->...jk", dz, xt)',
