@@ -436,9 +436,9 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _map_tasks(fn: Callable, tasks: list[tuple], order: Sequence[int], at_once: int) -> list:
+def _map_tasks(fn: Callable, tasks: list[tuple], at_once: int) -> list:
     """``[fn(*task) for task in tasks]``, in forked workers if it can be,
-    started in ``order`` (see ``workers.forked_map``).  ``run_multi_seed``
+    started in list order (see ``workers.forked_map``).  ``run_multi_seed``
     passes its spec count as ``at_once``: a chunk trains at most that many
     batches, and fewer where its perceptrons share one.
 
@@ -447,8 +447,8 @@ def _map_tasks(fn: Callable, tasks: list[tuple], order: Sequence[int], at_once: 
     OS shares the CPUs among them until the last one ends, so no CPU idles
     while a long task finishes alone, whatever the tasks cost.  With one
     usable CPU or one task, without ``os.fork`` or with other threads running
-    (forking them is unsafe), the tasks run here one after another, in task
-    order.
+    (forking them is unsafe), the tasks run here one after another, in the
+    order the workers would start them.
     """
     cpus = _usable_cpus()
     workers = min(len(tasks), max(cpus, at_once))
@@ -456,7 +456,7 @@ def _map_tasks(fn: Callable, tasks: list[tuple], order: Sequence[int], at_once: 
         return [fn(*task) for task in tasks]
     from .workers import forked_map  # only a run that forks loads it
 
-    return forked_map(fn, tasks, workers, order)
+    return forked_map(fn, tasks, workers)
 
 
 def _check_distinct(names: list[str], what: str) -> None:
@@ -504,11 +504,11 @@ def run_multi_seed(
     initial parameters.  As many workers run at once as there are CPUs or
     specs, whichever is more: all of a chunk's batches share the CPUs to
     the end, and no more than one chunk's worth of batches is alive at a
-    time.  The workers start every gated model's batch before any
+    time.  Every gated model's batch is listed, and so started, before any
     perceptron's, the longest first, which matters where batches wait for a
-    worker.  The runs, and every byte written from them, are the same
-    either way.  The stats are keyed by spec name, so the names must be
-    distinct.
+    worker; the serial loop trains them in the same order.  The runs, and
+    every byte written from them, are the same either way.  The stats are
+    keyed by spec name, so the names must be distinct.
     """
     _check_distinct([name for name, _ in specs], "model")
     chunk_size = max(1, _ROW_BUDGET // config.n_train)
@@ -530,9 +530,10 @@ def run_multi_seed(
             model = stack_models([build_model(specs[k][1], init[k]) for k in batch for init in inits])
             tasks.append((model, train_data, test_data, config, [specs[k][0] for k in batch], chunk))
     # Longest first: at n_train = 1000 a gated batch trains 2-5x as long as a
-    # perceptron batch of its chunk (README, seed batching).
-    order = sorted(range(len(tasks)), key=lambda i: tasks[i][0].spec.kind == "perceptron")
-    batches = _map_tasks(train, tasks, order, len(specs))
+    # perceptron batch of its chunk (README, seed batching).  The sort is
+    # stable, so each kind keeps suite order.
+    tasks.sort(key=lambda task: task[0].spec.kind == "perceptron")
+    batches = _map_tasks(train, tasks, len(specs))
     by_run = {(run.model_name, run.seed): run for batch_runs in batches for run in batch_runs}
     runs = [by_run[name, seed] for seed in config.seeds for name, _ in specs]
 

@@ -1,10 +1,11 @@
 """Independent tasks in forked worker processes.
 
 ``forked_map`` runs each task in a child forked for it, at most a given
-number at a time, starting them in the order it is given, and returns the
-results in task order.  A child inherits its task with the parent's memory,
-so nothing is pickled on the way out, and it sends back only what the task
-returned or raised and the warnings it issued.
+number at a time, forking them as the tasks are listed, and returns each
+result at its task's index.  A child inherits its task with the parent's
+memory, so nothing is pickled on the way out, and it sends back only what
+the task returned or raised; anything it prints, a warning included, goes
+to the stderr it shares with the parent.
 ``experiments.run_multi_seed`` trains its batches through it, all of a
 chunk's batches at once even where they outnumber the CPUs, and loads this
 module only when it forks.
@@ -27,9 +28,7 @@ import os
 import pickle
 import select
 import signal
-import sys
-import warnings
-from typing import Callable, NoReturn, Sequence
+from typing import Callable, NoReturn
 
 __all__ = ["WorkerError", "forked_map", "pin_heap_thresholds"]
 
@@ -39,32 +38,28 @@ class WorkerError(RuntimeError):
     say by the kernel's out-of-memory killer) without returning its result."""
 
 
-def forked_map(fn: Callable, tasks: list[tuple], workers: int, order: Sequence[int]) -> list:
+def forked_map(fn: Callable, tasks: list[tuple], workers: int) -> list:
     """``[fn(*task) for task in tasks]``, each task in a child forked for it
     and at most ``workers`` children at a time.
 
-    The children are forked in ``order``, a permutation of the task indices:
-    a caller that starts its longest tasks first keeps one long task from
-    running alone at the end.  The order changes only when a task runs;
-    results and warnings are kept by task index.
+    The children are forked as the tasks are listed, so a caller that lists
+    its longest tasks first keeps one long task from running alone at the
+    end; each result is kept at its task's index, whichever child ends
+    first.
 
     A task that raises makes this raise the same exception, chained to the
     child's traceback, after the children still running are killed; a child
     that cannot be forked, or that ends without a result (killed by a
-    signal), makes it raise ``WorkerError`` the same way.  The
-    warnings the children recorded are issued again here, task by task,
-    through this process's filters and registries, so a warning that several
-    tasks hit prints once, as in one process.  Every child is reaped before
-    this returns or raises.
+    signal), makes it raise ``WorkerError`` the same way.  Every child is
+    reaped before this returns or raises.
     """
     results: list = [None] * len(tasks)
-    caught: dict[int, list] = {}
-    todo = list(reversed(order))  # popped from the end
+    todo = list(range(len(tasks)))
     running: dict[int, tuple[int, int, list[bytes]]] = {}  # read fd -> (index, pid, data)
     try:
         while todo or running:
             while todo and len(running) < workers:
-                index = todo.pop()
+                index = todo.pop(0)
                 read_fd, write_fd = os.pipe()
                 try:
                     pid = os.fork()
@@ -90,7 +85,7 @@ def forked_map(fn: Callable, tasks: list[tuple], workers: int, order: Sequence[i
                 if code != 0:
                     how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
                     raise WorkerError(f"a worker process {how} before returning its result")
-                ok, value, trace, caught[index] = pickle.loads(b"".join(data))
+                ok, value, trace = pickle.loads(b"".join(data))
                 if not ok:
                     raise value from RuntimeError("in a worker process:\n" + trace)
                 results[index] = value
@@ -99,29 +94,25 @@ def forked_map(fn: Callable, tasks: list[tuple], workers: int, order: Sequence[i
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             os.close(fd)
-        for index in sorted(caught):
-            _reissue(caught[index])
     return results
 
 
 def _work(fn: Callable, task: tuple, write_fd: int) -> NoReturn:
     """A forked child's whole life: run ``fn(*task)`` and write the pickled
-    ``(ok, result or exception, traceback text, warnings)`` to ``write_fd``.
-    It never returns into the parent's stack; the exit code is 0 only after
-    a complete write."""
+    ``(ok, result or exception, traceback text)`` to ``write_fd``.  It
+    never returns into the parent's stack; the exit code is 0 only after a
+    complete write."""
     code = 1
     try:
-        with warnings.catch_warnings(record=True) as issued:
-            try:
-                pin_heap_thresholds()
-                outcome = (True, fn(*task), None)
-            except BaseException as exc:
-                import traceback
+        try:
+            pin_heap_thresholds()
+            outcome = (True, fn(*task), None)
+        except BaseException as exc:
+            import traceback
 
-                outcome = (False, exc, "".join(traceback.format_exception(exc)))
-        sent = [(w.message, w.filename, w.lineno) for w in issued]
+            outcome = (False, exc, "".join(traceback.format_exception(exc)))
         with open(write_fd, "wb") as fh:
-            fh.write(pickle.dumps(outcome + (sent,)))
+            fh.write(pickle.dumps(outcome))
         code = 0
     finally:
         os._exit(code)
@@ -157,17 +148,3 @@ def pin_heap_thresholds() -> None:
     if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX):
         mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX)
 
-
-def _reissue(caught: list[tuple[Warning, str, int]]) -> None:
-    """Issue warnings a child recorded as if they were raised here: the
-    module whose file issued one supplies its name and ``__warningregistry__``."""
-    if not caught:
-        return
-    modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
-    for message, filename, lineno in caught:
-        module = modules.get(filename)
-        warnings.warn_explicit(
-            message, type(message), filename, lineno,
-            module=None if module is None else module.__name__,
-            registry=None if module is None else vars(module).setdefault("__warningregistry__", {}),
-        )

@@ -1,5 +1,6 @@
 """``tools/bench_pairs.py`` summarises paired benchmark results: medians
-with quartiles, the median paired ratio and the pairs the change read lower,
+with quartiles, the median paired ratio, the pairs the change read lower
+and whether the medians differ by more than the parent's quartile distance,
 the same for the phase medians a run prints, and no summary at all when a
 run is not correct.  Canned results only; the benchmark itself is not run."""
 
@@ -28,10 +29,12 @@ def test_summary_arithmetic():
     # parent sorted 10 11 12 13 14: q1 11, median 12, q3 13; change sorted
     # 7 9 11.7 12 12.1: q1 9, median 11.7, q3 12.  Ratios 0.9, 1, 1.1, 0.9,
     # 0.5: median 0.9.  Lower in pairs 1, 4 and 5; the tie counts for neither.
+    # The medians differ by 0.3, within the parent's q3 - q1 of 2; peak_rss_mb's
+    # differ by 0.5, beyond its 0.
     assert run_rel.split() == ["run_rel", "x", "12", "[11,", "13]", "11.7", "[9,", "12]",
-                               "0.9000", "3/5"]
+                               "0.9000", "3/5", "unresolved"]
     assert peak.split() == ["peak_rss_mb", "MB", "37", "[37,", "37]", "37.5", "[37.5,", "37.5]",
-                            "1.0135", "0/5"]
+                            "1.0135", "0/5", "resolved"]
 
 
 @pytest.mark.parametrize("side", ["parent", "change"])
@@ -79,10 +82,23 @@ def test_phase_medians_are_summarised_after_the_metrics_as_unbounded():
     parent = [_verify_run(14.0, t) for t in ("0.032", "0.030", "0.031")]
     change = [_verify_run(11.5, t) for t in ("0.016", "0.017", "0.015")]
     header, run_rel, label, gradcheck, logic, boundary = bench_pairs.summarise(parent, change)
-    assert run_rel.split()[0] == "run_rel" and run_rel.split()[-1] == "3/3"
+    assert run_rel.split()[0] == "run_rel" and run_rel.split()[-2:] == ["3/3", "resolved"]
     assert label == "phase medians, unbounded:"
-    assert gradcheck.split()[-2:] == ["1.0000", "0/3"]
+    assert gradcheck.split()[-3:] == ["1.0000", "0/3", "unresolved"]
     # Ratios 0.5, 0.5667, 0.4839: median 0.5; quartiles of 30, 31, 32 ms are 30.5, 32.
     assert logic.split() == ["logic_checks_s", "s", "0.031", "[0.0305,", "0.0315]",
-                             "0.016", "[0.0155,", "0.0165]", "0.5000", "3/3"]
+                             "0.016", "[0.0155,", "0.0165]", "0.5000", "3/3", "resolved"]
     assert boundary.split()[0] == "boundary_s"
+
+
+# Parent run_rel 11, 12, 13: median 12, q3 - q1 = 12.5 - 11.5 = 1.
+@pytest.mark.parametrize("change, verdict", [
+    ((10.0, 10.9, 11.2), "resolved"),  # 1.1 below the parent's median
+    ((13.0, 13.2, 14.0), "resolved"),  # 1.2 above it: a loss resolves alike
+    ((10.5, 11.0, 11.9), "unresolved"),  # exactly the quartile distance
+    ((9.0, 11.1, 11.2), "unresolved"),  # 0.9 below, though every pair read lower
+])
+def test_a_median_difference_resolves_only_beyond_the_parents_quartile_distance(change, verdict):
+    parent = [_verify_run(rel, "0.016") for rel in (11.0, 12.0, 13.0)]
+    _, run_rel, *_ = bench_pairs.summarise(parent, [_verify_run(rel, "0.016") for rel in change])
+    assert run_rel.split()[0] == "run_rel" and run_rel.split()[-1] == verdict

@@ -32,7 +32,7 @@ _CHURN = textwrap.dedent("""
             del arrays
         return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
-    print(forked_map(churn, [()], 1, [0])[0], churn())
+    print(forked_map(churn, [()], 1)[0], churn())
 """)
 
 
@@ -53,7 +53,7 @@ def test_a_worker_keeps_its_freed_heap_and_its_caller_does_not():
 def test_a_worker_pins_before_its_task(monkeypatch):
     pinned = []
     monkeypatch.setattr(workers, "pin_heap_thresholds", lambda: pinned.append(os.getpid()))
-    [(child, seen)] = workers.forked_map(lambda: (os.getpid(), list(pinned)), [()], 1, [0])
+    [(child, seen)] = workers.forked_map(lambda: (os.getpid(), list(pinned)), [()], 1)
     assert seen == [child]
     assert pinned == []
 
@@ -75,7 +75,7 @@ def test_main_leaves_its_callers_allocator_alone(monkeypatch, tmp_path, capsys, 
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
     argv = ["train", "--seeds", "2", "--epochs", "1", "--out", str(tmp_path)]
     assert cli.main(argv) == 0
-    assert experiments._map_tasks(pow, [(2, 3), (3, 2)], [1, 0], 2) == [8, 9]
+    assert experiments._map_tasks(pow, [(2, 3), (3, 2)], 2) == [8, 9]
     assert pinned == []
 
 

@@ -135,7 +135,8 @@ def _stub(model, train_data, test_data, config, names, seeds):
 
 
 def _batch_names(monkeypatch, specs, config, budget=None):
-    """The names of each batch ``run_multi_seed`` trains, in task order."""
+    """The names of each batch ``run_multi_seed`` trains, in the order it
+    trains them here: every gated batch first."""
     if budget is not None:
         monkeypatch.setattr(experiments, "_ROW_BUDGET", budget)
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
@@ -153,16 +154,16 @@ def _batch_names(monkeypatch, specs, config, budget=None):
 
 
 GATED = [("Logicron",), ("Logicron+Neg",)]
-FIVE = [(name,) for name, _ in SUITE]
+SINGLES = [(name,) for name in PERCEPTRONS]
 
 
 @pytest.mark.parametrize("config, budget, expected", [
-    (TOY, None, [PERCEPTRONS] + GATED),  # 3 x 20 x 3 = 180 rows
-    (TrainConfig(epochs=1), None, [PERCEPTRONS] + GATED),  # the default train: 1,200
-    (TrainConfig(epochs=1, seeds=(0, 1), n_train=1000), None, FIVE),  # wide: 6,000
-    (TOY, 3 * 3 * 20, [PERCEPTRONS] + GATED),  # at the budget
-    (TOY, 3 * 3 * 20 - 1, FIVE),  # one row over it
-    (MIXED, None, FIVE + [PERCEPTRONS] + GATED),
+    (TOY, None, GATED + [PERCEPTRONS]),  # 3 x 20 x 3 = 180 rows
+    (TrainConfig(epochs=1), None, GATED + [PERCEPTRONS]),  # the default train: 1,200
+    (TrainConfig(epochs=1, seeds=(0, 1), n_train=1000), None, GATED + SINGLES),  # wide: 6,000
+    (TOY, 3 * 3 * 20, GATED + [PERCEPTRONS]),  # at the budget
+    (TOY, 3 * 3 * 20 - 1, GATED + SINGLES),  # one row over it
+    (MIXED, None, GATED + GATED + SINGLES + [PERCEPTRONS]),  # both chunks' gated batches first
 ])
 def test_perceptrons_share_a_batch_when_their_rows_fit_the_budget(monkeypatch, config, budget, expected):
     assert _batch_names(monkeypatch, SUITE, config, budget) == expected

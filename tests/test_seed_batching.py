@@ -1,19 +1,22 @@
 """Seed batching: ``run_multi_seed`` trains the seeds of a model in chunks,
 each chunk as one batch.  How the seeds are chunked, and whether the
-batches train here or in forked workers, must not change a written byte,
-a trained parameter or a warning, and a seed that diverges must not reach
-its batch-mates."""
+batches train here or in forked workers, must not change a written byte
+or a trained parameter, and a seed that diverges must not reach its
+batch-mates."""
 
 import errno
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import threading
 import time
-import warnings
 
 import numpy as np
 import pytest
 
+import logiclab
 from logiclab import cli, experiments
 from logiclab.experiments import (
     TrainConfig,
@@ -57,7 +60,9 @@ def test_one_chunk_and_chunks_of_one_are_byte_equal(monkeypatch, tmp_path):
     whole = _recording_run(monkeypatch, tmp_path, row_budget=3 * SHORT.n_train)
     single = _recording_run(monkeypatch, tmp_path, row_budget=1)
     assert whole[1] == [(0, 1, 2)] * 5
-    assert single[1] == [(seed,) for seed in SHORT.seeds for _ in range(5)]
+    # Every chunk's two gated batches, then every chunk's three perceptrons.
+    assert single[1] == ([(seed,) for seed in SHORT.seeds for _ in range(2)]
+                         + [(seed,) for seed in SHORT.seeds for _ in range(3)])
     assert whole[0] == single[0]
     assert len(whole[2]) == 5 * 3 and whole[2] == single[2]
 
@@ -175,43 +180,55 @@ def test_a_nan_seed_in_an_evaluation_sub_batch_is_flagged_alone(monkeypatch):
 # --- training in forked workers ------------------------------------------------
 
 
-def _start_and_warn(index):
-    warnings.warn(f"task {index}")
-    return index, time.monotonic()
+def _start_and_sleep(index, pause):
+    start = time.monotonic()
+    time.sleep(pause)
+    return index, start, time.monotonic()
 
 
-def test_forked_map_starts_in_the_given_order_and_returns_in_task_order():
+def test_forked_map_starts_in_list_order_and_returns_in_task_order():
     from logiclab.workers import forked_map
 
-    order = [3, 0, 4, 2, 1]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        results = forked_map(_start_and_warn, [(i,) for i in range(5)], 1, order)
-    assert [index for index, _ in results] == list(range(5))
-    starts = [results[i][1] for i in order]
+    # One at a time: each task starts after the one listed before it.
+    results = forked_map(_start_and_sleep, [(i, 0.0) for i in range(5)], 1)
+    assert [index for index, _, _ in results] == list(range(5))
+    starts = [start for _, start, _ in results]
     assert starts == sorted(starts) and len(set(starts)) == 5
-    assert [str(w.message) for w in caught] == [f"task {i}" for i in range(5)]
+    # All at once: the later a task is listed, the sooner it ends.
+    results = forked_map(_start_and_sleep, [(i, 0.1 * (4 - i)) for i in range(5)], 5)
+    assert [index for index, _, _ in results] == list(range(5))
+    ends = [end for _, _, end in results]
+    assert ends == sorted(ends, reverse=True)
     _no_child_left()
 
 
 def test_gated_batches_start_before_perceptron_batches(monkeypatch):
-    # Two chunks of the five default models: tasks 0-4 and 5-9, suite order.
+    # Two chunks of the five default models, seeds (0, 1) and (2,).
     monkeypatch.setattr(experiments, "_ROW_BUDGET", 2 * SHORT.n_train)
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(experiments, "train", _stub_batch)
-    seen = []
+    started, trained = [], []
 
-    def recording(fn, tasks, workers, order):
-        seen.append(([task[0].spec.kind != "perceptron" for task in tasks], list(order)))
+    def stub(model, train_data, test_data, config, names, seeds):
+        trained.append((tuple(names), tuple(seeds)))
+        return _stub_batch(model, train_data, test_data, config, names, seeds)
+
+    def recording(fn, tasks, workers):
+        started.extend((tuple(task[4]), tuple(task[5])) for task in tasks)
         return [fn(*task) for task in tasks]
 
     from logiclab import workers
 
+    monkeypatch.setattr(experiments, "train", stub)
     monkeypatch.setattr(workers, "forked_map", recording)
     run_multi_seed(default_model_suite(), SHORT)
-    [(gated, order)] = seen
-    assert gated == [False, False, False, True, True] * 2
-    assert order == [3, 4, 8, 9, 0, 1, 2, 5, 6, 7]
+    gated, perceptrons = ["Logicron", "Logicron+Neg"], ["MLP-Sigmoid", "MLP-ReLU", "MLP-GeLU"]
+    assert started == [((name,), seeds) for names in (gated, perceptrons)
+                       for seeds in ((0, 1), (2,)) for name in names]
+    # The serial loop trains them in the order the workers start them.
+    trained.clear()
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
+    run_multi_seed(default_model_suite(), SHORT)
+    assert trained == started
 
 
 def _no_child_left():
@@ -233,7 +250,7 @@ def test_worker_count(monkeypatch, cpus, chunks, expected):
     monkeypatch.setattr(experiments, "train", _stub_batch)
     seen = []
 
-    def recording(fn, tasks, workers, order):
+    def recording(fn, tasks, workers):
         seen.append((len(tasks), workers))
         return [fn(*task) for task in tasks]
 
@@ -255,7 +272,7 @@ def _start_and_end(pause):
 def test_forked_map_keeps_at_most_its_workers_alive(workers):
     from logiclab.workers import forked_map
 
-    intervals = forked_map(_start_and_end, [(0.1,)] * 7, workers, range(7))
+    intervals = forked_map(_start_and_end, [(0.1,)] * 7, workers)
     # Each instant of the run lies in at most `workers` intervals; checking
     # every start suffices, as the count only rises at one.
     for start, _ in intervals:
@@ -318,30 +335,29 @@ def test_serial_loop_without_fork_or_with_threads(monkeypatch, condition):
     assert {run.pid for run in aggregate.runs} == {os.getpid()}
 
 
-def _warning_batch(model, train_data, test_data, config, names, seeds):
-    """A stub task that issues a warning of its own and one that every task
-    issues from the same line (``train`` itself keeps numpy's quiet)."""
-    warnings.warn(f"{names} on {seeds}")
-    np.log(np.zeros(1))  # numpy's RuntimeWarning: divide by zero
-    return _stub_batch(model, train_data, test_data, config, names, seeds)
+# In a fresh interpreter, as the program runs (pytest records the warnings
+# of this one): two tasks that warn, forked one after the other.
+_WARN = textwrap.dedent("""
+    import warnings
+
+    from logiclab.workers import forked_map
+
+    def warn(index):
+        warnings.warn(f"task {index}")
+        return index
+
+    print(forked_map(warn, [(0,), (1,)], 1))
+""")
 
 
-def test_workers_issue_warnings_as_one_process_would(monkeypatch):
-    # Each distinct warning prints once per location either way, in the
-    # same order: the task's own one per task, numpy's once.
-    monkeypatch.setattr(experiments, "_ROW_BUDGET", 2 * SHORT.n_train)
-    monkeypatch.setattr(experiments, "train", _warning_batch)
-    seen = {}
-    for path, count in (("serial", 1), ("forked", 2)):
-        monkeypatch.setattr(experiments, "_usable_cpus", lambda: count)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("default")
-            run_multi_seed(default_model_suite(), SHORT)
-        seen[path] = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
-    assert seen["forked"] == seen["serial"]
-    assert [category for category, *_ in seen["serial"]].count(RuntimeWarning) == 1
-    assert len(seen["serial"]) == 1 + 10 and len(set(seen["serial"])) == len(seen["serial"])
-    _no_child_left()
+def test_a_warning_from_a_forked_task_reaches_stderr(capfd):
+    src = os.path.dirname(os.path.dirname(logiclab.__file__))
+    proc = subprocess.run([sys.executable, "-W", "default", "-c", _WARN],
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0
+    captured = capfd.readouterr()
+    assert captured.out == "[0, 1]\n"
+    assert captured.err == "<string>:7: UserWarning: task 0\n<string>:7: UserWarning: task 1\n"
 
 
 def _fail_one_task(model, train_data, test_data, config, names, seeds):

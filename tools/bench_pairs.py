@@ -7,12 +7,15 @@ default) once per pair, alternating which checkout runs first, and removes
 the checkout's ``src/logiclab/__pycache__`` before each run so that both
 sides compile their sources alike.  It prints every run's metrics as it
 ends, then one line per metric of the result: each side's median with its
-quartiles [q1, q3], the median of the per-pair ratios change / parent, and in
-how many pairs the change read lower.  The same lines follow for the phase
-medians each run prints (``train_s``, ``write_s``, ``gradcheck_s``,
-``logic_checks_s``, ``boundary_s``, whichever the workload has).  They carry
-no bound; they show which phase a change in ``run_s`` came from.  If any run
-fails or is not ``correct``, it names the run and exits 1 without a summary.
+quartiles [q1, q3], the median of the per-pair ratios change / parent, in
+how many pairs the change read lower, and a verdict: ``resolved`` when the
+two medians differ by more than the parent's quartile distance (q3 - q1),
+else ``unresolved``, a difference the parent's spread can hide.  The same
+lines follow for the phase medians each run prints (``train_s``,
+``write_s``, ``gradcheck_s``, ``logic_checks_s``, ``boundary_s``, whichever
+the workload has).  They carry no bound; they show which phase a change in
+``run_s`` came from.  If any run fails or is not ``correct``, it names the
+run and exits 1 without a summary.
 
 It needs only the standard library, and changes nothing in either checkout
 but the caches it removes and what ``perfbench/run.py`` writes itself.
@@ -77,7 +80,7 @@ def summarise(parent: list[dict], change: list[dict]) -> list[str]:
                 raise ValueError(f"{side} run {i + 1} is not correct: "
                                  f"{result.get('error') or 'verdict INCORRECT'}")
     lines = [f"{'metric':<16}{'unit':<6}{'parent median [q1, q3]':<32}"
-             f"{'change median [q1, q3]':<32}{'change/parent':<15}lower"]
+             f"{'change median [q1, q3]':<32}{'change/parent':<15}{'lower':<8}verdict"]
     for name, metric in parent[0]["metrics"].items():
         lines.append(_line(name, metric["unit"], [r["metrics"][name]["value"] for r in parent],
                            [r["metrics"][name]["value"] for r in change]))
@@ -91,9 +94,11 @@ def summarise(parent: list[dict], change: list[dict]) -> list[str]:
 
 def _line(name: str, unit: str, a: list[float], b: list[float]) -> str:
     ratio = statistics.median(y / x for x, y in zip(a, b))
-    lower = sum(y < x for x, y in zip(a, b))
-    sides = ["{1:.4g} [{0:.4g}, {2:.4g}]".format(*_quartiles(v)) for v in (a, b)]
-    return f"{name:<16}{unit:<6}{sides[0]:<32}{sides[1]:<32}{ratio:<15.4f}{lower}/{len(a)}"
+    lower = f"{sum(y < x for x, y in zip(a, b))}/{len(a)}"
+    qa, qb = _quartiles(a), _quartiles(b)
+    verdict = "resolved" if abs(qb[1] - qa[1]) > qa[2] - qa[0] else "unresolved"
+    sides = ["{1:.4g} [{0:.4g}, {2:.4g}]".format(*q) for q in (qa, qb)]
+    return f"{name:<16}{unit:<6}{sides[0]:<32}{sides[1]:<32}{ratio:<15.4f}{lower:<8}{verdict}"
 
 
 def _brief(result: dict) -> str:

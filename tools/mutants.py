@@ -239,26 +239,26 @@ MUTANTS = (
            " or threading.active_count() > 1", "", _FORKED[1:]),
     Mutant("assume-os-fork", "src/logiclab/experiments.py",
            ' or not hasattr(os, "fork")', "", _FORKED[1:]),
-    Mutant("warnings-not-reissued", "src/logiclab/workers.py",
-           "            _reissue(caught[index])", "            pass",
-           ("tests/test_seed_batching.py::test_workers_issue_warnings_as_one_process_would",)),
     Mutant("workers-not-killed-on-error", "src/logiclab/workers.py",
            "os.kill(pid, signal.SIGKILL)", "pass",
            ("tests/test_seed_batching.py::test_a_failing_task_stops_the_workers",)),
     # run_multi_seed files runs by (name, seed), so only forked_map's own
-    # contract sees the order of its results.
+    # contract sees the order of its results and starts.
     Mutant("results-in-completion-order", "src/logiclab/workers.py",
            "results[index] = value", "results[results.index(None)] = value",
-           ("tests/test_seed_batching.py::test_forked_map_starts_in_the_given_order_and_returns_in_task_order",)),
-    Mutant("results-by-start-position", "src/logiclab/workers.py",
-           "results[index] = value", "results[list(order).index(index)] = value",
-           ("tests/test_seed_batching.py::test_forked_map_starts_in_the_given_order_and_returns_in_task_order",)),
+           ("tests/test_seed_batching.py::test_forked_map_starts_in_list_order_and_returns_in_task_order",)),
+    Mutant("tasks-forked-last-first", "src/logiclab/workers.py",
+           "index = todo.pop(0)", "index = todo.pop()",
+           ("tests/test_seed_batching.py::test_forked_map_starts_in_list_order_and_returns_in_task_order",)),
+    Mutant("tasks-in-suite-order", "src/logiclab/experiments.py",
+           '    tasks.sort(key=lambda task: task[0].spec.kind == "perceptron")\n', "",
+           ("tests/test_seed_batching.py::test_gated_batches_start_before_perceptron_batches",)),
     Mutant("worker-error-replaced", "src/logiclab/workers.py",
            "raise value from RuntimeError(", "raise RuntimeError(",
            ("tests/test_seed_batching.py::test_a_failing_task_stops_the_workers",)),
     # heap thresholds
     Mutant("worker-does-not-pin", "src/logiclab/workers.py",
-           "                pin_heap_thresholds()\n", "",
+           "            pin_heap_thresholds()\n", "",
            ("tests/test_heap_thresholds.py::test_a_worker_pins_before_its_task",
             "tests/test_heap_thresholds.py::test_a_worker_keeps_its_freed_heap_and_its_caller_does_not")),
     Mutant("mmap-threshold-alone", "src/logiclab/workers.py",
